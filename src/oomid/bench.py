@@ -44,6 +44,22 @@ def _median_low(sorted_values: Sequence[float]) -> float:
     return sorted_values[(len(sorted_values) - 1) // 2]
 
 
+def sample_errors(
+    v: float, utilities: Sequence[float]
+) -> tuple[float, float, float, float]:
+    """``v_med``, ``v_max``, ``eta_med`` and ``eta_max`` of sorted sampled
+    utilities against the MEU ``v``.
+
+    The errors are relative, except when ``v`` is zero: the relative error
+    is undefined there, so the absolute error is reported instead.
+    """
+    v_med = _median_low(utilities)
+    v_max = utilities[-1]
+    if v == 0.0:
+        return v_med, v_max, abs(v - v_med), abs(v - v_max)
+    return v_med, v_max, abs((v - v_med) / v), abs((v - v_max) / v)
+
+
 def run_experiment(
     params: GeneratorParams,
     epsilons: Sequence[float],
@@ -68,18 +84,12 @@ def run_experiment(
                 s, seed=instance_seed * 31 + j
             )
             utilities = sorted(evaluator.evaluate(p) for p in policies)
-            v_med = _median_low(utilities)
-            v_max = utilities[-1]
+            v_med, v_max, eta_med, eta_max = sample_errors(v, utilities)
             flags: list[str] = []
             if replaced:
                 flags.append("sampled_with_replacement")
             if v == 0.0:
-                # the relative error is undefined; report absolute instead
                 flags.append("absolute_error")
-                eta_med, eta_max = abs(v - v_med), abs(v - v_max)
-            else:
-                eta_med = abs((v - v_med) / v)
-                eta_max = abs((v - v_max) / v)
             results.append(
                 ExperimentResult(
                     instance_id=i,

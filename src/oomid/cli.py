@@ -10,20 +10,26 @@ import argparse
 import itertools
 import sys
 
-from .bench import run_experiment, summarize, write_results_csv, write_summary_csv
-from .convert import ConversionConfig, convert, load_oom, save_oom
-from .diagram import DiagramError, GuardExceeded, InfluenceDiagram, load, validate
+from .bench import (
+    run_experiment,
+    sample_errors,
+    summarize,
+    write_results_csv,
+    write_summary_csv,
+)
+from .convert import ConversionConfig, convert
+from .diagram import (
+    DiagramError,
+    GuardExceeded,
+    InfluenceDiagram,
+    OOMInfluenceDiagram,
+    load,
+    save,
+    validate,
+)
 from .exact import PolicyEvaluator, solve_exact
 from .generator import GeneratorParams
 from .oom_solve import elim_oom_id
-
-
-def _load_valid(path: str) -> InfluenceDiagram:
-    diagram = load(path)
-    problems = validate(diagram)
-    if problems:
-        raise DiagramError("; ".join(problems))
-    return diagram
 
 
 def _print_policy(diagram: InfluenceDiagram, policy) -> None:
@@ -52,7 +58,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve_exact(args) -> int:
-    diagram = _load_valid(args.diagram)
+    diagram = load(args.diagram)
     solution = solve_exact(diagram)
     print(f"MEU = {solution.meu:.6f}")
     _print_policy(diagram, solution.policy)
@@ -60,19 +66,21 @@ def _cmd_solve_exact(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    diagram = _load_valid(args.diagram)
-    oom = convert(diagram, ConversionConfig(args.epsilon))
-    save_oom(oom, args.out)
+    oom = convert(load(args.diagram), ConversionConfig(args.epsilon))
+    save(oom, args.out)
     print(f"wrote {args.out}")
     return 0
 
 
-def _solve_oom_diagram(args):
-    if args.oom:
-        return load_oom(args.diagram)
+def _solve_oom_diagram(args) -> OOMInfluenceDiagram:
+    diagram = load(args.diagram)
+    if isinstance(diagram, OOMInfluenceDiagram):
+        if args.epsilon is not None:
+            raise DiagramError("--epsilon applies only to numeric diagrams")
+        return diagram
     if args.epsilon is None:
-        raise DiagramError("--epsilon is required unless --oom is given")
-    return convert(_load_valid(args.diagram), ConversionConfig(args.epsilon))
+        raise DiagramError("--epsilon is required for a numeric diagram")
+    return convert(diagram, ConversionConfig(args.epsilon))
 
 
 def _cmd_solve_oom(args) -> int:
@@ -99,20 +107,14 @@ def _cmd_solve_oom(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    diagram = _load_valid(args.diagram)
+    diagram = load(args.diagram)
     v = solve_exact(diagram).meu
     oom = convert(diagram, ConversionConfig(args.epsilon))
     solution = elim_oom_id(oom)
     policies, replaced = solution.policies.sample(args.samples, seed=args.seed)
     evaluator = PolicyEvaluator(diagram)
     utilities = sorted(evaluator.evaluate(p) for p in policies)
-    v_med = utilities[(len(utilities) - 1) // 2]
-    v_max = utilities[-1]
-    if v == 0.0:
-        eta_med, eta_max = abs(v - v_med), abs(v - v_max)
-    else:
-        eta_med = abs((v - v_med) / v)
-        eta_max = abs((v - v_max) / v)
+    v_med, v_max, eta_med, eta_max = sample_errors(v, utilities)
     print(f"v = {v:.6f}")
     print(f"v_med = {v_med:.6f}")
     print(f"v_max = {v_max:.6f}")
@@ -165,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a diagram file")
+    p = sub.add_parser("validate", help="check a numeric or qualitative diagram file")
     p.add_argument("diagram")
     p.set_defaults(fn=_cmd_validate)
 
@@ -181,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-oom", help="qualitative MEU and optimal policy set")
     p.add_argument("diagram")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--oom", action="store_true", help="input is already qualitative")
+    p.add_argument("--epsilon", type=float, help="required for a numeric diagram")
     p.set_defaults(fn=_cmd_solve_oom)
 
     p = sub.add_parser("compare", help="score sampled qualitative policies")

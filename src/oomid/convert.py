@@ -1,4 +1,4 @@
-"""Order-of-magnitude influence diagrams and the epsilon quantization.
+"""The epsilon quantization of numeric diagrams into order-of-magnitude ones.
 
 A numeric diagram converts entry-by-entry: a probability ``p`` maps to the
 positive value ``(+,k)`` whose bracket ``eps**(k+1) < p <= eps**k``
@@ -10,15 +10,18 @@ inequality tests, so exact powers of ``eps`` land in the right bracket.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Mapping
 
-from .diagram import DiagramError, InfluenceDiagram, Kind, Variable, validate
-from .sets import OOMSet, ZERO_SET, parse_set, singleton
-from .values import ZERO, OOMValue, Sign, parse_value
+from .diagram import (
+    CPT,
+    InfluenceDiagram,
+    OOMInfluenceDiagram,
+    UtilityFunction,
+    require_valid,
+)
+from .sets import OOMSet, ZERO_SET, singleton
+from .values import ZERO, OOMValue, Sign
 
 
 @dataclass(frozen=True)
@@ -68,166 +71,19 @@ def spohn_util(u: float, cfg: ConversionConfig) -> OOMSet:
     return singleton(OOMValue(sign, -k))
 
 
-@dataclass(frozen=True)
-class OOMCPT:
-    child: str
-    parents: tuple[str, ...]
-    table: tuple[OOMValue, ...]  # row-major over parents + (child,)
-
-    @property
-    def scope(self) -> tuple[str, ...]:
-        return self.parents + (self.child,)
-
-
-@dataclass(frozen=True)
-class OOMUtilityFunction:
-    scope: tuple[str, ...]
-    table: tuple[OOMSet, ...]
-
-
-@dataclass(frozen=True)
-class OOMInfluenceDiagram:
-    variables: tuple[Variable, ...]
-    cpts: tuple[OOMCPT, ...]
-    utilities: tuple[OOMUtilityFunction, ...]
-    decision_order: tuple[str, ...]
-    information_sets: Mapping[str, tuple[str, ...]]
-
-    def variable(self, var_id: str) -> Variable:
-        for v in self.variables:
-            if v.id == var_id:
-                return v
-        raise KeyError(var_id)
-
-    @property
-    def chance_vars(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.variables if v.kind is Kind.CHANCE)
-
-    @property
-    def decision_vars(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.variables if v.kind is Kind.DECISION)
-
-    def domain(self, var_id: str) -> tuple[str, ...]:
-        return self.variable(var_id).domain
-
-    def domain_sizes(self, scope) -> tuple[int, ...]:
-        return tuple(len(self.domain(v)) for v in scope)
-
-
-def validate_oom(diagram: OOMInfluenceDiagram) -> list[str]:
-    """Probability entries must be positive or zero; shapes must line up."""
-    out: list[str] = []
-    for cpt in diagram.cpts:
-        expected = math.prod(diagram.domain_sizes(cpt.scope))
-        if len(cpt.table) != expected:
-            out.append(f"cpt for {cpt.child}: wrong table size")
-            continue
-        for v in cpt.table:
-            if not (v.is_positive or v.is_zero):
-                out.append(f"cpt for {cpt.child}: entry {v} is not a probability")
-                break
-    for i, u in enumerate(diagram.utilities):
-        expected = math.prod(diagram.domain_sizes(u.scope))
-        if len(u.table) != expected:
-            out.append(f"utility {i}: wrong table size")
-    if not diagram.utilities:
-        out.append("no utility functions")
-    return out
-
-
 def convert(diagram: InfluenceDiagram, cfg: ConversionConfig) -> OOMInfluenceDiagram:
     """Entry-wise quantization; the graph structure carries over unchanged."""
-    problems = validate(diagram)
-    if problems:
-        raise DiagramError("; ".join(problems))
+    require_valid(diagram, qualitative=False)
     return OOMInfluenceDiagram(
         variables=diagram.variables,
         cpts=tuple(
-            OOMCPT(
-                child=c.child,
-                parents=c.parents,
-                table=tuple(spohn_prob(p, cfg) for p in c.table),
-            )
+            CPT(c.child, c.parents, tuple(spohn_prob(p, cfg) for p in c.table))
             for c in diagram.cpts
         ),
         utilities=tuple(
-            OOMUtilityFunction(
-                scope=u.scope, table=tuple(spohn_util(x, cfg) for x in u.table)
-            )
+            UtilityFunction(u.scope, tuple(spohn_util(x, cfg) for x in u.table))
             for u in diagram.utilities
         ),
         decision_order=diagram.decision_order,
         information_sets=dict(diagram.information_sets),
     )
-
-
-# ---------------------------------------------------------------------------
-# file format (same skeleton as the numeric one, with textual tables)
-
-def oom_to_dict(diagram: OOMInfluenceDiagram) -> dict:
-    return {
-        "variables": [
-            {"id": v.id, "kind": v.kind.value, "domain": list(v.domain)}
-            for v in diagram.variables
-        ],
-        "cpts": [
-            {
-                "child": c.child,
-                "parents": list(c.parents),
-                "table": [str(v) for v in c.table],
-            }
-            for c in diagram.cpts
-        ],
-        "utilities": [
-            {"scope": list(u.scope), "table": [str(s) for s in u.table]}
-            for u in diagram.utilities
-        ],
-        "decision_order": list(diagram.decision_order),
-        "information_sets": {d: list(ps) for d, ps in diagram.information_sets.items()},
-    }
-
-
-def oom_from_dict(data: Mapping) -> OOMInfluenceDiagram:
-    try:
-        diagram = OOMInfluenceDiagram(
-            variables=tuple(
-                Variable(v["id"], Kind(v["kind"]), tuple(v["domain"]))
-                for v in data["variables"]
-            ),
-            cpts=tuple(
-                OOMCPT(
-                    c["child"],
-                    tuple(c["parents"]),
-                    tuple(parse_value(x) for x in c["table"]),
-                )
-                for c in data["cpts"]
-            ),
-            utilities=tuple(
-                OOMUtilityFunction(
-                    tuple(u["scope"]), tuple(parse_set(x) for x in u["table"])
-                )
-                for u in data["utilities"]
-            ),
-            decision_order=tuple(data["decision_order"]),
-            information_sets={
-                d: tuple(ps) for d, ps in data.get("information_sets", {}).items()
-            },
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DiagramError(f"malformed order-of-magnitude diagram: {exc}") from exc
-    return diagram
-
-
-def load_oom(path: str | Path) -> OOMInfluenceDiagram:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DiagramError(f"{path}: not valid JSON: {exc}") from exc
-    return oom_from_dict(data)
-
-
-def save_oom(diagram: OOMInfluenceDiagram, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(oom_to_dict(diagram), fh, indent=2)
-        fh.write("\n")

@@ -5,18 +5,26 @@ decision variables with information sets (the variables known when the
 decision is made), and utility functions.  Tables are stored flat in
 row-major order over their scope: the first scope variable varies slowest
 and the last (the child, for CPTs) varies fastest.
+
+Numeric and order-of-magnitude (qualitative) diagrams share this model:
+only the table entries differ.  A numeric diagram holds floats; an
+``OOMInfluenceDiagram`` holds ``OOMValue`` probabilities and ``OOMSet``
+utilities.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
+from .sets import OOMSet, parse_set
+from .values import OOMValue, parse_value
 
 
 class DiagramError(ValueError):
@@ -43,7 +51,7 @@ class Variable:
 class CPT:
     child: str
     parents: tuple[str, ...]
-    table: tuple[float, ...]  # row-major over parents + (child,)
+    table: tuple  # row-major over parents + (child,): floats or OOMValues
 
     @property
     def scope(self) -> tuple[str, ...]:
@@ -53,7 +61,7 @@ class CPT:
 @dataclass(frozen=True)
 class UtilityFunction:
     scope: tuple[str, ...]
-    table: tuple[float, ...]  # row-major over scope
+    table: tuple  # row-major over scope: floats or OOMSets
 
 
 @dataclass(frozen=True)
@@ -63,27 +71,25 @@ class InfluenceDiagram:
     utilities: tuple[UtilityFunction, ...]
     decision_order: tuple[str, ...]
     information_sets: Mapping[str, tuple[str, ...]]
-    evidence: Mapping[str, str] = field(default_factory=dict)
+    chance_vars: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    decision_vars: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _index: Mapping[str, Variable] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # derived once: the id index and the variables of each kind
+        set_ = partial(object.__setattr__, self)
+        set_("_index", {v.id: v for v in self.variables})
+        set_("chance_vars", tuple(v.id for v in self.variables if v.kind is Kind.CHANCE))
+        set_("decision_vars", tuple(v.id for v in self.variables if v.kind is Kind.DECISION))
 
     def variable(self, var_id: str) -> Variable:
-        for v in self.variables:
-            if v.id == var_id:
-                return v
-        raise KeyError(var_id)
-
-    @property
-    def chance_vars(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.variables if v.kind is Kind.CHANCE)
-
-    @property
-    def decision_vars(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.variables if v.kind is Kind.DECISION)
+        return self._index[var_id]
 
     def domain(self, var_id: str) -> tuple[str, ...]:
-        return self.variable(var_id).domain
+        return self._index[var_id].domain
 
     def domain_sizes(self, scope: Iterable[str]) -> tuple[int, ...]:
-        return tuple(len(self.domain(v)) for v in scope)
+        return tuple(len(self._index[v].domain) for v in scope)
 
     def iter_configs(self, scope: Iterable[str]) -> Iterator[tuple[str, ...]]:
         """Row-major enumeration of label configurations over a scope."""
@@ -97,45 +103,51 @@ class InfluenceDiagram:
                 yield (label,) + rest
 
 
-def _as_tuple(values: Iterable) -> tuple:
-    return tuple(values)
+class OOMInfluenceDiagram(InfluenceDiagram):
+    """A qualitative diagram: ``OOMValue`` probabilities, ``OOMSet`` utilities."""
 
 
 def apply_nonforgetting(diagram: InfluenceDiagram) -> InfluenceDiagram:
     """Close the information sets: every decision also observes all earlier
-    decisions and everything those decisions observed."""
+    decisions and everything those decisions observed.  A decision without
+    an information set is left without one, for ``validate`` to report."""
+    info = diagram.information_sets
     closed: dict[str, tuple[str, ...]] = {}
     seen: list[str] = []  # earlier decisions and their observations, in order
     for d in diagram.decision_order:
-        own = [p for p in diagram.information_sets.get(d, ()) if p not in seen]
-        closed[d] = tuple(seen) + tuple(own)
-        for p in closed[d]:
-            if p not in seen:
-                seen.append(p)
+        if d in info:
+            closed[d] = tuple(seen) + tuple(p for p in info[d] if p not in seen)
+            seen.extend(p for p in closed[d] if p not in seen)
         if d not in seen:
             seen.append(d)
+    closed.update((d, ps) for d, ps in info.items() if d not in closed)
     return replace(diagram, information_sets=closed)
 
 
 def validate(diagram: InfluenceDiagram) -> list[str]:
-    """Collect invariant violations; an empty list means the diagram is usable."""
-    out: list[str] = []
-    ids = [v.id for v in diagram.variables]
-    if len(set(ids)) != len(ids):
-        out.append("duplicate variable ids")
-        return out
-    known = set(ids)
+    """Collect invariant violations; an empty list means the diagram is usable.
 
+    The structural and graph checks are the same for both kinds of diagram;
+    only the table entry checks depend on the kind.
+    """
+    if len(diagram._index) != len(diagram.variables):
+        return ["duplicate variable ids"]
+    out: list[str] = []
     for v in diagram.variables:
         if len(v.domain) < 1:
             out.append(f"variable {v.id}: empty domain")
         if len(set(v.domain)) != len(v.domain):
             out.append(f"variable {v.id}: duplicate domain labels")
+    if out:
+        return out
 
+    known = diagram._index
     chance = set(diagram.chance_vars)
     decisions = set(diagram.decision_vars)
+    qualitative = isinstance(diagram, OOMInfluenceDiagram)
+    cpt_problem = _oom_cpt_problem if qualitative else _numeric_cpt_problem
+    utility_problem = _oom_utility_problem if qualitative else _numeric_utility_problem
 
-    # CPTs: one per chance variable, child chance, normalized rows
     seen_children = set()
     for cpt in diagram.cpts:
         name = f"cpt for {cpt.child}"
@@ -149,22 +161,16 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
             out.append(f"{name}: duplicate")
             continue
         seen_children.add(cpt.child)
-        bad_scope = [p for p in cpt.parents if p not in known]
-        if bad_scope or len(set(cpt.scope)) != len(cpt.scope):
+        if any(p not in known for p in cpt.parents) or len(set(cpt.scope)) != len(cpt.scope):
             out.append(f"{name}: bad parent list")
             continue
-        expected = int(np.prod(diagram.domain_sizes(cpt.scope), dtype=object))
+        expected = math.prod(diagram.domain_sizes(cpt.scope))
         if len(cpt.table) != expected:
             out.append(f"{name}: table has {len(cpt.table)} entries, expected {expected}")
             continue
-        arr = np.asarray(cpt.table, dtype=float)
-        if np.any(arr < 0) or np.any(arr > 1) or not np.all(np.isfinite(arr)):
-            out.append(f"{name}: entries outside [0, 1]")
-            continue
-        k = len(diagram.domain(cpt.child))
-        sums = arr.reshape(-1, k).sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            out.append(f"{name}: rows do not sum to 1")
+        problem = cpt_problem(cpt.table, len(known[cpt.child].domain))
+        if problem:
+            out.append(f"{name}: {problem}")
     for x in sorted(chance - seen_children):
         out.append(f"chance variable {x}: missing cpt")
 
@@ -178,104 +184,120 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
         if any(s not in known for s in u.scope) or len(set(u.scope)) != len(u.scope):
             out.append(f"{name}: bad scope")
             continue
-        expected = int(np.prod(diagram.domain_sizes(u.scope), dtype=object))
+        expected = math.prod(diagram.domain_sizes(u.scope))
         if len(u.table) != expected:
             out.append(f"{name}: table has {len(u.table)} entries, expected {expected}")
             continue
-        if not np.all(np.isfinite(np.asarray(u.table, dtype=float))):
-            out.append(f"{name}: non-finite entries")
+        problem = utility_problem(u.table)
+        if problem:
+            out.append(f"{name}: {problem}")
 
-    if set(diagram.decision_order) != decisions or len(diagram.decision_order) != len(
-        decisions
-    ):
+    order = diagram.decision_order
+    if set(order) != decisions or len(order) != len(decisions):
         out.append("decision_order must list each decision variable exactly once")
+    position = {d: k for k, d in enumerate(order)}
     for d, parents in diagram.information_sets.items():
         if d not in decisions:
             out.append(f"information set for non-decision {d}")
             continue
+        if len(set(parents)) != len(parents):
+            out.append(f"decision {d}: duplicate parents")
         for p in parents:
             if p not in known:
                 out.append(f"decision {d}: unknown parent {p}")
             elif p == d:
                 out.append(f"decision {d}: observes itself")
-        later = set(diagram.decision_order[diagram.decision_order.index(d) :]) if (
-            d in diagram.decision_order
-        ) else set()
-        for p in parents:
-            if p in later:
+            elif d in position and position.get(p, -1) > position[d]:
                 out.append(f"decision {d}: parent {p} does not precede it")
-    for d in decisions:
-        if d not in diagram.information_sets:
-            out.append(f"decision {d}: missing information set")
-
-    for var, label in diagram.evidence.items():
-        if var not in known:
-            out.append(f"evidence on unknown variable {var}")
-        elif var not in chance:
-            out.append(f"evidence on non-chance variable {var}")
-        elif label not in diagram.domain(var):
-            out.append(f"evidence {var}={label}: label not in domain")
+    for d in sorted(decisions - diagram.information_sets.keys()):
+        out.append(f"decision {d}: missing information set")
 
     if not out:
         out.extend(_graph_violations(diagram))
     return out
 
 
+def require_valid(diagram: InfluenceDiagram, qualitative: bool) -> InfluenceDiagram:
+    """``diagram`` itself if it is of the wanted kind and valid, else a
+    ``DiagramError`` naming every violation."""
+    if isinstance(diagram, OOMInfluenceDiagram) != qualitative:
+        wanted = "an order-of-magnitude" if qualitative else "a numeric"
+        raise DiagramError(f"expected {wanted} diagram")
+    problems = validate(diagram)
+    if problems:
+        raise DiagramError("; ".join(problems))
+    return diagram
+
+
+def _numeric_cpt_problem(table: tuple, k: int) -> str | None:
+    try:
+        if not all(0.0 <= x <= 1.0 for x in table):  # also rejects nan
+            return "entries outside [0, 1]"
+    except TypeError:
+        return "non-numeric entries"
+    for start in range(0, len(table), k):
+        if abs(sum(table[start : start + k]) - 1.0) > 1e-9:
+            return "rows do not sum to 1"
+    return None
+
+
+def _numeric_utility_problem(table: tuple) -> str | None:
+    try:
+        return None if all(math.isfinite(x) for x in table) else "non-finite entries"
+    except TypeError:
+        return "non-numeric entries"
+
+
+def _oom_cpt_problem(table: tuple, k: int) -> str | None:
+    if not all(isinstance(x, OOMValue) and (x.is_positive or x.is_zero) for x in table):
+        return "entries must be positive or zero order-of-magnitude values"
+    for start in range(0, len(table), k):
+        if all(x.is_zero for x in table[start : start + k]):
+            return f"row {start // k} has no non-zero entry"
+    return None
+
+
+def _oom_utility_problem(table: tuple) -> str | None:
+    if all(isinstance(x, OOMSet) for x in table):
+        return None
+    return "entries must be order-of-magnitude sets"
+
+
 def _graph_violations(diagram: InfluenceDiagram) -> list[str]:
     """Cycle and temporal checks on the arc structure."""
-    arcs: dict[str, set[str]] = {v.id: set() for v in diagram.variables}
+    parents: dict[str, set[str]] = {v.id: set() for v in diagram.variables}
     for cpt in diagram.cpts:
-        for p in cpt.parents:
-            arcs[p].add(cpt.child)
-    for d, parents in diagram.information_sets.items():
-        for p in parents:
-            arcs[p].add(d)
+        parents[cpt.child].update(cpt.parents)
+    for d, observed in diagram.information_sets.items():
+        parents[d].update(observed)
 
-    # depth-first cycle detection
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in arcs}
-    out: list[str] = []
-
-    def visit(u: str) -> bool:
-        color[u] = GREY
-        for w in arcs[u]:
-            if color[w] == GREY:
-                return True
-            if color[w] == WHITE and visit(w):
-                return True
-        color[u] = BLACK
-        return False
-
-    for v in arcs:
-        if color[v] == WHITE and visit(v):
-            out.append("graph has a directed cycle")
-            break
-    if out:
-        return out
+    # ancestors in topological order; variables left over lie on a cycle
+    children: dict[str, list[str]] = {v: [] for v in parents}
+    for v, ps in parents.items():
+        for p in ps:
+            children[p].append(v)
+    waiting = {v: len(ps) for v, ps in parents.items()}
+    ready = [v for v, n in waiting.items() if n == 0]
+    ancestors: dict[str, set[str]] = {}
+    while ready:
+        u = ready.pop()
+        ancestors[u] = set(parents[u]).union(*(ancestors[p] for p in parents[u]))
+        for w in children[u]:
+            waiting[w] -= 1
+            if waiting[w] == 0:
+                ready.append(w)
+    if len(ancestors) != len(parents):
+        return ["graph has a directed cycle"]
 
     # a chance variable observed at decision k must not depend on a decision
     # made at k or later
-    ancestors: dict[str, set[str]] = {}
-
-    def anc(u: str) -> set[str]:
-        if u not in ancestors:
-            parents = set()
-            for cpt in diagram.cpts:
-                if cpt.child == u:
-                    parents = set(cpt.parents)
-            if u in diagram.information_sets:
-                parents |= set(diagram.information_sets[u])
-            result = set(parents)
-            for p in parents:
-                result |= anc(p)
-            ancestors[u] = result
-        return ancestors[u]
-
+    out: list[str] = []
+    chance = set(diagram.chance_vars)
     order = diagram.decision_order
     for k, d in enumerate(order):
         not_yet_made = set(order[k:])
         for p in diagram.information_sets.get(d, ()):
-            if p in set(diagram.chance_vars) and anc(p) & not_yet_made:
+            if p in chance and ancestors[p] & not_yet_made:
                 out.append(
                     f"chance variable {p} is observed at {d} but depends on a later decision"
                 )
@@ -374,55 +396,103 @@ class Policy:
 
 # ---------------------------------------------------------------------------
 # file format
+#
+# Both kinds share one JSON skeleton.  Numeric tables hold numbers;
+# qualitative tables hold text: values like ``(+,2)`` in CPTs and sets like
+# ``{(+-,0),(+-,inf)}`` in utilities.  The entries decide the kind.
 
 def to_dict(diagram: InfluenceDiagram) -> dict:
+    entry = str if isinstance(diagram, OOMInfluenceDiagram) else (lambda x: x)
     return {
         "variables": [
             {"id": v.id, "kind": v.kind.value, "domain": list(v.domain)}
             for v in diagram.variables
         ],
         "cpts": [
-            {"child": c.child, "parents": list(c.parents), "table": list(c.table)}
+            {
+                "child": c.child,
+                "parents": list(c.parents),
+                "table": [entry(x) for x in c.table],
+            }
             for c in diagram.cpts
         ],
         "utilities": [
-            {"scope": list(u.scope), "table": list(u.table)} for u in diagram.utilities
+            {"scope": list(u.scope), "table": [entry(x) for x in u.table]}
+            for u in diagram.utilities
         ],
         "decision_order": list(diagram.decision_order),
         "information_sets": {d: list(ps) for d, ps in diagram.information_sets.items()},
-        "evidence": dict(diagram.evidence),
     }
 
 
 def from_dict(data: Mapping, nonforgetting: bool = True) -> InfluenceDiagram:
+    """Build a numeric or a qualitative diagram, whichever its tables hold."""
+    if not isinstance(data, Mapping):
+        raise DiagramError("malformed diagram document: not a JSON object")
+    if data.get("evidence"):
+        raise DiagramError("evidence is not supported; remove the 'evidence' field")
     try:
-        variables = tuple(
-            Variable(v["id"], Kind(v["kind"]), _as_tuple(v["domain"]))
-            for v in data["variables"]
+        tables = [doc["table"] for doc in (*data["cpts"], *data["utilities"])]
+        qualitative = _is_qualitative(x for table in tables for x in table)
+        prob, util = (parse_value, parse_set) if qualitative else (float, float)
+        cls = OOMInfluenceDiagram if qualitative else InfluenceDiagram
+        info = data.get("information_sets", {})
+        if not isinstance(info, Mapping):
+            raise TypeError(f"information_sets must be an object, got {info!r}")
+        diagram = cls(
+            variables=tuple(
+                Variable(_name(v["id"]), Kind(v["kind"]), _names(v["domain"]))
+                for v in data["variables"]
+            ),
+            cpts=tuple(
+                CPT(
+                    _name(c["child"]),
+                    _names(c["parents"]),
+                    tuple(prob(x) for x in c["table"]),
+                )
+                for c in data["cpts"]
+            ),
+            utilities=tuple(
+                UtilityFunction(_names(u["scope"]), tuple(util(x) for x in u["table"]))
+                for u in data["utilities"]
+            ),
+            decision_order=_names(data["decision_order"]),
+            information_sets={_name(d): _names(ps) for d, ps in info.items()},
         )
-        cpts = tuple(
-            CPT(c["child"], _as_tuple(c["parents"]), _as_tuple(float(x) for x in c["table"]))
-            for c in data["cpts"]
-        )
-        utilities = tuple(
-            UtilityFunction(_as_tuple(u["scope"]), _as_tuple(float(x) for x in u["table"]))
-            for u in data["utilities"]
-        )
-        diagram = InfluenceDiagram(
-            variables=variables,
-            cpts=cpts,
-            utilities=utilities,
-            decision_order=_as_tuple(data["decision_order"]),
-            information_sets={
-                d: _as_tuple(ps) for d, ps in data.get("information_sets", {}).items()
-            },
-            evidence=dict(data.get("evidence", {})),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+    except DiagramError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DiagramError(f"malformed diagram document: {exc}") from exc
     if nonforgetting:
         diagram = apply_nonforgetting(diagram)
     return diagram
+
+
+def _is_qualitative(entries: Iterable) -> bool:
+    kinds = {_entry_kind(x) for x in entries}
+    if len(kinds) > 1:
+        raise DiagramError("tables mix numbers and strings")
+    return kinds == {str}
+
+
+def _entry_kind(x) -> type:
+    if isinstance(x, str):
+        return str
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return float
+    raise DiagramError(f"table entry {x!r} is neither a number nor a string")
+
+
+def _name(x) -> str:
+    if not isinstance(x, str):
+        raise TypeError(f"expected a name, got {x!r}")
+    return x
+
+
+def _names(xs) -> tuple[str, ...]:
+    if not isinstance(xs, (list, tuple)):
+        raise TypeError(f"expected a list of names, got {xs!r}")
+    return tuple(_name(x) for x in xs)
 
 
 def load(path: str | Path, nonforgetting: bool = True) -> InfluenceDiagram:

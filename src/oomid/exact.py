@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .diagram import (
     Kind,
     Policy,
     PolicyRule,
-    validate,
+    require_valid,
 )
 from .ordering import is_legal_ordering, legal_ordering
 
@@ -33,10 +33,6 @@ from .ordering import is_legal_ordering, legal_ordering
 class _Factor:
     scope: tuple[str, ...]
     table: np.ndarray  # one axis per scope variable
-
-
-def _sizes(diagram: InfluenceDiagram, scope: Sequence[str]) -> tuple[int, ...]:
-    return tuple(len(diagram.domain(v)) for v in scope)
 
 
 def _align(f: _Factor, target: tuple[str, ...], diagram: InfluenceDiagram) -> np.ndarray:
@@ -63,21 +59,11 @@ def _combine(
     how: str,
 ) -> _Factor:
     scope = _union_scope(factors, order_key)
-    op = np.multiply if how == "mul" else np.add
-    table = np.ones(_sizes(diagram, scope)) if how == "mul" else np.zeros(
-        _sizes(diagram, scope)
-    )
+    op, start = (np.multiply, np.ones) if how == "mul" else (np.add, np.zeros)
+    table = start(diagram.domain_sizes(scope))
     for f in factors:
         table = op(table, _align(f, scope, diagram))
     return _Factor(scope, table)
-
-
-def _check_ready(diagram: InfluenceDiagram) -> None:
-    problems = validate(diagram)
-    if problems:
-        raise DiagramError("; ".join(problems))
-    if diagram.evidence:
-        raise DiagramError("diagrams with evidence are not supported by the solvers")
 
 
 @dataclass(frozen=True)
@@ -90,7 +76,7 @@ def solve_exact(
     diagram: InfluenceDiagram, order: list[str] | None = None
 ) -> ExactSolution:
     """Maximum expected utility and one optimal policy (first-action ties)."""
-    _check_ready(diagram)
+    require_valid(diagram, qualitative=False)
     if order is None:
         order = legal_ordering(diagram)
     elif not is_legal_ordering(diagram, order):
@@ -106,10 +92,10 @@ def solve_exact(
         buckets[pos][kind].append(f)
 
     for cpt in diagram.cpts:
-        arr = np.asarray(cpt.table).reshape(_sizes(diagram, cpt.scope))
+        arr = np.asarray(cpt.table).reshape(diagram.domain_sizes(cpt.scope))
         place(_Factor(cpt.scope, arr), 0)
     for u in diagram.utilities:
-        arr = np.asarray(u.table).reshape(_sizes(diagram, u.scope))
+        arr = np.asarray(u.table).reshape(diagram.domain_sizes(u.scope))
         place(_Factor(u.scope, arr), 1)
 
     meu = 0.0
@@ -212,9 +198,9 @@ def _expand_rule(
     assert not extra, f"decision {decision}: rule depends on unobserved {extra}"
     if rule.scope == info:
         return rule
-    src = np.asarray(rule.actions).reshape(_sizes(diagram, rule.scope))
+    src = np.asarray(rule.actions).reshape(diagram.domain_sizes(rule.scope))
     aligned = _align(_Factor(rule.scope, src), info, diagram)
-    full = np.broadcast_to(aligned, _sizes(diagram, info))
+    full = np.broadcast_to(aligned, diagram.domain_sizes(info))
     return PolicyRule(
         decision=decision, scope=info, actions=tuple(full.reshape(-1).tolist())
     )
@@ -231,7 +217,7 @@ def _policy_factors(diagram: InfluenceDiagram, policy: Policy) -> list[_Factor]:
             raise DiagramError(
                 f"rule for {d} is over {rule.scope}, expected {info}"
             )
-        sizes = _sizes(diagram, rule.scope)
+        sizes = diagram.domain_sizes(rule.scope)
         n_cells = int(np.prod(sizes)) if sizes else 1
         if len(rule.actions) != n_cells:
             raise DiagramError(f"rule for {d} is incomplete")
@@ -246,15 +232,15 @@ class PolicyEvaluator:
     """Exact policy evaluation with the diagram-side work done once."""
 
     def __init__(self, diagram: InfluenceDiagram):
-        _check_ready(diagram)
+        require_valid(diagram, qualitative=False)
         self._diagram = diagram
         self._order_key = {v.id: i for i, v in enumerate(diagram.variables)}
         self._cpt_factors = [
-            _Factor(c.scope, np.asarray(c.table).reshape(_sizes(diagram, c.scope)))
+            _Factor(c.scope, np.asarray(c.table).reshape(diagram.domain_sizes(c.scope)))
             for c in diagram.cpts
         ]
         self._utility_factors = [
-            _Factor(u.scope, np.asarray(u.table).reshape(_sizes(diagram, u.scope)))
+            _Factor(u.scope, np.asarray(u.table).reshape(diagram.domain_sizes(u.scope)))
             for u in diagram.utilities
         ]
 
@@ -303,7 +289,7 @@ def _policy_space(diagram: InfluenceDiagram) -> list[tuple[str, tuple[str, ...],
     out = []
     for d in diagram.decision_vars:
         info = tuple(diagram.information_sets.get(d, ()))
-        n_cells = int(np.prod(_sizes(diagram, info))) if info else 1
+        n_cells = int(np.prod(diagram.domain_sizes(info))) if info else 1
         out.append((d, info, n_cells, len(diagram.domain(d))))
     return out
 
@@ -316,7 +302,7 @@ def brute_force_meu(
     Ties within 1e-9 (relative) of the best are collected.  Refuses
     instances whose policy space exceeds ``guard``.
     """
-    _check_ready(diagram)
+    require_valid(diagram, qualitative=False)
     space = _policy_space(diagram)
     count = 1
     for _, _, n_cells, k in space:
@@ -327,7 +313,6 @@ def brute_force_meu(
             )
 
     chance = [v for v in diagram.variables if v.kind is Kind.CHANCE]
-    temporal = _temporal_variable_order(diagram)
     var_index = {v.id: i for i, v in enumerate(diagram.variables)}
     cpts = list(diagram.cpts)
     utils = list(diagram.utilities)
@@ -340,7 +325,7 @@ def brute_force_meu(
             assignment: dict[str, int] = {
                 v.id: val for v, val in zip(chance, chance_config)
             }
-            for d in temporal:
+            for d in diagram.decision_order:
                 if d in assignment:
                     continue
                 info = tuple(diagram.information_sets.get(d, ()))
@@ -389,8 +374,3 @@ def brute_force_meu(
                 )
             )
     return best, winners
-
-
-def _temporal_variable_order(diagram: InfluenceDiagram) -> list[str]:
-    """Decisions in temporal order (used to resolve rules sequentially)."""
-    return list(diagram.decision_order)

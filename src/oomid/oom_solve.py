@@ -22,8 +22,14 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .convert import OOMInfluenceDiagram, validate_oom
-from .diagram import DiagramError, GuardExceeded, Policy, PolicyRule
+from .diagram import (
+    DiagramError,
+    GuardExceeded,
+    OOMInfluenceDiagram,
+    Policy,
+    PolicyRule,
+    require_valid,
+)
 from .ordering import is_legal_ordering, legal_ordering
 from .sets import OOMSet, ZERO_SET, max_sets, scale, set_dominates, sum_sets
 from .values import OOMValue, add, dominates, inverse, mul
@@ -89,10 +95,6 @@ class PolicySet:
         return [self._decode(i) for i in indices], with_replacement
 
 
-def policy_count(policies: PolicySet) -> int:
-    return policies.count()
-
-
 # ---------------------------------------------------------------------------
 # factor machinery over python lists
 
@@ -100,14 +102,6 @@ def policy_count(policies: PolicySet) -> int:
 class _OOMFactor:
     scope: tuple[str, ...]
     table: list  # row-major over scope
-
-
-def _sizes(diagram: OOMInfluenceDiagram, scope: Sequence[str]) -> tuple[int, ...]:
-    return tuple(len(diagram.domain(v)) for v in scope)
-
-
-def _n_cells(sizes: Sequence[int]) -> int:
-    return math.prod(sizes)
 
 
 def _strides(sizes: Sequence[int]) -> list[int]:
@@ -124,8 +118,8 @@ def _union_scope(factors, order_key) -> tuple[str, ...]:
 
 def _gather(factor: _OOMFactor, target: tuple[str, ...], diagram) -> list:
     """Factor table re-indexed over the target scope (a superset)."""
-    t_sizes = _sizes(diagram, target)
-    f_sizes = _sizes(diagram, factor.scope)
+    t_sizes = diagram.domain_sizes(target)
+    f_sizes = diagram.domain_sizes(factor.scope)
     f_strides = _strides(f_sizes)
     positions = [target.index(v) for v in factor.scope]
     out = []
@@ -141,7 +135,7 @@ def _combine_lambdas(factors, diagram, order_key) -> _OOMFactor:
     scope = _union_scope(factors, order_key)
     tables = [_gather(f, scope, diagram) for f in factors]
     out = []
-    for i in range(_n_cells(_sizes(diagram, scope))):
+    for i in range(math.prod(diagram.domain_sizes(scope))):
         acc = tables[0][i]
         for t in tables[1:]:
             acc = mul(acc, t[i])
@@ -153,7 +147,7 @@ def _combine_thetas(factors, diagram, order_key) -> _OOMFactor:
     scope = _union_scope(factors, order_key)
     tables = [_gather(f, scope, diagram) for f in factors]
     out = []
-    for i in range(_n_cells(_sizes(diagram, scope))):
+    for i in range(math.prod(diagram.domain_sizes(scope))):
         out.append(sum_sets(*[t[i] for t in tables]))
     return _OOMFactor(scope, out)
 
@@ -165,7 +159,7 @@ def _split_axis(
     axis = factor.scope.index(y)
     ctx_scope = factor.scope[:axis] + factor.scope[axis + 1 :]
     k = len(diagram.domain(y))
-    sizes = _sizes(diagram, factor.scope)
+    sizes = diagram.domain_sizes(factor.scope)
     slices: list[list] = []
     for ctx in itertools.product(
         *[range(s) for i, s in enumerate(sizes) if i != axis]
@@ -218,9 +212,7 @@ class OOMSolution:
 def elim_oom_id(
     diagram: OOMInfluenceDiagram, order: list[str] | None = None
 ) -> OOMSolution:
-    problems = validate_oom(diagram)
-    if problems:
-        raise DiagramError("; ".join(problems))
+    require_valid(diagram, qualitative=True)
     if order is None:
         order = legal_ordering(diagram)
     elif not is_legal_ordering(diagram, order):
@@ -339,11 +331,11 @@ def _expand_policy_set(
         if scope == info:
             cells[d] = tuple(raw)
             continue
-        src_sizes = _sizes(diagram, scope)
+        src_sizes = diagram.domain_sizes(scope)
         src_strides = _strides(src_sizes)
         positions = [info.index(v) for v in scope]
         expanded = []
-        for cfg in itertools.product(*[range(s) for s in _sizes(diagram, info)]):
+        for cfg in itertools.product(*[range(s) for s in diagram.domain_sizes(info)]):
             idx = 0
             for stride, p in zip(src_strides, positions):
                 idx += stride * cfg[p]
@@ -391,9 +383,7 @@ def brute_force_oom(
     guard: int = DEFAULT_GUARD,
 ) -> OOMSolution:
     """Test oracle: dict-based variable elimination over live factor pulls."""
-    problems = validate_oom(diagram)
-    if problems:
-        raise DiagramError("; ".join(problems))
+    require_valid(diagram, qualitative=True)
     if order is None:
         order = legal_ordering(diagram)
     elif not is_legal_ordering(diagram, order):

@@ -1,9 +1,18 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oomid.cli import main
-from oomid.diagram import save, wildcatter
+from oomid.convert import ConversionConfig, convert
+from oomid.diagram import save, to_dict, wildcatter
+
+NUMERIC_DOC = to_dict(wildcatter(nonforgetting=False))
+OOM_DOC = to_dict(convert(wildcatter(), ConversionConfig(0.1)))
 
 
 @pytest.fixture()
@@ -16,6 +25,12 @@ def wildcatter_path(tmp_path):
 class TestValidate:
     def test_ok(self, wildcatter_path, capsys):
         assert main(["validate", wildcatter_path]) == 0
+        assert capsys.readouterr().out.strip() == "valid"
+
+    def test_qualitative_file(self, tmp_path, capsys):
+        path = tmp_path / "w_oom.json"
+        path.write_text(json.dumps(OOM_DOC))
+        assert main(["validate", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "valid"
 
     def test_violations_exit_2(self, tmp_path, capsys):
@@ -43,6 +58,141 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
         assert "utility" in capsys.readouterr().err
+
+
+def _edited(base, mutate):
+    def build():
+        doc = copy.deepcopy(base)
+        mutate(doc)
+        return doc
+
+    return build
+
+
+def _cpt(doc, child):
+    return next(c for c in doc["cpts"] if c["child"] == child)
+
+
+# (case, document, subcommand, fragment of the one-line error message)
+MALFORMED = [
+    ("unknown cpt parent",
+     _edited(OOM_DOC, lambda d: _cpt(d, "Seismic")["parents"].append("Nope")),
+     "solve-oom", "bad parent list"),
+    ("unknown utility scope variable",
+     _edited(OOM_DOC, lambda d: d["utilities"][1].update(scope=["Oil", "Nope"])),
+     "solve-oom", "bad scope"),
+    ("empty information sets",
+     _edited(OOM_DOC, lambda d: d.update(information_sets={})),
+     "solve-oom", "missing information set"),
+    ("missing cpt",
+     _edited(OOM_DOC, lambda d: d["cpts"].remove(_cpt(d, "Oil"))),
+     "solve-oom", "missing cpt"),
+    ("duplicated cpt",
+     _edited(OOM_DOC, lambda d: d["cpts"].append(_cpt(d, "Oil"))),
+     "solve-oom", "duplicate"),
+    ("duplicated variable",
+     _edited(OOM_DOC, lambda d: d["variables"].append(d["variables"][1])),
+     "solve-oom", "duplicate variable ids"),
+    ("directed cycle",
+     _edited(OOM_DOC, lambda d: _cpt(d, "Oil").update(
+         parents=["Seismic"], table=["(+,0)"] * 9)),
+     "solve-oom", "cycle"),
+    ("all-zero cpt row",
+     _edited(OOM_DOC, lambda d: _cpt(d, "Oil").update(table=["(+-,inf)"] * 3)),
+     "solve-oom", "no non-zero entry"),
+    ("qualitative evidence",
+     _edited(OOM_DOC, lambda d: d.update(evidence={"Oil": "dry"})),
+     "solve-oom", "evidence"),
+    ("numeric empty information sets",
+     _edited(NUMERIC_DOC, lambda d: d.update(information_sets={})),
+     "solve-exact", "missing information set"),
+    ("numeric evidence",
+     _edited(NUMERIC_DOC, lambda d: d.update(evidence={"Oil": "dry"})),
+     "validate", "evidence"),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "build, command, fragment",
+        [case[1:] for case in MALFORMED],
+        ids=[case[0] for case in MALFORMED],
+    )
+    def test_exit_2_with_one_line_error(self, build, command, fragment, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(build()))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert fragment in err
+
+    def test_qualitative_file_to_numeric_solver(self, tmp_path, capsys):
+        path = tmp_path / "w_oom.json"
+        path.write_text(json.dumps(OOM_DOC))
+        assert main(["solve-exact", str(path)]) == 2
+        assert "expected a numeric diagram" in capsys.readouterr().err
+
+
+NAMES = st.sampled_from(["Test", "Oil", "Seismic", "Drill", "Nope"])
+ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-2, 2),
+    st.sampled_from(
+        ["(+,0)", "(+,1)", "(-,0)", "(+-,inf)", "{(+,-1)}", "{(+-,0),(+-,inf)}", "x"]
+    ),
+    st.none(),
+    st.booleans(),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """The wildcatter document, numeric or qualitative, with a few edits to
+    ids, parents, scopes, table lengths, entries and information sets."""
+    numeric = draw(st.booleans())
+    doc = copy.deepcopy(NUMERIC_DOC if numeric else OOM_DOC)
+    tables = doc["cpts"] + doc["utilities"]
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["id", "parents", "scope", "length", "entry", "info"]))
+        if edit == "id":
+            draw(st.sampled_from(doc["variables"]))["id"] = draw(NAMES)
+        elif edit == "parents":
+            cpt = draw(st.sampled_from(doc["cpts"]))
+            cpt["parents"] = draw(st.lists(NAMES, max_size=3))
+        elif edit == "scope":
+            utility = draw(st.sampled_from(doc["utilities"]))
+            utility["scope"] = draw(st.lists(NAMES, max_size=3))
+        elif edit == "length":
+            table = draw(st.sampled_from(tables))["table"]
+            if draw(st.booleans()) and table:
+                table.pop()
+            else:
+                table.append(draw(ENTRIES))
+        elif edit == "entry":
+            table = draw(st.sampled_from(tables))["table"]
+            if table:
+                table[draw(st.integers(0, len(table) - 1))] = draw(ENTRIES)
+        else:
+            info = doc["information_sets"]
+            key = draw(NAMES)
+            if draw(st.booleans()):
+                info.pop(key, None)
+            else:
+                info[key] = draw(st.lists(NAMES, max_size=3))
+    return numeric, doc
+
+
+@settings(max_examples=150)
+@given(mutated_documents())
+def test_mutated_files_exit_0_or_2(case):
+    numeric, doc = case
+    solve = ["solve-oom", "--epsilon", "0.1"] if numeric else ["solve-oom"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "d.json")
+        Path(path).write_text(json.dumps(doc))
+        for argv in (["validate", path], ["solve-exact", path], solve + [path]):
+            assert main(argv) in (0, 2), argv
 
 
 class TestSolveExact:
@@ -95,10 +245,23 @@ class TestSolveOOM:
             == 0
         )
         capsys.readouterr()
-        assert main(["solve-oom", str(oom_path), "--oom"]) == 0
+        assert main(["solve-oom", str(oom_path)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "MEU = {(+,-2)}"
         assert out[1] == "policies = 2"
+
+    def test_native_file_gets_nonforgetting_closure(self, tmp_path, capsys):
+        path = tmp_path / "open_oom.json"
+        save(convert(wildcatter(nonforgetting=False), ConversionConfig(0.1)), path)
+        assert main(["solve-oom", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["MEU = {(+,-2)}", "policies = 2"]
+        assert "  Drill | Test=yes, Seismic=diffuse: {no}" in out
+
+    def test_epsilon_rejected_for_native_file(self, tmp_path):
+        path = tmp_path / "w_oom.json"
+        path.write_text(json.dumps(OOM_DOC))
+        assert main(["solve-oom", str(path), "--epsilon", "0.1"]) == 2
 
     def test_bad_epsilon_exit_2(self, wildcatter_path):
         assert main(["solve-oom", wildcatter_path, "--epsilon", "1.5"]) == 2

@@ -1,17 +1,8 @@
 import pytest
 
-from oomid.convert import (
-    ConversionConfig,
-    convert,
-    load_oom,
-    oom_from_dict,
-    oom_to_dict,
-    save_oom,
-    spohn_prob,
-    spohn_util,
-    validate_oom,
-)
-from oomid.diagram import wildcatter
+from oomid.convert import ConversionConfig, convert, spohn_prob, spohn_util
+from oomid.diagram import from_dict, load, save, to_dict, validate, wildcatter
+from oomid.oom_solve import brute_force_oom, elim_oom_id
 from oomid.sets import ZERO_SET, singleton
 from oomid.values import ZERO, OOMValue, Sign
 
@@ -113,7 +104,7 @@ class TestConvertWildcatter:
         assert o.decision_order == d.decision_order
         assert dict(o.information_sets) == dict(d.information_sets)
         assert [c.scope for c in o.cpts] == [c.scope for c in d.cpts]
-        assert validate_oom(o) == []
+        assert validate(o) == []
 
     def test_seismic_table_at_eps_01(self):
         o = convert(wildcatter(), E01)
@@ -142,6 +133,22 @@ class TestConvertWildcatter:
             "{(+-,inf)}",
         ]
 
+    def test_eps_05_rows_sum_to_order_one(self):
+        # p = 0.5 = eps falls in bracket 1, so the Oil row and three Seismic
+        # rows sum to (+,1), not (+,0): a rule that every row sums to (+,0)
+        # would reject this correct conversion
+        o = convert(wildcatter(), ConversionConfig(0.5))
+        oil = next(c for c in o.cpts if c.child == "Oil")
+        assert [str(x) for x in oil.table] == ["(+,1)", "(+,1)", "(+,2)"]
+        seismic = next(c for c in o.cpts if c.child == "Seismic")
+        rows = [seismic.table[i : i + 3] for i in range(0, 18, 3)]
+        assert sum(row == (v("+", 1),) * 3 for row in rows) == 3
+        assert validate(o) == []
+        sol = elim_oom_id(o)
+        oracle = brute_force_oom(o)
+        assert sol.meu == oracle.meu
+        assert sol.policies == oracle.policies
+
     def test_eps_0001_all_trivial(self):
         o = convert(wildcatter(), ConversionConfig(0.001))
         for c in o.cpts:
@@ -161,13 +168,13 @@ class TestOOMSerialization:
     def test_round_trip(self, tmp_path):
         o = convert(wildcatter(), E01)
         path = tmp_path / "w_oom.json"
-        save_oom(o, path)
-        again = load_oom(path)
+        save(o, path)
+        again = load(path)
         assert again == o
 
     def test_dict_form_uses_text_tables(self):
         o = convert(wildcatter(), E01)
-        data = oom_to_dict(o)
+        data = to_dict(o)
         oil = next(c for c in data["cpts"] if c["child"] == "Oil")
         assert oil["table"] == ["(+,0)", "(+,0)", "(+,0)"]
-        assert oom_from_dict(data) == o
+        assert from_dict(data) == o

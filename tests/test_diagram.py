@@ -159,21 +159,35 @@ class TestValidate:
         violations = validate(d)
         assert violations  # reported either as a cycle or a temporal violation
 
-    def test_evidence_checked(self):
-        d = tiny_chain()
-        bad = InfluenceDiagram(
-            variables=d.variables,
-            cpts=d.cpts,
-            utilities=d.utilities,
-            decision_order=d.decision_order,
-            information_sets=d.information_sets,
-            evidence={"X": "zzz"},
-        )
-        assert any("label not in domain" in v for v in validate(bad))
+    def test_evidence_rejected_at_load(self):
+        data = {
+            "variables": [{"id": "X", "kind": "chance", "domain": ["a", "b"]}],
+            "cpts": [{"child": "X", "parents": [], "table": [0.3, 0.7]}],
+            "utilities": [{"scope": ["X"], "table": [1, 2]}],
+            "decision_order": [],
+            "information_sets": {},
+            "evidence": {},
+        }
+        assert validate(from_dict(data)) == []
+        data["evidence"] = {"X": "a"}
+        with pytest.raises(DiagramError, match="evidence"):
+            from_dict(data)
 
     def test_malformed_document(self):
         with pytest.raises(DiagramError):
             from_dict({"variables": []})
+
+    @pytest.mark.parametrize("entry", ["(+,0)", None, True, [0.5]])
+    def test_table_entries_decide_the_kind(self, entry):
+        data = {
+            "variables": [{"id": "X", "kind": "chance", "domain": ["a", "b"]}],
+            "cpts": [{"child": "X", "parents": [], "table": [entry, 0.5]}],
+            "utilities": [{"scope": ["X"], "table": [1, 2]}],
+            "decision_order": [],
+            "information_sets": {},
+        }
+        with pytest.raises(DiagramError, match="mix|neither"):
+            from_dict(data)
 
 
 class TestTemporalPartition:

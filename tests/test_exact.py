@@ -139,20 +139,6 @@ class TestEdgeCases:
         with pytest.raises(GuardExceeded):
             brute_force_meu(d, guard=10)
 
-    def test_evidence_not_solvable(self):
-        data = from_dict(
-            {
-                "variables": [{"id": "X", "kind": "chance", "domain": ["a", "b"]}],
-                "cpts": [{"child": "X", "parents": [], "table": [0.3, 0.7]}],
-                "utilities": [{"scope": ["X"], "table": [1, 2]}],
-                "decision_order": [],
-                "information_sets": {},
-                "evidence": {"X": "a"},
-            }
-        )
-        with pytest.raises(DiagramError):
-            solve_exact(data)
-
 
 class TestRandomAgreement:
     @pytest.mark.parametrize("i", range(30))

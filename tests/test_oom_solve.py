@@ -3,22 +3,11 @@ import random
 
 import pytest
 
-from oomid.convert import (
-    ConversionConfig,
-    convert,
-    load_oom,
-    oom_from_dict,
-    save_oom,
-)
-from oomid.diagram import GuardExceeded, wildcatter
+from oomid.convert import ConversionConfig, convert
+from oomid.diagram import GuardExceeded, from_dict, load, save, wildcatter
 from oomid.exact import evaluate_policy
 from oomid.generator import GeneratorParams, generate
-from oomid.oom_solve import (
-    PolicySet,
-    brute_force_oom,
-    elim_oom_id,
-    policy_count,
-)
+from oomid.oom_solve import PolicySet, brute_force_oom, elim_oom_id
 from oomid.ordering import induced_width, legal_ordering
 from oomid.sets import equiv
 from oomid.values import ZERO, add, mul
@@ -145,7 +134,7 @@ class TestSingleDecision:
             "decision_order": ["D"],
             "information_sets": {"D": []},
         }
-        o = oom_from_dict(data)
+        o = from_dict(data)
         sol = elim_oom_id(o)
         assert sol.policies.cells["D"] == (frozenset({0}),)
         assert str(sol.meu) == "{(+,-1)}"
@@ -159,7 +148,7 @@ class TestSingleDecision:
             "decision_order": ["D"],
             "information_sets": {"D": []},
         }
-        sol = elim_oom_id(oom_from_dict(data))
+        sol = elim_oom_id(from_dict(data))
         assert sol.policies.cells["D"] == (frozenset({0, 1}),)
         assert str(sol.meu) == "{(+-,0),(+-,inf)}"
 
@@ -218,7 +207,7 @@ class TestPolicySet:
 
     def test_count_is_product(self):
         _, ps = self.make()
-        assert policy_count(ps) == 128 == ps.count()
+        assert ps.count() == 128
 
     def test_sample_distinct_when_possible(self):
         _, ps = self.make()
@@ -251,7 +240,7 @@ class TestPolicySet:
             "decision_order": ["D"],
             "information_sets": {"D": []},
         }
-        ps = elim_oom_id(oom_from_dict(data)).policies
+        ps = elim_oom_id(from_dict(data)).policies
         assert ps.count() == 1
         policies, replaced = ps.sample(1, seed=0)
         assert not replaced
@@ -281,7 +270,7 @@ class TestGuardsAndIO:
     def test_native_file_solve(self, tmp_path):
         o = wildcatter_oom(0.1)
         path = tmp_path / "w.json"
-        save_oom(o, path)
-        sol = elim_oom_id(load_oom(path))
+        save(o, path)
+        sol = elim_oom_id(load(path))
         assert str(sol.meu) == "{(+,-2)}"
         assert sol.policies.count() == 2
