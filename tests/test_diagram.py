@@ -159,7 +159,7 @@ class TestValidate:
         violations = validate(d)
         assert violations  # reported either as a cycle or a temporal violation
 
-    def test_evidence_rejected_at_load(self):
+    def test_evidence_checked(self):
         data = {
             "variables": [{"id": "X", "kind": "chance", "domain": ["a", "b"]}],
             "cpts": [{"child": "X", "parents": [], "table": [0.3, 0.7]}],

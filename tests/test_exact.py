@@ -134,6 +134,20 @@ class TestEdgeCases:
         with pytest.raises(DiagramError):
             solve_exact(from_dict(data))
 
+    def test_evidence_not_solvable(self):
+        data = {
+            "variables": [{"id": "X", "kind": "chance", "domain": ["a", "b"]}],
+            "cpts": [{"child": "X", "parents": [], "table": [0.3, 0.7]}],
+            "utilities": [{"scope": ["X"], "table": [1, 2]}],
+            "decision_order": [],
+            "information_sets": {},
+            "evidence": {"X": "a"},
+        }
+        # Evidence is not part of the model: such a document never reaches
+        # the solver, it is rejected when it is read.
+        with pytest.raises(DiagramError, match="evidence"):
+            solve_exact(from_dict(data))
+
     def test_guard(self):
         d = wildcatter()
         with pytest.raises(GuardExceeded):
