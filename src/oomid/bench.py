@@ -67,8 +67,8 @@ def run_experiment(
     instances: int,
     seed: int = 0,
 ) -> list[ExperimentResult]:
-    if instances < 1 or s < 1:
-        raise ValueError("need at least one instance and one sample")
+    if instances < 1 or s < 1 or not epsilons:
+        raise ValueError("need at least one instance, sample and epsilon")
     results: list[ExperimentResult] = []
     n = params.n_c + params.n_d
     for i in range(instances):

@@ -129,6 +129,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bench(args) -> int:
     sizes = [int(x) for x in args.n.split(",") if x]
+    if not sizes:
+        raise ValueError("--n needs at least one size")
     epsilons = [float(x) for x in args.epsilons.split(",") if x]
     for eps in epsilons:
         ConversionConfig(eps)  # range check up front

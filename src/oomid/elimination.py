@@ -1,0 +1,130 @@
+"""Bucket elimination shared by the exact and the order-of-magnitude solver.
+
+A ``Factor`` is a scope and a table with one axis per scope variable: float
+entries for a numeric diagram, ``OOMValue``/``OOMSet`` objects for a
+qualitative one.  ``eliminate`` puts every probability factor (lambda) and
+utility factor (theta) into the bucket of its earliest variable in the
+ordering, runs the algebra's chance or decision step on each bucket in
+turn, and puts each message into a later bucket the same way; messages over
+no variable are the root results.  Only the two steps know the algebra.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
+
+from .diagram import DiagramError, InfluenceDiagram, OOMInfluenceDiagram
+from .ordering import is_legal_ordering, legal_ordering
+
+
+@dataclass
+class Factor:
+    scope: tuple[str, ...]
+    table: np.ndarray  # one axis per scope variable
+
+
+def factor(
+    diagram: InfluenceDiagram, scope: tuple[str, ...], entries: Sequence, dtype=object
+) -> Factor:
+    """A factor from entries in row-major order over ``scope``.  Entries are
+    stored as they are, never unpacked (an ``OOMSet`` is iterable)."""
+    table = np.empty(len(entries), dtype=dtype)
+    table[:] = entries
+    return Factor(scope, table.reshape(diagram.domain_sizes(scope)))
+
+
+def align(f: Factor, target: tuple[str, ...], diagram: InfluenceDiagram) -> np.ndarray:
+    """View a factor's table as an array broadcastable over ``target``."""
+    perm = sorted(range(len(f.scope)), key=lambda i: target.index(f.scope[i]))
+    arr = np.transpose(f.table, perm)
+    shape = tuple(
+        len(diagram.domain(v)) if v in f.scope else 1 for v in target
+    )
+    return arr.reshape(shape)
+
+
+def union_scope(
+    factors: Iterable[Factor], order_key: dict[str, int]
+) -> tuple[str, ...]:
+    seen = {v for f in factors for v in f.scope}
+    return tuple(sorted(seen, key=lambda v: order_key[v]))
+
+
+def resolve_order(diagram: InfluenceDiagram, order: list[str] | None) -> list[str]:
+    """``order`` if it is legal, the default legal ordering if it is None."""
+    if order is None:
+        return legal_ordering(diagram)
+    if not is_legal_ordering(diagram, order):
+        raise DiagramError(f"not a legal elimination ordering: {order}")
+    return order
+
+
+@dataclass
+class Elimination:
+    root_lambdas: list[np.ndarray]  # 0-d tables, in the order they arrived
+    root_thetas: list[np.ndarray]
+    rules: dict[str, Factor]
+    max_cells: int  # largest message table
+
+
+def eliminate(
+    diagram: InfluenceDiagram,
+    order: list[str] | None,
+    chance_step: Callable[..., tuple],
+    decision_step: Callable[..., tuple],
+) -> Elimination:
+    """Run the buckets along ``order`` (the default legal ordering if None).
+
+    Both steps get ``(diagram, order_key, variable, lambdas, thetas)``.  The
+    chance step returns the lambda and the theta message, the decision step
+    also the decision's rule as a factor over the theta message's scope; a
+    message may be None.
+    """
+    order = resolve_order(diagram, order)
+    order_key = {v: i for i, v in enumerate(order)}
+    dtype = object if isinstance(diagram, OOMInfluenceDiagram) else float
+    buckets: list[tuple[list[Factor], list[Factor]]] = [([], []) for _ in order]
+
+    def place(f: Factor, kind: int) -> None:
+        pos = min(order_key[v] for v in f.scope)
+        buckets[pos][kind].append(f)
+
+    for kind, functions in enumerate((diagram.cpts, diagram.utilities)):
+        for fn in functions:
+            place(factor(diagram, fn.scope, fn.table, dtype), kind)
+
+    result = Elimination([], [], {}, 0)
+    roots = (result.root_lambdas, result.root_thetas)
+    decisions = set(diagram.decision_vars)
+    for pos, y in enumerate(order):
+        lambdas, thetas = buckets[pos]
+        if y in decisions:
+            lam_msg, theta_msg, result.rules[y] = decision_step(
+                diagram, order_key, y, lambdas, thetas
+            )
+        else:
+            lam_msg, theta_msg = chance_step(diagram, order_key, y, lambdas, thetas)
+        for kind, msg in enumerate((lam_msg, theta_msg)):
+            if msg is None:
+                continue
+            result.max_cells = max(result.max_cells, msg.table.size)
+            if msg.scope:
+                place(msg, kind)
+            else:
+                roots[kind].append(msg.table)
+    return result
+
+
+def expand_rule(
+    diagram: InfluenceDiagram, decision: str, rule: Factor
+) -> tuple[tuple[str, ...], tuple]:
+    """A decision rule broadcast from its bucket scope over the decision's
+    information set: the set and the row-major entries over it."""
+    info = tuple(diagram.information_sets.get(decision, ()))
+    extra = [v for v in rule.scope if v not in info]
+    assert not extra, f"decision {decision}: rule depends on unobserved {extra}"
+    full = np.broadcast_to(align(rule, info, diagram), diagram.domain_sizes(info))
+    return info, tuple(full.reshape(-1).tolist())

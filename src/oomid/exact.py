@@ -1,19 +1,19 @@
 """Exact solving of numeric influence diagrams.
 
-``solve_exact`` runs bucket elimination along a legal ordering, carrying a
-probability message and an expected-utility message per bucket.  Chance
-buckets marginalize the bucket variable and renormalize the utility by the
-compiled probability (zero-probability configurations contribute zero);
-decision buckets maximize, asserting that the probability part is constant
-in the decision.  ``evaluate_policy`` and ``brute_force_meu`` provide
-independent evaluation paths for testing.
+``solve_exact`` runs the shared bucket elimination of ``elimination`` on
+float tables; this module supplies its two steps.  The chance step
+marginalizes the bucket variable out of the probability product and
+renormalizes the utility by that marginal (zero-probability configurations
+contribute zero).  The decision step maximizes the utility, keeps the
+first maximizing action in domain order, and asserts that the probability
+part is constant in the decision.  ``evaluate_policy`` and
+``brute_force_meu`` provide independent evaluation paths for testing.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -26,44 +26,21 @@ from .diagram import (
     PolicyRule,
     require_valid,
 )
-from .ordering import is_legal_ordering, legal_ordering
-
-
-@dataclass
-class _Factor:
-    scope: tuple[str, ...]
-    table: np.ndarray  # one axis per scope variable
-
-
-def _align(f: _Factor, target: tuple[str, ...], diagram: InfluenceDiagram) -> np.ndarray:
-    """View a factor's table as an array broadcastable over ``target``."""
-    perm = sorted(range(len(f.scope)), key=lambda i: target.index(f.scope[i]))
-    arr = np.transpose(f.table, perm)
-    shape = tuple(
-        len(diagram.domain(v)) if v in f.scope else 1 for v in target
-    )
-    return arr.reshape(shape)
-
-
-def _union_scope(
-    factors: Iterable[_Factor], order_key: dict[str, int]
-) -> tuple[str, ...]:
-    seen = {v for f in factors for v in f.scope}
-    return tuple(sorted(seen, key=lambda v: order_key[v]))
+from .elimination import Factor, align, eliminate, expand_rule, factor, union_scope
 
 
 def _combine(
-    factors: list[_Factor],
+    factors: list[Factor],
     diagram: InfluenceDiagram,
     order_key: dict[str, int],
     how: str,
-) -> _Factor:
-    scope = _union_scope(factors, order_key)
+) -> Factor:
+    scope = union_scope(factors, order_key)
     op, start = (np.multiply, np.ones) if how == "mul" else (np.add, np.zeros)
     table = start(diagram.domain_sizes(scope))
     for f in factors:
-        table = op(table, _align(f, scope, diagram))
-    return _Factor(scope, table)
+        table = op(table, align(f, scope, diagram))
+    return Factor(scope, table)
 
 
 @dataclass(frozen=True)
@@ -77,65 +54,26 @@ def solve_exact(
 ) -> ExactSolution:
     """Maximum expected utility and one optimal policy (first-action ties)."""
     require_valid(diagram, qualitative=False)
-    if order is None:
-        order = legal_ordering(diagram)
-    elif not is_legal_ordering(diagram, order):
-        raise DiagramError(f"not a legal elimination ordering: {order}")
-    order_key = {v: i for i, v in enumerate(order)}
-
-    buckets: list[tuple[list[_Factor], list[_Factor]]] = [
-        ([], []) for _ in order
-    ]
-
-    def place(f: _Factor, kind: int) -> None:
-        pos = min(order_key[v] for v in f.scope)
-        buckets[pos][kind].append(f)
-
-    for cpt in diagram.cpts:
-        arr = np.asarray(cpt.table).reshape(diagram.domain_sizes(cpt.scope))
-        place(_Factor(cpt.scope, arr), 0)
-    for u in diagram.utilities:
-        arr = np.asarray(u.table).reshape(diagram.domain_sizes(u.scope))
-        place(_Factor(u.scope, arr), 1)
-
+    run = eliminate(diagram, order, _chance_step, _decision_step)
+    for lam in run.root_lambdas:
+        assert np.isclose(float(lam), 1.0), (
+            f"final probability mass is {float(lam)}, expected 1"
+        )
     meu = 0.0
-    rules: dict[str, PolicyRule] = {}
-    decisions = set(diagram.decision_vars)
-
-    for pos, y in enumerate(order):
-        lambdas, thetas = buckets[pos]
-        if y in decisions:
-            lam_msg, theta_msg, rule = _process_decision_bucket(
-                diagram, order_key, y, lambdas, thetas
-            )
-            rules[y] = rule
-        else:
-            lam_msg, theta_msg = _process_chance_bucket(
-                diagram, order_key, y, lambdas, thetas
-            )
-        for msg, kind in ((lam_msg, 0), (theta_msg, 1)):
-            if msg is None:
-                continue
-            if msg.scope:
-                place(msg, kind)
-            elif kind == 1:
-                meu += float(msg.table)
-            else:
-                assert np.isclose(float(msg.table), 1.0), (
-                    f"final probability mass is {float(msg.table)}, expected 1"
-                )
-
-    policy = Policy(
-        rules={d: _expand_rule(diagram, rules[d], d) for d in diagram.decision_vars}
-    )
-    return ExactSolution(meu=meu, policy=policy)
+    for theta in run.root_thetas:
+        meu += float(theta)
+    rules = {}
+    for d in diagram.decision_vars:
+        info, actions = expand_rule(diagram, d, run.rules[d])
+        rules[d] = PolicyRule(decision=d, scope=info, actions=actions)
+    return ExactSolution(meu=meu, policy=Policy(rules=rules))
 
 
-def _process_chance_bucket(diagram, order_key, y, lambdas, thetas):
+def _chance_step(diagram, order_key, y, lambdas, thetas):
     assert lambdas, f"chance bucket {y} has no probability component"
     lam = _combine(lambdas, diagram, order_key, "mul")
     axis = lam.scope.index(y)
-    lam_msg = _Factor(
+    lam_msg = Factor(
         lam.scope[:axis] + lam.scope[axis + 1 :], lam.table.sum(axis=axis)
     )
     theta_msg = None
@@ -145,18 +83,18 @@ def _process_chance_bucket(diagram, order_key, y, lambdas, thetas):
         c_axis = combined.scope.index(y)
         num = combined.table.sum(axis=c_axis)
         num_scope = combined.scope[:c_axis] + combined.scope[c_axis + 1 :]
-        lam_aligned = _align(lam_msg, num_scope, diagram)
+        lam_aligned = align(lam_msg, num_scope, diagram)
         table = np.divide(
             num,
             np.broadcast_to(lam_aligned, num.shape),
             out=np.zeros_like(num),
             where=np.broadcast_to(lam_aligned, num.shape) != 0,
         )
-        theta_msg = _Factor(num_scope, table)
+        theta_msg = Factor(num_scope, table)
     return lam_msg, theta_msg
 
 
-def _process_decision_bucket(diagram, order_key, y, lambdas, thetas):
+def _decision_step(diagram, order_key, y, lambdas, thetas):
     # The bucket's probability product is constant in the decision (checked
     # below), so the utility message keeps its conditional-expectation
     # meaning only if that constant is NOT folded in: the probability
@@ -169,44 +107,24 @@ def _process_decision_bucket(diagram, order_key, y, lambdas, thetas):
         assert np.all(
             spread <= 1e-9 * np.maximum(1.0, np.abs(lam.table).max())
         ), f"probability component in decision bucket {y} varies with {y}"
-        lam_msg = _Factor(
+        lam_msg = Factor(
             lam.scope[:l_axis] + lam.scope[l_axis + 1 :], lam.table.max(axis=l_axis)
         )
     if not thetas:
         # nothing downstream distinguishes the actions
-        return lam_msg, None, PolicyRule(decision=y, scope=(), actions=(0,))
+        return lam_msg, None, Factor((), np.zeros((), dtype=int))
     combined = _combine(thetas, diagram, order_key, "add")
     axis = combined.scope.index(y)
-    theta_msg = _Factor(
+    theta_msg = Factor(
         combined.scope[:axis] + combined.scope[axis + 1 :],
         combined.table.max(axis=axis),
     )
     # first maximizing action in domain order
     actions = np.argmax(np.moveaxis(combined.table, axis, -1), axis=-1)
-    rule = PolicyRule(
-        decision=y, scope=theta_msg.scope, actions=tuple(actions.reshape(-1).tolist())
-    )
-    return lam_msg, theta_msg, rule
+    return lam_msg, theta_msg, Factor(theta_msg.scope, actions)
 
 
-def _expand_rule(
-    diagram: InfluenceDiagram, rule: PolicyRule, decision: str
-) -> PolicyRule:
-    """Broadcast a bucket-scope rule over the full information set."""
-    info = tuple(diagram.information_sets.get(decision, ()))
-    extra = [v for v in rule.scope if v not in info]
-    assert not extra, f"decision {decision}: rule depends on unobserved {extra}"
-    if rule.scope == info:
-        return rule
-    src = np.asarray(rule.actions).reshape(diagram.domain_sizes(rule.scope))
-    aligned = _align(_Factor(rule.scope, src), info, diagram)
-    full = np.broadcast_to(aligned, diagram.domain_sizes(info))
-    return PolicyRule(
-        decision=decision, scope=info, actions=tuple(full.reshape(-1).tolist())
-    )
-
-
-def _policy_factors(diagram: InfluenceDiagram, policy: Policy) -> list[_Factor]:
+def _policy_factors(diagram: InfluenceDiagram, policy: Policy) -> list[Factor]:
     factors = []
     for d in diagram.decision_vars:
         if d not in policy.rules:
@@ -224,7 +142,7 @@ def _policy_factors(diagram: InfluenceDiagram, policy: Policy) -> list[_Factor]:
         k = len(diagram.domain(d))
         one_hot = np.zeros((n_cells, k))
         one_hot[np.arange(n_cells), np.asarray(rule.actions)] = 1.0
-        factors.append(_Factor(rule.scope + (d,), one_hot.reshape(sizes + (k,))))
+        factors.append(Factor(rule.scope + (d,), one_hot.reshape(sizes + (k,))))
     return factors
 
 
@@ -236,12 +154,10 @@ class PolicyEvaluator:
         self._diagram = diagram
         self._order_key = {v.id: i for i, v in enumerate(diagram.variables)}
         self._cpt_factors = [
-            _Factor(c.scope, np.asarray(c.table).reshape(diagram.domain_sizes(c.scope)))
-            for c in diagram.cpts
+            factor(diagram, c.scope, c.table, float) for c in diagram.cpts
         ]
         self._utility_factors = [
-            _Factor(u.scope, np.asarray(u.table).reshape(diagram.domain_sizes(u.scope)))
-            for u in diagram.utilities
+            factor(diagram, u.scope, u.table, float) for u in diagram.utilities
         ]
 
     def evaluate(self, policy: Policy) -> float:
@@ -272,7 +188,7 @@ def _sum_out_all(diagram, factors, order_key) -> float:
         rest = [f for f in live if y not in f.scope]
         combined = _combine(involved, diagram, order_key, "mul")
         axis = combined.scope.index(y)
-        msg = _Factor(
+        msg = Factor(
             combined.scope[:axis] + combined.scope[axis + 1 :],
             combined.table.sum(axis=axis),
         )

@@ -1,13 +1,14 @@
 """Variable elimination for order-of-magnitude influence diagrams.
 
-``elim_oom_id`` processes buckets along a legal elimination ordering.
-Chance buckets sum out their variable from the probability product and
-renormalize the utility message by the compiled probability (qualitatively
-impossible configurations get the zero utility).  Decision buckets
-maximize over the actions and record, per parent configuration, every
-action whose value set is not strictly dominated by another action's: ties
-between incomparable value sets keep both actions, which is what makes the
-result a policy *set*.
+``elim_oom_id`` runs the shared bucket elimination of ``elimination`` on
+tables of ``OOMValue`` probabilities and ``OOMSet`` utilities; this module
+supplies its two steps.  The chance step sums out the bucket variable from
+the probability product and renormalizes the utility message by that
+marginal (qualitatively impossible configurations get the zero utility).
+The decision step maximizes over the actions and records, per parent
+configuration, every action whose value set is not strictly dominated by
+another action's: ties between incomparable value sets keep both actions,
+which is what makes the result a policy *set*.
 
 ``brute_force_oom`` is the test oracle: the same elimination semantics
 applied to one joint table over all variables, with no bucket, scope, or
@@ -16,21 +17,31 @@ message bookkeeping to get wrong.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .diagram import (
-    DiagramError,
     GuardExceeded,
     OOMInfluenceDiagram,
     Policy,
     PolicyRule,
     require_valid,
 )
-from .ordering import is_legal_ordering, legal_ordering
+from .elimination import (
+    Factor,
+    align,
+    eliminate,
+    expand_rule,
+    factor,
+    resolve_order,
+    union_scope,
+)
 from .sets import OOMSet, ZERO_SET, max_sets, scale, set_dominates, sum_sets
 from .values import OOMValue, add, dominates, inverse, mul
 
@@ -48,10 +59,20 @@ class PolicySet:
     scopes: Mapping[str, tuple[str, ...]]
     action_counts: Mapping[str, int]
     cells: Mapping[str, tuple[frozenset[int], ...]]  # row-major over scope
+    # per decision, each cell's actions in ascending order: the digits that
+    # ``_decode`` reads a policy index in
+    _options: Mapping[str, tuple[tuple[int, ...], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for d in self.decisions:
             assert all(self.cells[d]), f"empty action set in a cell of {d}"
+        options = {
+            d: tuple(tuple(sorted(cell)) for cell in self.cells[d])
+            for d in self.decisions
+        }
+        object.__setattr__(self, "_options", options)
 
     def count(self) -> int:
         total = 1
@@ -64,8 +85,7 @@ class PolicySet:
         rules = {}
         for d in self.decisions:
             actions = []
-            for cell in self.cells[d]:
-                options = sorted(cell)
+            for options in self._options[d]:
                 index, digit = divmod(index, len(options))
                 actions.append(options[digit])
             rules[d] = PolicyRule(decision=d, scope=self.scopes[d], actions=tuple(actions))
@@ -96,87 +116,48 @@ class PolicySet:
 
 
 # ---------------------------------------------------------------------------
-# factor machinery over python lists
+# the order-of-magnitude algebra over object tables
+#
+# The steps look the calculus up by its name in this module when they run,
+# so that a wrapper installed on the name sees every call.
 
-@dataclass
-class _OOMFactor:
-    scope: tuple[str, ...]
-    table: list  # row-major over scope
-
-
-def _strides(sizes: Sequence[int]) -> list[int]:
-    out = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        out[i] = out[i + 1] * sizes[i + 1]
-    return out
-
-
-def _union_scope(factors, order_key) -> tuple[str, ...]:
-    seen = {v for f in factors for v in f.scope}
-    return tuple(sorted(seen, key=lambda v: order_key[v]))
+def _cellwise(fn, factors, diagram, order_key) -> Factor:
+    """``fn`` of the factors' entries, in factor order, for every cell of
+    their union scope."""
+    scope = union_scope(factors, order_key)
+    shape = diagram.domain_sizes(scope)
+    columns = [
+        np.broadcast_to(align(f, scope, diagram), shape).ravel().tolist()
+        for f in factors
+    ]
+    return factor(diagram, scope, [fn(*cell) for cell in zip(*columns)])
 
 
-def _gather(factor: _OOMFactor, target: tuple[str, ...], diagram) -> list:
-    """Factor table re-indexed over the target scope (a superset)."""
-    t_sizes = diagram.domain_sizes(target)
-    f_sizes = diagram.domain_sizes(factor.scope)
-    f_strides = _strides(f_sizes)
-    positions = [target.index(v) for v in factor.scope]
-    out = []
-    for cfg in itertools.product(*[range(s) for s in t_sizes]):
-        idx = 0
-        for stride, pos in zip(f_strides, positions):
-            idx += stride * cfg[pos]
-        out.append(factor.table[idx])
-    return out
+def _along(fn, f: Factor, y: str, diagram) -> Factor:
+    """``fn`` of the entries along ``y``, in domain order, for every cell of
+    the rest of the scope."""
+    axis = f.scope.index(y)
+    rows = np.moveaxis(f.table, axis, -1).reshape(-1, len(diagram.domain(y)))
+    scope = f.scope[:axis] + f.scope[axis + 1 :]
+    return factor(diagram, scope, [fn(*row) for row in rows.tolist()])
 
 
-def _combine_lambdas(factors, diagram, order_key) -> _OOMFactor:
-    scope = _union_scope(factors, order_key)
-    tables = [_gather(f, scope, diagram) for f in factors]
-    out = []
-    for i in range(math.prod(diagram.domain_sizes(scope))):
-        acc = tables[0][i]
-        for t in tables[1:]:
-            acc = mul(acc, t[i])
-        out.append(acc)
-    return _OOMFactor(scope, out)
+def _product(*values: OOMValue) -> OOMValue:
+    return functools.reduce(mul, values)
 
 
-def _combine_thetas(factors, diagram, order_key) -> _OOMFactor:
-    scope = _union_scope(factors, order_key)
-    tables = [_gather(f, scope, diagram) for f in factors]
-    out = []
-    for i in range(math.prod(diagram.domain_sizes(scope))):
-        out.append(sum_sets(*[t[i] for t in tables]))
-    return _OOMFactor(scope, out)
+def _total(*values: OOMValue) -> OOMValue:
+    total = functools.reduce(add, values)
+    assert total.is_positive or total.is_zero
+    return total
 
 
-def _split_axis(
-    factor: _OOMFactor, y: str, diagram
-) -> tuple[tuple[str, ...], int, list[list]]:
-    """Group the table into per-context slices along variable ``y``."""
-    axis = factor.scope.index(y)
-    ctx_scope = factor.scope[:axis] + factor.scope[axis + 1 :]
-    k = len(diagram.domain(y))
-    sizes = diagram.domain_sizes(factor.scope)
-    slices: list[list] = []
-    for ctx in itertools.product(
-        *[range(s) for i, s in enumerate(sizes) if i != axis]
-    ):
-        row = []
-        for yv in range(k):
-            cfg = list(ctx)
-            cfg.insert(axis, yv)
-            idx = 0
-            for stride, value in zip(_strides(sizes), cfg):
-                idx += stride * value
-            row.append(factor.table[idx])
-        slices.append(row)
-    return ctx_scope, k, slices
+def _normalize(total: OOMValue, s: OOMSet) -> OOMSet:
+    """A utility sum divided by its probability mass; zero where the mass is."""
+    return scale(inverse(total), s) if not total.is_zero else ZERO_SET
 
 
-def _max_value(values: Iterable[OOMValue]) -> OOMValue:
+def _max_value(*values: OOMValue) -> OOMValue:
     """Dominance maximum of probability values (totally ordered)."""
     best: OOMValue | None = None
     for v in values:
@@ -186,7 +167,7 @@ def _max_value(values: Iterable[OOMValue]) -> OOMValue:
     return best
 
 
-def _maximal_actions(values: list[OOMSet]) -> frozenset[int]:
+def _maximal_actions(*values: OOMSet) -> frozenset[int]:
     kept = []
     for d, a in enumerate(values):
         beaten = any(
@@ -213,134 +194,47 @@ def elim_oom_id(
     diagram: OOMInfluenceDiagram, order: list[str] | None = None
 ) -> OOMSolution:
     require_valid(diagram, qualitative=True)
-    if order is None:
-        order = legal_ordering(diagram)
-    elif not is_legal_ordering(diagram, order):
-        raise DiagramError(f"not a legal elimination ordering: {order}")
-    order_key = {v: i for i, v in enumerate(order)}
-
-    buckets: list[tuple[list[_OOMFactor], list[_OOMFactor]]] = [([], []) for _ in order]
-
-    def place(f: _OOMFactor, kind: int) -> None:
-        pos = min(order_key[v] for v in f.scope)
-        buckets[pos][kind].append(f)
-
-    for cpt in diagram.cpts:
-        place(_OOMFactor(cpt.scope, list(cpt.table)), 0)
-    for u in diagram.utilities:
-        place(_OOMFactor(u.scope, list(u.table)), 1)
-
-    decisions = set(diagram.decision_vars)
-    root_thetas: list[OOMSet] = []
-    raw_rules: dict[str, tuple[tuple[str, ...], list[frozenset[int]]]] = {}
-    max_cells = 0
-
-    for pos, y in enumerate(order):
-        lambdas, thetas = buckets[pos]
-        if y in decisions:
-            lam_msg, theta_msg, scope, cells = _decision_step(
-                diagram, order_key, y, lambdas, thetas
-            )
-            raw_rules[y] = (scope, cells)
-        else:
-            lam_msg, theta_msg = _chance_step(diagram, order_key, y, lambdas, thetas)
-        for msg, kind in ((lam_msg, 0), (theta_msg, 1)):
-            if msg is None:
-                continue
-            max_cells = max(max_cells, len(msg.table))
-            if msg.scope:
-                place(msg, kind)
-            elif kind == 1:
-                root_thetas.append(msg.table[0])
-
+    run = eliminate(diagram, order, _chance_step, _decision_step)
+    root_thetas = [t.item() for t in run.root_thetas]
     meu = sum_sets(*root_thetas) if root_thetas else ZERO_SET
-    policies = _expand_policy_set(diagram, raw_rules)
-    return OOMSolution(meu=meu, policies=policies, max_table_cells=max_cells)
+    policies = _expand_policy_set(diagram, run.rules)
+    return OOMSolution(meu=meu, policies=policies, max_table_cells=run.max_cells)
 
 
 def _chance_step(diagram, order_key, y, lambdas, thetas):
     assert lambdas, f"chance bucket {y} has no probability component"
-    lam = _combine_lambdas(lambdas, diagram, order_key)
-    ctx_scope, k, lam_rows = _split_axis(lam, y, diagram)
-    lam_table = []
-    for row in lam_rows:
-        total = row[0]
-        for v in row[1:]:
-            total = add(total, v)
-        assert total.is_positive or total.is_zero
-        lam_table.append(total)
-    lam_msg = _OOMFactor(ctx_scope, lam_table)
+    lam = _cellwise(_product, lambdas, diagram, order_key)
+    lam_msg = _along(_total, lam, y, diagram)
     theta_msg = None
     if thetas:
-        theta = _combine_thetas(thetas, diagram, order_key)
-        joint_scope = _union_scope([lam, theta], order_key)
-        lam_j = _gather(lam, joint_scope, diagram)
-        theta_j = _gather(theta, joint_scope, diagram)
-        combined = _OOMFactor(
-            joint_scope, [scale(lv, ts) for lv, ts in zip(lam_j, theta_j)]
-        )
-        c_ctx_scope, _, c_rows = _split_axis(combined, y, diagram)
-        sums = [sum_sets(*row) for row in c_rows]
-        norm = _gather(lam_msg, c_ctx_scope, diagram)
-        table = [
-            scale(inverse(lv), ts) if not lv.is_zero else ZERO_SET
-            for lv, ts in zip(norm, sums)
-        ]
-        theta_msg = _OOMFactor(c_ctx_scope, table)
+        theta = _cellwise(sum_sets, thetas, diagram, order_key)
+        combined = _cellwise(scale, [lam, theta], diagram, order_key)
+        sums = _along(sum_sets, combined, y, diagram)
+        theta_msg = _cellwise(_normalize, [lam_msg, sums], diagram, order_key)
     return lam_msg, theta_msg
 
 
 def _decision_step(diagram, order_key, y, lambdas, thetas):
-    lam = _combine_lambdas(lambdas, diagram, order_key) if lambdas else None
-    lam_msg = None
-    if lam is not None:
-        ctx_scope, _, rows = _split_axis(lam, y, diagram)
-        lam_msg = _OOMFactor(ctx_scope, [_max_value(row) for row in rows])
+    lam = _cellwise(_product, lambdas, diagram, order_key) if lambdas else None
+    lam_msg = _along(_max_value, lam, y, diagram) if lam is not None else None
     if not thetas:
         # nothing downstream distinguishes the actions: keep them all
         k = len(diagram.domain(y))
-        return lam_msg, None, (), [frozenset(range(k))]
-    theta = _combine_thetas(thetas, diagram, order_key)
+        return lam_msg, None, factor(diagram, (), [frozenset(range(k))])
+    combined = _cellwise(sum_sets, thetas, diagram, order_key)
     if lam is not None:
-        joint_scope = _union_scope([lam, theta], order_key)
-        lam_j = _gather(lam, joint_scope, diagram)
-        theta_j = _gather(theta, joint_scope, diagram)
-        combined = _OOMFactor(
-            joint_scope, [scale(lv, ts) for lv, ts in zip(lam_j, theta_j)]
-        )
-    else:
-        combined = theta
-    ctx_scope, _, rows = _split_axis(combined, y, diagram)
-    theta_msg = _OOMFactor(ctx_scope, [max_sets(*row) for row in rows])
-    cells = [_maximal_actions(row) for row in rows]
-    return lam_msg, theta_msg, ctx_scope, cells
+        combined = _cellwise(scale, [lam, combined], diagram, order_key)
+    theta_msg = _along(max_sets, combined, y, diagram)
+    return lam_msg, theta_msg, _along(_maximal_actions, combined, y, diagram)
 
 
 def _expand_policy_set(
-    diagram: OOMInfluenceDiagram,
-    raw_rules: Mapping[str, tuple[tuple[str, ...], list[frozenset[int]]]],
+    diagram: OOMInfluenceDiagram, rules: Mapping[str, Factor]
 ) -> PolicySet:
     scopes = {}
     cells = {}
     for d in diagram.decision_vars:
-        info = tuple(diagram.information_sets.get(d, ()))
-        scope, raw = raw_rules.get(d, ((), [frozenset(range(len(diagram.domain(d))))]))
-        extra = [v for v in scope if v not in info]
-        assert not extra, f"decision {d}: rule depends on unobserved {extra}"
-        scopes[d] = info
-        if scope == info:
-            cells[d] = tuple(raw)
-            continue
-        src_sizes = diagram.domain_sizes(scope)
-        src_strides = _strides(src_sizes)
-        positions = [info.index(v) for v in scope]
-        expanded = []
-        for cfg in itertools.product(*[range(s) for s in diagram.domain_sizes(info)]):
-            idx = 0
-            for stride, p in zip(src_strides, positions):
-                idx += stride * cfg[p]
-            expanded.append(raw[idx])
-        cells[d] = tuple(expanded)
+        scopes[d], cells[d] = expand_rule(diagram, d, rules[d])
     return PolicySet(
         decisions=tuple(diagram.decision_order),
         scopes=scopes,
@@ -384,10 +278,7 @@ def brute_force_oom(
 ) -> OOMSolution:
     """Test oracle: dict-based variable elimination over live factor pulls."""
     require_valid(diagram, qualitative=True)
-    if order is None:
-        order = legal_ordering(diagram)
-    elif not is_legal_ordering(diagram, order):
-        raise DiagramError(f"not a legal elimination ordering: {order}")
+    order = resolve_order(diagram, order)
 
     joint = math.prod(len(v.domain) for v in diagram.variables)
     if joint > guard:
@@ -403,7 +294,7 @@ def brute_force_oom(
     lams = [lift(c.scope, c.table) for c in diagram.cpts]
     thetas = [lift(u.scope, u.table) for u in diagram.utilities]
     decisions = set(diagram.decision_vars)
-    raw_rules: dict[str, tuple[tuple[str, ...], list[frozenset[int]]]] = {}
+    raw_rules: dict[str, Factor] = {}
     root_thetas: list[OOMSet] = []
     max_cells = 0
 
@@ -443,14 +334,14 @@ def brute_force_oom(
             lam_key = _key(ctx, lam_ctx_vars) if pulled_l else None
             if y in decisions:
                 if pulled_l:
-                    lam_out[lam_key] = _max_value(lam_row)
+                    lam_out[lam_key] = _max_value(*lam_row)
                 if pulled_t:
                     values = [
                         scale(lam_row[i], theta_row[i]) if pulled_l else theta_row[i]
                         for i in range(k)
                     ]
                     theta_out[ctx_key] = max_sets(*values)
-                    cells.append(_maximal_actions(values))
+                    cells.append(_maximal_actions(*values))
                 else:
                     cells.append(frozenset(range(k)))
             else:
@@ -471,7 +362,7 @@ def brute_force_oom(
 
         if y in decisions:
             scope_sorted = tuple(sorted(ctx_vars))
-            raw_rules[y] = (scope_sorted, cells)
+            raw_rules[y] = factor(diagram, scope_sorted, cells)
         max_cells = max(max_cells, len(lam_out), len(theta_out))
         if lam_out and lam_ctx_vars:
             lams.append(_DictFactor(lam_ctx_vars, lam_out))

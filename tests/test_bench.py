@@ -72,6 +72,8 @@ class TestRunExperiment:
             run_experiment(quick_params(), [0.5], s=0, instances=1)
         with pytest.raises(ValueError):
             run_experiment(quick_params(), [0.5], s=1, instances=0)
+        with pytest.raises(ValueError):
+            run_experiment(quick_params(), [], s=1, instances=1)
 
 
 class TestStatistics:

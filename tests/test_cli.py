@@ -350,3 +350,13 @@ class TestBench:
             str(tmp_path / "missing_dir" / "x.csv"),
         ]
         assert main(args) == 3
+
+    @pytest.mark.parametrize("flag", ["--n", "--epsilons"])
+    def test_empty_grid_exit_2(self, flag, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        args = ["bench", "--n", "12", "--instances", "1", "--samples", "1"]
+        assert main(args + [flag, ",", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert not out.exists()

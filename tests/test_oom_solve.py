@@ -4,8 +4,8 @@ import random
 import pytest
 
 from oomid.convert import ConversionConfig, convert
-from oomid.diagram import GuardExceeded, from_dict, load, save, wildcatter
-from oomid.exact import evaluate_policy
+from oomid.diagram import DiagramError, GuardExceeded, from_dict, load, save, wildcatter
+from oomid.exact import evaluate_policy, solve_exact
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import PolicySet, brute_force_oom, elim_oom_id
 from oomid.ordering import induced_width, legal_ordering
@@ -226,6 +226,20 @@ class TestPolicySet:
         b, _ = ps.sample(5, seed=42)
         assert a == b
 
+    def test_sample_mapping_pinned(self):
+        # pinned draws: the seed's index stream and the index -> policy
+        # mapping must not change, or sampled results and CSV bytes would
+        _, ps = self.make()
+        policies, _ = ps.sample(5, seed=42)
+        drawn = [(p.rules["Test"].actions, p.rules["Drill"].actions) for p in policies]
+        assert drawn == [
+            ((0,), (0, 1, 1, 1, 0, 0)),
+            ((0,), (1, 1, 0, 0, 0, 0)),
+            ((0,), (1, 1, 0, 0, 0, 1)),
+            ((0,), (1, 1, 1, 1, 1, 0)),
+            ((1,), (0, 0, 1, 1, 1, 0)),
+        ]
+
     def test_sample_with_replacement_flagged(self):
         _, ps = self.make(eps=0.1)
         assert ps.count() == 2
@@ -258,6 +272,28 @@ class TestPolicySet:
         _, ps = self.make()
         with pytest.raises(ValueError):
             ps.sample(0)
+
+
+ILLEGAL_ORDERS = {
+    "reversed": lambda order: order[::-1],
+    "missing": lambda order: order[1:],
+    "duplicated": lambda order: order + order[:1],
+}
+
+
+@pytest.mark.parametrize("mutate", ILLEGAL_ORDERS.values(), ids=ILLEGAL_ORDERS.keys())
+@pytest.mark.parametrize(
+    "solve, diagram",
+    [
+        (solve_exact, wildcatter()),
+        (elim_oom_id, wildcatter_oom(0.1)),
+        (brute_force_oom, wildcatter_oom(0.1)),
+    ],
+    ids=["solve_exact", "elim_oom_id", "brute_force_oom"],
+)
+def test_illegal_order_rejected(solve, diagram, mutate):
+    with pytest.raises(DiagramError, match="not a legal elimination ordering"):
+        solve(diagram, order=mutate(legal_ordering(diagram)))
 
 
 class TestGuardsAndIO:
