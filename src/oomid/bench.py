@@ -83,7 +83,7 @@ def run_experiment(
             policies, replaced = solution.policies.sample(
                 s, seed=instance_seed * 31 + j
             )
-            utilities = sorted(evaluator.evaluate(p) for p in policies)
+            utilities = sorted(evaluator.evaluate_many(policies))
             v_med, v_max, eta_med, eta_max = sample_errors(v, utilities)
             flags: list[str] = []
             if replaced:

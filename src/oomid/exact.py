@@ -6,14 +6,24 @@ marginalizes the bucket variable out of the probability product and
 renormalizes the utility by that marginal (zero-probability configurations
 contribute zero).  The decision step maximizes the utility, keeps the
 first maximizing action in domain order, and asserts that the probability
-part is constant in the decision.  ``evaluate_policy`` and
-``brute_force_meu`` provide independent evaluation paths for testing.
+part is constant in the decision.
+
+``PolicyEvaluator`` scores fixed policies.  The scopes of its factors do
+not depend on the policy, so it plans the elimination of every variable
+once per diagram and utility (greedy min-degree, ties by name); each step
+of the plan is one einsum over that step's tables.  ``evaluate_many`` runs
+the plan for a batch of policies at once, their one-hot decision tables
+stacked along a leading axis; ``evaluate`` and ``evaluate_policy`` are
+batches of one.  ``brute_force_meu`` enumerates every policy with its own
+evaluation, as an independent oracle for testing.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -124,8 +134,91 @@ def _decision_step(diagram, order_key, y, lambdas, thetas):
     return lam_msg, theta_msg, Factor(theta_msg.scope, actions)
 
 
-def _policy_factors(diagram: InfluenceDiagram, policy: Policy) -> list[Factor]:
-    factors = []
+# numpy's einsum takes at most 63 operands; a step over more tables first
+# multiplies them in groups, which keeps the left-to-right product exact.
+_MAX_OPERANDS = 63
+# Cells of the largest batched table of one chunk of policies; bounds the
+# memory of ``evaluate_many`` (32 MiB of float64) for any number of policies.
+_CHUNK_CELLS = 1 << 22
+_BATCH = 0  # einsum label of the policy axis; variables are numbered from 1
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Bucket elimination of every variable from one utility's factors.
+
+    Slots number the tables: the CPTs, one policy factor per decision and
+    the utility, then the result of each step in turn.  A step multiplies
+    its operands in order and sums out at most one variable, as one einsum
+    over ``(slot, labels)`` pairs with labels local to the step.  The
+    product of the ``roots`` tables is the expected utility.
+    """
+
+    steps: tuple  # per step: ((slot, labels), ...) and the output labels
+    roots: tuple[int, ...]
+    max_cells: int  # largest table per policy that carries the policy axis
+
+
+def _plan(
+    diagram: InfluenceDiagram, scopes: list[tuple[str, ...]], batched: list[bool]
+) -> _Plan:
+    """Plan the elimination of every variable in ``scopes``.
+
+    The order is greedy min-degree on the graph of the scopes, ties broken
+    by name: the variable whose factors span the fewest variables goes
+    next.  Eliminating a variable joins its neighbours, as the message over
+    them does.
+    """
+    order_key = {v.id: i for i, v in enumerate(diagram.variables)}
+    scopes, batched = list(scopes), list(batched)
+    adjacency: dict[str, set[str]] = {}
+    for scope in scopes:
+        for v in scope:
+            adjacency.setdefault(v, set()).update(scope)
+    for v, neighbours in adjacency.items():
+        neighbours.discard(v)
+    live = list(range(len(scopes)))
+    steps = []
+
+    def add_step(operands: list[int], drop: str | None) -> int:
+        union = sorted(
+            {v for s in operands for v in scopes[s]}, key=order_key.__getitem__
+        )
+        labels = {v: i for i, v in enumerate(union, start=_BATCH + 1)}
+        keep = tuple(v for v in union if v != drop)
+        out_batched = any(batched[s] for s in operands)
+
+        def subscripts(scope: tuple[str, ...], b: bool) -> list[int]:
+            return ([_BATCH] if b else []) + [labels[v] for v in scope]
+
+        pairs = tuple((s, subscripts(scopes[s], batched[s])) for s in operands)
+        steps.append((pairs, subscripts(keep, out_batched)))
+        scopes.append(keep)
+        batched.append(out_batched)
+        return len(scopes) - 1
+
+    while adjacency:
+        y = min(adjacency, key=lambda v: (len(adjacency[v]), v))
+        neighbours = adjacency.pop(y)
+        for v in neighbours:
+            adjacency[v] |= neighbours
+            adjacency[v] -= {v, y}
+        involved = [s for s in live if y in scopes[s]]
+        live = [s for s in live if y not in scopes[s]]
+        while len(involved) > _MAX_OPERANDS:
+            head = add_step(involved[:_MAX_OPERANDS], None)
+            involved = [head] + involved[_MAX_OPERANDS:]
+        live.append(add_step(involved, y))
+    max_cells = max(
+        (math.prod(diagram.domain_sizes(s)) for s, b in zip(scopes, batched) if b),
+        default=1,
+    )
+    return _Plan(tuple(steps), tuple(live), max_cells)
+
+
+def _policy_actions(diagram: InfluenceDiagram, policy: Policy) -> list[np.ndarray]:
+    """The validated action index of every cell, per decision."""
+    rows = []
     for d in diagram.decision_vars:
         if d not in policy.rules:
             raise DiagramError(f"policy has no rule for decision {d}")
@@ -135,69 +228,97 @@ def _policy_factors(diagram: InfluenceDiagram, policy: Policy) -> list[Factor]:
             raise DiagramError(
                 f"rule for {d} is over {rule.scope}, expected {info}"
             )
-        sizes = diagram.domain_sizes(rule.scope)
-        n_cells = int(np.prod(sizes)) if sizes else 1
-        if len(rule.actions) != n_cells:
+        actions = np.asarray(rule.actions)
+        if actions.shape != (math.prod(diagram.domain_sizes(info)),):
             raise DiagramError(f"rule for {d} is incomplete")
         k = len(diagram.domain(d))
-        one_hot = np.zeros((n_cells, k))
-        one_hot[np.arange(n_cells), np.asarray(rule.actions)] = 1.0
-        factors.append(Factor(rule.scope + (d,), one_hot.reshape(sizes + (k,))))
-    return factors
+        if actions.dtype.kind not in "iu" or not (
+            0 <= actions.min() and actions.max() < k
+        ):
+            raise DiagramError(f"rule for {d} has an action outside 0..{k - 1}")
+        rows.append(actions)
+    return rows
 
 
 class PolicyEvaluator:
-    """Exact policy evaluation with the diagram-side work done once."""
+    """Exact policy evaluation with the diagram-side work done once.
+
+    The factor scopes do not depend on the policy, so the elimination is
+    planned once per utility.  ``evaluate_many`` stacks the policies' one-hot
+    decision tables along a leading axis and runs each plan for all of them
+    at once, in chunks sized so that the largest table stays bounded.
+    """
 
     def __init__(self, diagram: InfluenceDiagram):
         require_valid(diagram, qualitative=False)
         self._diagram = diagram
-        self._order_key = {v.id: i for i, v in enumerate(diagram.variables)}
-        self._cpt_factors = [
-            factor(diagram, c.scope, c.table, float) for c in diagram.cpts
+        self._cpt_tables = [
+            factor(diagram, c.scope, c.table, float).table for c in diagram.cpts
         ]
-        self._utility_factors = [
-            factor(diagram, u.scope, u.table, float) for u in diagram.utilities
+        self._utility_tables = [
+            factor(diagram, u.scope, u.table, float).table for u in diagram.utilities
         ]
+        self._policy_shapes = []
+        scopes = [c.scope for c in diagram.cpts]
+        for d in diagram.decision_vars:
+            scope = tuple(diagram.information_sets.get(d, ())) + (d,)
+            self._policy_shapes.append(diagram.domain_sizes(scope))
+            scopes.append(scope)
+        batched = [False] * len(diagram.cpts) + [True] * len(diagram.decision_vars)
+        self._plans = [
+            _plan(diagram, scopes + [u.scope], batched + [False])
+            for u in diagram.utilities
+        ]
+        largest = max((plan.max_cells for plan in self._plans), default=1)
+        self._chunk = max(1, _CHUNK_CELLS // largest)
 
     def evaluate(self, policy: Policy) -> float:
-        base = self._cpt_factors + _policy_factors(self._diagram, policy)
-        total = 0.0
-        for u in self._utility_factors:
-            total += _sum_out_all(self._diagram, base + [u], self._order_key)
-        return total
+        return self.evaluate_many([policy])[0]
+
+    def evaluate_many(self, policies: Sequence[Policy]) -> list[float]:
+        """Expected utility of each policy, in order."""
+        values: list[float] = []
+        for start in range(0, len(policies), self._chunk):
+            chunk = [
+                _policy_actions(self._diagram, p)
+                for p in policies[start : start + self._chunk]
+            ]
+            policy_tables = [
+                self._one_hot([row[i] for row in chunk], shape)
+                for i, shape in enumerate(self._policy_shapes)
+            ]
+            total = np.zeros(len(chunk))
+            for plan, utility in zip(self._plans, self._utility_tables):
+                total += self._run(plan, policy_tables + [utility], len(chunk))
+            values.extend(total.tolist())
+        return values
+
+    @staticmethod
+    def _one_hot(actions: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+        stacked = np.stack(actions)
+        table = np.zeros(stacked.shape + shape[-1:])
+        table[
+            np.arange(len(actions))[:, None], np.arange(stacked.shape[1]), stacked
+        ] = 1.0
+        return table.reshape((len(actions),) + shape)
+
+    def _run(self, plan: _Plan, tables: list[np.ndarray], batch: int) -> np.ndarray:
+        tables = self._cpt_tables + tables
+        for pairs, out in plan.steps:
+            args = []
+            for slot, labels in pairs:
+                args += (tables[slot], labels)
+                tables[slot] = None  # each table feeds one step; free it
+            tables.append(np.einsum(*args, out, optimize=False))
+        result = np.ones(batch)
+        for slot in plan.roots:
+            result = result * tables[slot]
+        return result
 
 
 def evaluate_policy(diagram: InfluenceDiagram, policy: Policy) -> float:
     """Expected utility of a fully specified policy, by exact summation."""
     return PolicyEvaluator(diagram).evaluate(policy)
-
-
-def _sum_out_all(diagram, factors, order_key) -> float:
-    live = list(factors)
-    remaining = {v for f in live for v in f.scope}
-    while remaining:
-        # cheapest-first greedy: eliminate the variable whose combined factor
-        # scope is smallest
-        def cost(v: str) -> tuple[int, str]:
-            scope = {w for f in live if v in f.scope for w in f.scope}
-            return (len(scope), v)
-
-        y = min(remaining, key=cost)
-        involved = [f for f in live if y in f.scope]
-        rest = [f for f in live if y not in f.scope]
-        combined = _combine(involved, diagram, order_key, "mul")
-        axis = combined.scope.index(y)
-        msg = Factor(
-            combined.scope[:axis] + combined.scope[axis + 1 :],
-            combined.table.sum(axis=axis),
-        )
-        live = rest + [msg]
-        remaining.discard(y)
-    result = 1.0
-    for f in live:
-        result *= float(f.table)
-    return result
 
 
 def _policy_space(diagram: InfluenceDiagram) -> list[tuple[str, tuple[str, ...], int, int]]:

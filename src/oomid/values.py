@@ -29,6 +29,11 @@ class Sign(Enum):
     MINUS = "-"
     PLUSMINUS = "+-"
 
+    # Members are singletons, so identity hashing is consistent with
+    # equality, and it runs in C where ``Enum.__hash__`` runs in Python; the
+    # calculus hashes signs on every table lookup.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:
         return f"Sign({self.value!r})"
 

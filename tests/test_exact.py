@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from oomid.diagram import (
@@ -10,7 +11,12 @@ from oomid.diagram import (
     from_dict,
     wildcatter,
 )
-from oomid.exact import brute_force_meu, evaluate_policy, solve_exact
+from oomid.exact import (
+    PolicyEvaluator,
+    brute_force_meu,
+    evaluate_policy,
+    solve_exact,
+)
 from oomid.generator import GeneratorParams, generate
 from oomid.ordering import is_legal_ordering, legal_ordering
 
@@ -37,6 +43,38 @@ def small_params(i: int) -> GeneratorParams:
     ]
     shape = shapes[i % len(shapes)]
     return GeneratorParams(seed=1000 + i, utility_class="PM"[i % 2], **shape)
+
+
+def random_policies(diagram, count: int, seed: int) -> list[Policy]:
+    rng = np.random.default_rng(seed)
+    policies = []
+    for _ in range(count):
+        rules = {}
+        for d in diagram.decision_vars:
+            info = tuple(diagram.information_sets.get(d, ()))
+            cells = int(np.prod(diagram.domain_sizes(info)))
+            actions = rng.integers(0, len(diagram.domain(d)), cells)
+            rules[d] = PolicyRule(d, info, tuple(int(a) for a in actions))
+        policies.append(Policy(rules=rules))
+    return policies
+
+
+def malformed_wildcatter_policy(diagram, case: str) -> Policy:
+    drill_scope = diagram.information_sets["Drill"]
+    test_rule = PolicyRule("Test", (), (0,))
+    drill_rule = PolicyRule("Drill", drill_scope, (0,) * 6)
+    if case == "missing rule":
+        return Policy(rules={"Test": test_rule})
+    if case == "wrong scope":
+        drill_rule = PolicyRule("Drill", drill_scope[:1], (0, 0))
+    if case == "incomplete rule":
+        drill_rule = PolicyRule("Drill", drill_scope, (0, 0))
+    if case.startswith("action "):
+        test_rule = PolicyRule("Test", (), (int(case.split()[1]),))
+    return Policy(rules={"Test": test_rule, "Drill": drill_rule})
+
+
+MALFORMED = ["missing rule", "wrong scope", "incomplete rule", "action -1", "action 2"]
 
 
 class TestWildcatter:
@@ -123,6 +161,55 @@ class TestEdgeCases:
                 ),
             )
 
+    @pytest.mark.parametrize("case", MALFORMED)
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_malformed_policy_rejected(self, case, position):
+        # an action outside the decision's domain once scored as another
+        # action (-1 as the last) or raised IndexError (2)
+        d = wildcatter()
+        bad = malformed_wildcatter_policy(d, case)
+        good = wildcatter_policy(d, 0, (0, 0, 1, 0, 0, 0))
+        batch = [good, good]
+        batch.insert(position, bad)
+        with pytest.raises(DiagramError):
+            PolicyEvaluator(d).evaluate_many(batch)
+        with pytest.raises(DiagramError):
+            evaluate_policy(d, bad)
+
+    def test_empty_batch(self):
+        assert PolicyEvaluator(wildcatter()).evaluate_many([]) == []
+
+    def test_step_over_more_tables_than_einsum_takes(self):
+        # X has 70 leaf children: their messages and X's own CPT meet in one
+        # step of more than 63 tables, numpy's limit for one einsum call
+        children = [f"C{i:02d}" for i in range(70)]
+        data = {
+            "variables": [
+                {"id": "X", "kind": "chance", "domain": ["a", "b"]},
+                *({"id": c, "kind": "chance", "domain": ["u", "v"]} for c in children),
+                {"id": "D", "kind": "decision", "domain": ["l", "r"]},
+            ],
+            "cpts": [
+                {"child": "X", "parents": [], "table": [0.25, 0.75]},
+                *(
+                    {"child": c, "parents": ["X"], "table": [0.5, 0.5, 0.125, 0.875]}
+                    for c in children
+                ),
+            ],
+            "utilities": [{"scope": ["X", "D"], "table": [1.0, 2.0, 4.0, 8.0]}],
+            "decision_order": ["D"],
+            "information_sets": {"D": ["X"]},
+        }
+        d = from_dict(data)
+        policies = [
+            Policy(rules={"D": PolicyRule("D", ("X",), actions)})
+            for actions in [(0, 0), (0, 1), (1, 0), (1, 1)]
+        ]
+        expected = [0.25 * 1 + 0.75 * 4, 0.25 * 1 + 0.75 * 8,
+                    0.25 * 2 + 0.75 * 4, 0.25 * 2 + 0.75 * 8]
+        assert PolicyEvaluator(d).evaluate_many(policies) == expected
+        assert evaluate_policy(d, policies[1]) == expected[1]
+
     def test_invalid_diagram_rejected(self):
         data = {
             "variables": [{"id": "X", "kind": "chance", "domain": ["a", "b"]}],
@@ -159,10 +246,34 @@ class TestRandomAgreement:
     def test_matches_brute_force(self, i):
         d = generate(small_params(i))
         sol = solve_exact(d)
-        meu, _ = brute_force_meu(d, guard=200_000)
+        meu, winners = brute_force_meu(d, guard=200_000)
         scale = max(1.0, abs(meu))
         assert abs(sol.meu - meu) <= 1e-9 * scale
         assert abs(evaluate_policy(d, sol.policy) - sol.meu) <= 1e-9 * scale
+        for value in PolicyEvaluator(d).evaluate_many(winners):
+            assert abs(value - meu) <= 1e-9 * scale
+
+    @pytest.mark.parametrize(
+        "params",
+        [small_params(i) for i in range(5)]
+        + [
+            GeneratorParams(n_c=n - 5, n_d=5, utility_class=c, seed=s)
+            for n, c, s in [(25, "P", 1), (45, "M", 2), (80, "P", 3)]
+        ],
+        ids=lambda p: f"n{p.n_c + p.n_d}-{p.utility_class}-seed{p.seed}",
+    )
+    def test_batch_matches_one_at_a_time(self, params):
+        # n = 80 has more variables than einsum has labels (52): only a
+        # step's own variables may be labelled
+        d = generate(params)
+        policies = random_policies(d, 7, seed=params.seed) + [solve_exact(d).policy]
+        evaluator = PolicyEvaluator(d)
+        one_at_a_time = [evaluator.evaluate(p) for p in policies]
+        assert evaluator.evaluate_many(policies) == one_at_a_time
+        split = evaluator.evaluate_many(policies[:3]) + evaluator.evaluate_many(
+            policies[3:]
+        )
+        assert split == one_at_a_time
 
     def test_within_block_permutation_invariance(self):
         rng = random.Random(5)
