@@ -32,18 +32,23 @@ from .generator import GeneratorParams
 from .oom_solve import elim_oom_id
 
 
+def _print_rule(diagram: InfluenceDiagram, d: str, scope, entries) -> None:
+    """One line per configuration of ``scope``, entries in row-major order."""
+    if not scope:
+        print(f"  {d}: {entries[0]}")
+        return
+    labels = [diagram.domain(v) for v in scope]
+    for cfg, entry in zip(itertools.product(*labels), entries):
+        ctx = ", ".join(f"{v}={val}" for v, val in zip(scope, cfg))
+        print(f"  {d} | {ctx}: {entry}")
+
+
 def _print_policy(diagram: InfluenceDiagram, policy) -> None:
     print("policy:")
     for d in diagram.decision_order:
         rule = policy.rules[d]
         domain = diagram.domain(d)
-        if not rule.scope:
-            print(f"  {d}: {domain[rule.actions[0]]}")
-            continue
-        labels = [diagram.domain(v) for v in rule.scope]
-        for i, cfg in enumerate(itertools.product(*labels)):
-            ctx = ", ".join(f"{v}={val}" for v, val in zip(rule.scope, cfg))
-            print(f"  {d} | {ctx}: {domain[rule.actions[i]]}")
+        _print_rule(diagram, d, rule.scope, [domain[a] for a in rule.actions])
 
 
 def _cmd_validate(args) -> int:
@@ -90,19 +95,12 @@ def _cmd_solve_oom(args) -> int:
     print(f"MEU = {solution.meu}")
     print(f"policies = {policies.count()}")
     for d in policies.decisions:
-        scope = policies.scopes[d]
         domain = oom.domain(d)
-
-        def actions(cell):
-            return "{" + ",".join(domain[i] for i in sorted(cell)) + "}"
-
-        if not scope:
-            print(f"  {d}: {actions(policies.cells[d][0])}")
-            continue
-        labels = [oom.domain(v) for v in scope]
-        for cfg, cell in zip(itertools.product(*labels), policies.cells[d]):
-            ctx = ", ".join(f"{v}={val}" for v, val in zip(scope, cfg))
-            print(f"  {d} | {ctx}: {actions(cell)}")
+        cells = [
+            "{" + ",".join(domain[i] for i in sorted(cell)) + "}"
+            for cell in policies.cells[d]
+        ]
+        _print_rule(oom, d, policies.scopes[d], cells)
     return 0
 
 

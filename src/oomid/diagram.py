@@ -21,7 +21,7 @@ from enum import Enum
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .sets import OOMSet, parse_set
 from .values import OOMValue, parse_value
@@ -90,17 +90,6 @@ class InfluenceDiagram:
 
     def domain_sizes(self, scope: Iterable[str]) -> tuple[int, ...]:
         return tuple(len(self._index[v].domain) for v in scope)
-
-    def iter_configs(self, scope: Iterable[str]) -> Iterator[tuple[str, ...]]:
-        """Row-major enumeration of label configurations over a scope."""
-        scope = tuple(scope)
-        if not scope:
-            yield ()
-            return
-        head, tail = scope[0], scope[1:]
-        for label in self.domain(head):
-            for rest in self.iter_configs(tail):
-                yield (label,) + rest
 
 
 class OOMInfluenceDiagram(InfluenceDiagram):
@@ -383,15 +372,6 @@ class Policy:
             diagram.domain(v).index(assignment[v]) for v in rule.scope
         )
         return diagram.domain(decision)[rule.action_index(sizes, config)]
-
-    def to_dict(self, diagram: InfluenceDiagram) -> dict:
-        out: dict = {}
-        for d, rule in self.rules.items():
-            table = {}
-            for i, config in enumerate(diagram.iter_configs(rule.scope)):
-                table[config] = diagram.domain(d)[rule.actions[i]]
-            out[d] = {"scope": rule.scope, "table": table}
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ utility factor (theta) into the bucket of its earliest variable in the
 ordering, runs the algebra's chance or decision step on each bucket in
 turn, and puts each message into a later bucket the same way; messages over
 no variable are the root results.  Only the two steps know the algebra.
+
+``product`` is the one numeric contraction kernel: it aligns float tables
+over a scope and multiplies them by broadcasting, left to right.  The exact
+solver's steps and every step of its policy evaluator run through it; the
+evaluator's tables carry a leading batch axis, which ``align`` keeps.
 """
 
 from __future__ import annotations
@@ -37,13 +42,28 @@ def factor(
 
 
 def align(f: Factor, target: tuple[str, ...], diagram: InfluenceDiagram) -> np.ndarray:
-    """View a factor's table as an array broadcastable over ``target``."""
+    """View a factor's table as an array broadcastable over ``target``.
+
+    Leading axes beyond the scope's (a batch axis) are kept in front.
+    """
+    lead = f.table.ndim - len(f.scope)
     perm = sorted(range(len(f.scope)), key=lambda i: target.index(f.scope[i]))
-    arr = np.transpose(f.table, perm)
+    arr = np.transpose(f.table, list(range(lead)) + [lead + i for i in perm])
     shape = tuple(
         len(diagram.domain(v)) if v in f.scope else 1 for v in target
     )
-    return arr.reshape(shape)
+    return arr.reshape(f.table.shape[:lead] + shape)
+
+
+def product(
+    factors: Sequence[Factor], scope: tuple[str, ...], diagram: InfluenceDiagram
+) -> np.ndarray:
+    """The product of the factors' tables aligned over ``scope``, taken left
+    to right."""
+    table = align(factors[0], scope, diagram)
+    for f in factors[1:]:
+        table = table * align(f, scope, diagram)
+    return table
 
 
 def union_scope(

@@ -1,21 +1,24 @@
 """Exact solving of numeric influence diagrams.
 
 ``solve_exact`` runs the shared bucket elimination of ``elimination`` on
-float tables; this module supplies its two steps.  The chance step
-marginalizes the bucket variable out of the probability product and
-renormalizes the utility by that marginal (zero-probability configurations
-contribute zero).  The decision step maximizes the utility, keeps the
-first maximizing action in domain order, and asserts that the probability
-part is constant in the decision.
+float tables; this module supplies its two steps, which multiply tables
+with the shared broadcast ``product``.  The chance step marginalizes the
+bucket variable out of the probability product and renormalizes the
+utility by that marginal (zero-probability configurations contribute
+zero).  The decision step maximizes the utility, keeps the first
+maximizing action in domain order, and asserts that the probability part
+is constant in the decision.
 
 ``PolicyEvaluator`` scores fixed policies.  The scopes of its factors do
 not depend on the policy, so it plans the elimination of every variable
 once per diagram and utility (greedy min-degree, ties by name); each step
-of the plan is one einsum over that step's tables.  ``evaluate_many`` runs
-the plan for a batch of policies at once, their one-hot decision tables
-stacked along a leading axis; ``evaluate`` and ``evaluate_policy`` are
-batches of one.  ``brute_force_meu`` enumerates every policy with its own
-evaluation, as an independent oracle for testing.
+of the plan is one ``product`` over that step's tables, summed over the
+eliminated variable.  ``evaluate_many`` runs the plan for a batch of
+policies at once: every table has a leading batch axis, of length one for
+CPTs and utilities and one per policy for the one-hot decision tables;
+``evaluate`` and ``evaluate_policy`` are batches of one.
+``brute_force_meu`` enumerates every policy with its own evaluation, as an
+independent oracle for testing.
 """
 
 from __future__ import annotations
@@ -36,7 +39,16 @@ from .diagram import (
     PolicyRule,
     require_valid,
 )
-from .elimination import Factor, align, eliminate, expand_rule, factor, union_scope
+from .elimination import (
+    Factor,
+    align,
+    eliminate,
+    expand_rule,
+    factor,
+    product,
+    union_scope,
+)
+from .ordering import eliminate_node, scope_graph
 
 
 def _combine(
@@ -46,10 +58,11 @@ def _combine(
     how: str,
 ) -> Factor:
     scope = union_scope(factors, order_key)
-    op, start = (np.multiply, np.ones) if how == "mul" else (np.add, np.zeros)
-    table = start(diagram.domain_sizes(scope))
+    if how == "mul":
+        return Factor(scope, product(factors, scope, diagram))
+    table = np.zeros(diagram.domain_sizes(scope))
     for f in factors:
-        table = op(table, align(f, scope, diagram))
+        table = table + align(f, scope, diagram)
     return Factor(scope, table)
 
 
@@ -134,13 +147,11 @@ def _decision_step(diagram, order_key, y, lambdas, thetas):
     return lam_msg, theta_msg, Factor(theta_msg.scope, actions)
 
 
-# numpy's einsum takes at most 63 operands; a step over more tables first
-# multiplies them in groups, which keeps the left-to-right product exact.
-_MAX_OPERANDS = 63
-# Cells of the largest batched table of one chunk of policies; bounds the
-# memory of ``evaluate_many`` (32 MiB of float64) for any number of policies.
+# Cells of the largest step table of one chunk of policies: broadcasting
+# materialises the product over a step's whole union scope, the summed
+# variable included.  Bounds the memory of ``evaluate_many`` (32 MiB of
+# float64 per table) for any number of policies.
 _CHUNK_CELLS = 1 << 22
-_BATCH = 0  # einsum label of the policy axis; variables are numbered from 1
 
 
 @dataclass(frozen=True)
@@ -149,19 +160,16 @@ class _Plan:
 
     Slots number the tables: the CPTs, one policy factor per decision and
     the utility, then the result of each step in turn.  A step multiplies
-    its operands in order and sums out at most one variable, as one einsum
-    over ``(slot, labels)`` pairs with labels local to the step.  The
-    product of the ``roots`` tables is the expected utility.
+    its operand slots in order over their union scope and sums out one
+    variable.  The product of the ``roots`` tables is the expected utility.
     """
 
-    steps: tuple  # per step: ((slot, labels), ...) and the output labels
+    steps: tuple[tuple[tuple[int, ...], tuple[str, ...], str], ...]
     roots: tuple[int, ...]
-    max_cells: int  # largest table per policy that carries the policy axis
+    max_cells: int  # largest step union per policy
 
 
-def _plan(
-    diagram: InfluenceDiagram, scopes: list[tuple[str, ...]], batched: list[bool]
-) -> _Plan:
+def _plan(diagram: InfluenceDiagram, scopes: list[tuple[str, ...]]) -> _Plan:
     """Plan the elimination of every variable in ``scopes``.
 
     The order is greedy min-degree on the graph of the scopes, ties broken
@@ -170,48 +178,23 @@ def _plan(
     them does.
     """
     order_key = {v.id: i for i, v in enumerate(diagram.variables)}
-    scopes, batched = list(scopes), list(batched)
-    adjacency: dict[str, set[str]] = {}
-    for scope in scopes:
-        for v in scope:
-            adjacency.setdefault(v, set()).update(scope)
-    for v, neighbours in adjacency.items():
-        neighbours.discard(v)
+    scopes = list(scopes)
+    graph = scope_graph(scopes)
     live = list(range(len(scopes)))
     steps = []
-
-    def add_step(operands: list[int], drop: str | None) -> int:
-        union = sorted(
-            {v for s in operands for v in scopes[s]}, key=order_key.__getitem__
-        )
-        labels = {v: i for i, v in enumerate(union, start=_BATCH + 1)}
-        keep = tuple(v for v in union if v != drop)
-        out_batched = any(batched[s] for s in operands)
-
-        def subscripts(scope: tuple[str, ...], b: bool) -> list[int]:
-            return ([_BATCH] if b else []) + [labels[v] for v in scope]
-
-        pairs = tuple((s, subscripts(scopes[s], batched[s])) for s in operands)
-        steps.append((pairs, subscripts(keep, out_batched)))
-        scopes.append(keep)
-        batched.append(out_batched)
-        return len(scopes) - 1
-
-    while adjacency:
-        y = min(adjacency, key=lambda v: (len(adjacency[v]), v))
-        neighbours = adjacency.pop(y)
-        for v in neighbours:
-            adjacency[v] |= neighbours
-            adjacency[v] -= {v, y}
-        involved = [s for s in live if y in scopes[s]]
+    while graph:
+        y = min(graph, key=lambda v: (len(graph[v]), v))
+        eliminate_node(graph, y)
+        operands = tuple(s for s in live if y in scopes[s])
         live = [s for s in live if y not in scopes[s]]
-        while len(involved) > _MAX_OPERANDS:
-            head = add_step(involved[:_MAX_OPERANDS], None)
-            involved = [head] + involved[_MAX_OPERANDS:]
-        live.append(add_step(involved, y))
+        union = tuple(
+            sorted({v for s in operands for v in scopes[s]}, key=order_key.__getitem__)
+        )
+        steps.append((operands, union, y))
+        live.append(len(scopes))
+        scopes.append(tuple(v for v in union if v != y))
     max_cells = max(
-        (math.prod(diagram.domain_sizes(s)) for s, b in zip(scopes, batched) if b),
-        default=1,
+        (math.prod(diagram.domain_sizes(union)) for _, union, _ in steps), default=1
     )
     return _Plan(tuple(steps), tuple(live), max_cells)
 
@@ -252,23 +235,19 @@ class PolicyEvaluator:
     def __init__(self, diagram: InfluenceDiagram):
         require_valid(diagram, qualitative=False)
         self._diagram = diagram
-        self._cpt_tables = [
-            factor(diagram, c.scope, c.table, float).table for c in diagram.cpts
+
+        def batch_of_one(fn) -> Factor:
+            table = factor(diagram, fn.scope, fn.table, float).table
+            return Factor(fn.scope, table[np.newaxis])
+
+        self._cpts = [batch_of_one(c) for c in diagram.cpts]
+        self._utilities = [batch_of_one(u) for u in diagram.utilities]
+        self._policy_scopes = [
+            tuple(diagram.information_sets.get(d, ())) + (d,)
+            for d in diagram.decision_vars
         ]
-        self._utility_tables = [
-            factor(diagram, u.scope, u.table, float).table for u in diagram.utilities
-        ]
-        self._policy_shapes = []
-        scopes = [c.scope for c in diagram.cpts]
-        for d in diagram.decision_vars:
-            scope = tuple(diagram.information_sets.get(d, ())) + (d,)
-            self._policy_shapes.append(diagram.domain_sizes(scope))
-            scopes.append(scope)
-        batched = [False] * len(diagram.cpts) + [True] * len(diagram.decision_vars)
-        self._plans = [
-            _plan(diagram, scopes + [u.scope], batched + [False])
-            for u in diagram.utilities
-        ]
+        scopes = [c.scope for c in diagram.cpts] + self._policy_scopes
+        self._plans = [_plan(diagram, scopes + [u.scope]) for u in diagram.utilities]
         largest = max((plan.max_cells for plan in self._plans), default=1)
         self._chunk = max(1, _CHUNK_CELLS // largest)
 
@@ -283,18 +262,18 @@ class PolicyEvaluator:
                 _policy_actions(self._diagram, p)
                 for p in policies[start : start + self._chunk]
             ]
-            policy_tables = [
-                self._one_hot([row[i] for row in chunk], shape)
-                for i, shape in enumerate(self._policy_shapes)
+            policy_factors = [
+                Factor(scope, self._one_hot([row[i] for row in chunk], scope))
+                for i, scope in enumerate(self._policy_scopes)
             ]
             total = np.zeros(len(chunk))
-            for plan, utility in zip(self._plans, self._utility_tables):
-                total += self._run(plan, policy_tables + [utility], len(chunk))
+            for plan, utility in zip(self._plans, self._utilities):
+                total += self._run(plan, self._cpts + policy_factors + [utility])
             values.extend(total.tolist())
         return values
 
-    @staticmethod
-    def _one_hot(actions: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    def _one_hot(self, actions: list[np.ndarray], scope: tuple[str, ...]) -> np.ndarray:
+        shape = self._diagram.domain_sizes(scope)
         stacked = np.stack(actions)
         table = np.zeros(stacked.shape + shape[-1:])
         table[
@@ -302,18 +281,14 @@ class PolicyEvaluator:
         ] = 1.0
         return table.reshape((len(actions),) + shape)
 
-    def _run(self, plan: _Plan, tables: list[np.ndarray], batch: int) -> np.ndarray:
-        tables = self._cpt_tables + tables
-        for pairs, out in plan.steps:
-            args = []
-            for slot, labels in pairs:
-                args += (tables[slot], labels)
-                tables[slot] = None  # each table feeds one step; free it
-            tables.append(np.einsum(*args, out, optimize=False))
-        result = np.ones(batch)
-        for slot in plan.roots:
-            result = result * tables[slot]
-        return result
+    def _run(self, plan: _Plan, tables: list[Factor]) -> np.ndarray:
+        for operands, union, y in plan.steps:
+            table = product([tables[s] for s in operands], union, self._diagram)
+            table = table.sum(axis=1 + union.index(y))
+            for s in operands:
+                tables[s] = None  # each table feeds one step; free it
+            tables.append(Factor(tuple(v for v in union if v != y), table))
+        return product([tables[s] for s in plan.roots], (), self._diagram)
 
 
 def evaluate_policy(diagram: InfluenceDiagram, policy: Policy) -> float:

@@ -9,23 +9,31 @@ picks it, with lexicographic tie-breaking for determinism.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .diagram import InfluenceDiagram, temporal_partition
+
+
+def scope_graph(scopes: Iterable[Iterable[str]]) -> dict[str, set[str]]:
+    """Undirected graph connecting every pair of variables sharing a scope."""
+    adj: dict[str, set[str]] = {}
+    for scope in scopes:
+        for v in scope:
+            adj.setdefault(v, set()).update(scope)
+    for v, neighbours in adj.items():
+        neighbours.discard(v)
+    return adj
 
 
 def interaction_graph(diagram: InfluenceDiagram) -> dict[str, set[str]]:
     """Undirected graph connecting every pair of variables sharing a factor."""
-    adj: dict[str, set[str]] = {v.id: set() for v in diagram.variables}
-    scopes = [cpt.scope for cpt in diagram.cpts]
+    scopes = [(v.id,) for v in diagram.variables]
+    scopes += [cpt.scope for cpt in diagram.cpts]
     scopes += [u.scope for u in diagram.utilities]
     scopes += [
         (d,) + tuple(ps) for d, ps in diagram.information_sets.items()
     ]
-    for scope in scopes:
-        for a in scope:
-            for b in scope:
-                if a != b:
-                    adj[a].add(b)
-    return adj
+    return scope_graph(scopes)
 
 
 def _fill_count(adj: dict[str, set[str]], v: str) -> int:
@@ -38,15 +46,12 @@ def _fill_count(adj: dict[str, set[str]], v: str) -> int:
     return missing
 
 
-def _eliminate_node(adj: dict[str, set[str]], v: str) -> None:
-    neighbours = list(adj[v])
-    for i, a in enumerate(neighbours):
-        for b in neighbours[i + 1 :]:
-            adj[a].add(b)
-            adj[b].add(a)
+def eliminate_node(adj: dict[str, set[str]], v: str) -> None:
+    """Remove ``v`` from the graph and connect its neighbours."""
+    neighbours = adj.pop(v)
     for n in neighbours:
-        adj[n].discard(v)
-    del adj[v]
+        adj[n] |= neighbours
+        adj[n] -= {n, v}
 
 
 def legal_ordering(diagram: InfluenceDiagram) -> list[str]:
@@ -58,7 +63,7 @@ def legal_ordering(diagram: InfluenceDiagram) -> list[str]:
         while remaining:
             best = min(remaining, key=lambda v: (_fill_count(adj, v), v))
             order.append(best)
-            _eliminate_node(adj, best)
+            eliminate_node(adj, best)
             remaining.remove(best)
     return order
 
@@ -91,5 +96,5 @@ def induced_width(diagram: InfluenceDiagram, order: list[str]) -> int:
     width = 0
     for v in order:
         width = max(width, len(adj[v]))
-        _eliminate_node(adj, v)
+        eliminate_node(adj, v)
     return width

@@ -81,18 +81,6 @@ class OOMValue:
     def is_plusminus(self) -> bool:
         return self.sign is Sign.PLUSMINUS
 
-    def __mul__(self, other: OOMValue) -> OOMValue:
-        return mul(self, other)
-
-    def __add__(self, other: OOMValue) -> OOMValue:
-        return add(self, other)
-
-    def __neg__(self) -> OOMValue:
-        return negate(self)
-
-    def dominates(self, other: OOMValue) -> bool:
-        return dominates(self, other)
-
     def __str__(self) -> str:
         order = "inf" if self.order == INF else str(self.order)
         return f"({self.sign.value},{order})"

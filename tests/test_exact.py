@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from oomid import exact
 from oomid.diagram import (
     DiagramError,
     GuardExceeded,
@@ -181,7 +182,7 @@ class TestEdgeCases:
 
     def test_step_over_more_tables_than_einsum_takes(self):
         # X has 70 leaf children: their messages and X's own CPT meet in one
-        # step of more than 63 tables, numpy's limit for one einsum call
+        # step of 71 tables, which a step multiplies in order like any other
         children = [f"C{i:02d}" for i in range(70)]
         data = {
             "variables": [
@@ -262,9 +263,8 @@ class TestRandomAgreement:
         ],
         ids=lambda p: f"n{p.n_c + p.n_d}-{p.utility_class}-seed{p.seed}",
     )
-    def test_batch_matches_one_at_a_time(self, params):
-        # n = 80 has more variables than einsum has labels (52): only a
-        # step's own variables may be labelled
+    def test_batch_matches_one_at_a_time(self, params, monkeypatch):
+        # n = 80: each step's table spans only that step's variables
         d = generate(params)
         policies = random_policies(d, 7, seed=params.seed) + [solve_exact(d).policy]
         evaluator = PolicyEvaluator(d)
@@ -274,6 +274,13 @@ class TestRandomAgreement:
             policies[3:]
         )
         assert split == one_at_a_time
+        # a smaller chunk bound: chunks of 3, 3 and 2 policies, then of one
+        largest = max(plan.max_cells for plan in evaluator._plans)
+        for cells, chunk in [(3 * largest, 3), (1, 1)]:
+            monkeypatch.setattr(exact, "_CHUNK_CELLS", cells)
+            chunked = PolicyEvaluator(d)
+            assert chunked._chunk == chunk
+            assert chunked.evaluate_many(policies) == one_at_a_time
 
     def test_within_block_permutation_invariance(self):
         rng = random.Random(5)
