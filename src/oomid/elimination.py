@@ -1,44 +1,45 @@
 """Bucket elimination shared by the exact and the order-of-magnitude solver.
 
-A ``Factor`` is a scope and a table with one axis per scope variable: float
-entries for a numeric diagram, ``OOMValue``/``OOMSet`` objects for a
-qualitative one.  ``eliminate`` puts every probability factor (lambda) and
-utility factor (theta) into the bucket of its earliest variable in the
-ordering, runs the algebra's chance or decision step on each bucket in
-turn, and puts each message into a later bucket the same way; messages over
-no variable are the root results.  Only the two steps know the algebra.
+A ``Factor`` is a scope and a numeric table with one axis per scope
+variable, after any leading axes the table's encoding needs: float
+probabilities and utilities for a numeric diagram; for a qualitative one,
+probability orders and utility sets encoded as ``oom_solve`` describes.
+``eliminate`` encodes every probability factor (lambda) and utility factor
+(theta) with the solver's encoders, puts each into the bucket of its
+earliest variable in the ordering, runs the algebra's chance or decision
+step on each bucket in turn, and puts each message into a later bucket the
+same way; messages over no variable are the root results.  Only the two
+steps and the encoders know the algebra.
 
-``product`` is the one numeric contraction kernel: it aligns float tables
-over a scope and multiplies them by broadcasting, left to right.  The exact
-solver's steps and every step of its policy evaluator run through it; the
-evaluator's tables carry a leading batch axis, which ``align`` keeps.
+``product`` is the one contraction kernel: it aligns tables over a scope
+and folds them left to right, by multiplication unless told otherwise.
+The exact solver's steps and every step of its policy evaluator run
+through it; the evaluator's tables carry a leading batch axis, which
+``align`` keeps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .diagram import DiagramError, InfluenceDiagram, OOMInfluenceDiagram
+from .diagram import DiagramError, InfluenceDiagram
 from .ordering import is_legal_ordering, legal_ordering
 
 
 @dataclass
 class Factor:
     scope: tuple[str, ...]
-    table: np.ndarray  # one axis per scope variable
+    table: np.ndarray  # leading encoding axes, then one axis per scope variable
 
 
-def factor(
-    diagram: InfluenceDiagram, scope: tuple[str, ...], entries: Sequence, dtype=object
-) -> Factor:
-    """A factor from entries in row-major order over ``scope``.  Entries are
-    stored as they are, never unpacked (an ``OOMSet`` is iterable)."""
-    table = np.empty(len(entries), dtype=dtype)
-    table[:] = entries
-    return Factor(scope, table.reshape(diagram.domain_sizes(scope)))
+def factor(diagram: InfluenceDiagram, scope: tuple[str, ...], table: np.ndarray) -> Factor:
+    """A factor from a table whose last axis runs row-major over ``scope``;
+    leading axes are kept in front."""
+    return Factor(scope, table.reshape(table.shape[:-1] + diagram.domain_sizes(scope)))
 
 
 def align(f: Factor, target: tuple[str, ...], diagram: InfluenceDiagram) -> np.ndarray:
@@ -56,13 +57,16 @@ def align(f: Factor, target: tuple[str, ...], diagram: InfluenceDiagram) -> np.n
 
 
 def product(
-    factors: Sequence[Factor], scope: tuple[str, ...], diagram: InfluenceDiagram
+    factors: Sequence[Factor],
+    scope: tuple[str, ...],
+    diagram: InfluenceDiagram,
+    op: np.ufunc = np.multiply,
 ) -> np.ndarray:
-    """The product of the factors' tables aligned over ``scope``, taken left
+    """The factors' tables aligned over ``scope`` and folded by ``op``, left
     to right."""
     table = align(factors[0], scope, diagram)
     for f in factors[1:]:
-        table = table * align(f, scope, diagram)
+        table = op(table, align(f, scope, diagram))
     return table
 
 
@@ -87,7 +91,7 @@ class Elimination:
     root_lambdas: list[np.ndarray]  # 0-d tables, in the order they arrived
     root_thetas: list[np.ndarray]
     rules: dict[str, Factor]
-    max_cells: int  # largest message table
+    max_cells: int  # cells of the largest message scope
 
 
 def eliminate(
@@ -95,9 +99,12 @@ def eliminate(
     order: list[str] | None,
     chance_step: Callable[..., tuple],
     decision_step: Callable[..., tuple],
+    encode: tuple[Callable[[tuple], np.ndarray], Callable[[tuple], np.ndarray]],
 ) -> Elimination:
     """Run the buckets along ``order`` (the default legal ordering if None).
 
+    ``encode`` holds the solver's encoders of a CPT's and of a utility's
+    row-major entries: each returns a table whose last axis runs over them.
     Both steps get ``(diagram, order_key, variable, lambdas, thetas)``.  The
     chance step returns the lambda and the theta message, the decision step
     also the decision's rule as a factor over the theta message's scope; a
@@ -105,7 +112,6 @@ def eliminate(
     """
     order = resolve_order(diagram, order)
     order_key = {v: i for i, v in enumerate(order)}
-    dtype = object if isinstance(diagram, OOMInfluenceDiagram) else float
     buckets: list[tuple[list[Factor], list[Factor]]] = [([], []) for _ in order]
 
     def place(f: Factor, kind: int) -> None:
@@ -114,7 +120,7 @@ def eliminate(
 
     for kind, functions in enumerate((diagram.cpts, diagram.utilities)):
         for fn in functions:
-            place(factor(diagram, fn.scope, fn.table, dtype), kind)
+            place(factor(diagram, fn.scope, encode[kind](fn.table)), kind)
 
     result = Elimination([], [], {}, 0)
     roots = (result.root_lambdas, result.root_thetas)
@@ -130,7 +136,8 @@ def eliminate(
         for kind, msg in enumerate((lam_msg, theta_msg)):
             if msg is None:
                 continue
-            result.max_cells = max(result.max_cells, msg.table.size)
+            cells = math.prod(diagram.domain_sizes(msg.scope))
+            result.max_cells = max(result.max_cells, cells)
             if msg.scope:
                 place(msg, kind)
             else:
@@ -140,11 +147,14 @@ def eliminate(
 
 def expand_rule(
     diagram: InfluenceDiagram, decision: str, rule: Factor
-) -> tuple[tuple[str, ...], tuple]:
+) -> tuple[tuple[str, ...], np.ndarray]:
     """A decision rule broadcast from its bucket scope over the decision's
-    information set: the set and the row-major entries over it."""
+    information set: the set, and the rule's table with the set's axes
+    flattened row-major into the last one."""
     info = tuple(diagram.information_sets.get(decision, ()))
     extra = [v for v in rule.scope if v not in info]
     assert not extra, f"decision {decision}: rule depends on unobserved {extra}"
-    full = np.broadcast_to(align(rule, info, diagram), diagram.domain_sizes(info))
-    return info, tuple(full.reshape(-1).tolist())
+    table = align(rule, info, diagram)
+    lead = table.shape[: table.ndim - len(info)]
+    full = np.broadcast_to(table, lead + diagram.domain_sizes(info))
+    return info, full.reshape(lead + (-1,))

@@ -77,7 +77,7 @@ def solve_exact(
 ) -> ExactSolution:
     """Maximum expected utility and one optimal policy (first-action ties)."""
     require_valid(diagram, qualitative=False)
-    run = eliminate(diagram, order, _chance_step, _decision_step)
+    run = eliminate(diagram, order, _chance_step, _decision_step, (_floats, _floats))
     for lam in run.root_lambdas:
         assert np.isclose(float(lam), 1.0), (
             f"final probability mass is {float(lam)}, expected 1"
@@ -88,8 +88,12 @@ def solve_exact(
     rules = {}
     for d in diagram.decision_vars:
         info, actions = expand_rule(diagram, d, run.rules[d])
-        rules[d] = PolicyRule(decision=d, scope=info, actions=actions)
+        rules[d] = PolicyRule(decision=d, scope=info, actions=tuple(actions.tolist()))
     return ExactSolution(meu=meu, policy=Policy(rules=rules))
+
+
+def _floats(entries: tuple) -> np.ndarray:
+    return np.asarray(entries, dtype=float)
 
 
 def _chance_step(diagram, order_key, y, lambdas, thetas):
@@ -237,8 +241,7 @@ class PolicyEvaluator:
         self._diagram = diagram
 
         def batch_of_one(fn) -> Factor:
-            table = factor(diagram, fn.scope, fn.table, float).table
-            return Factor(fn.scope, table[np.newaxis])
+            return factor(diagram, fn.scope, _floats(fn.table)[np.newaxis])
 
         self._cpts = [batch_of_one(c) for c in diagram.cpts]
         self._utilities = [batch_of_one(u) for u in diagram.utilities]

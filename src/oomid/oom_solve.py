@@ -1,14 +1,19 @@
 """Variable elimination for order-of-magnitude influence diagrams.
 
 ``elim_oom_id`` runs the shared bucket elimination of ``elimination`` on
-tables of ``OOMValue`` probabilities and ``OOMSet`` utilities; this module
-supplies its two steps.  The chance step sums out the bucket variable from
+numeric arrays: probabilities as order tables, utility sets as the orders
+of their two ends, one order per sign bit (the encoding is described with
+the array kernels below).  Every step is a few whole-table numpy
+operations; the scalar ``values``/``sets`` calculus only reads and prints
+the entries and serves the oracle.  This module supplies the two steps and
+their kernels.  The chance step sums out the bucket variable from
 the probability product and renormalizes the utility message by that
 marginal (qualitatively impossible configurations get the zero utility).
 The decision step maximizes over the actions and records, per parent
 configuration, every action whose value set is not strictly dominated by
 another action's: ties between incomparable value sets keep both actions,
-which is what makes the result a policy *set*.
+which is what makes the result a policy *set*.  Rules are boolean action
+masks until the policy set is built.
 
 ``brute_force_oom`` is the test oracle: the same elimination semantics
 applied to one joint table over all variables, with no bucket, scope, or
@@ -17,7 +22,6 @@ message bookkeeping to get wrong.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -39,11 +43,12 @@ from .elimination import (
     eliminate,
     expand_rule,
     factor,
+    product,
     resolve_order,
     union_scope,
 )
 from .sets import OOMSet, ZERO_SET, max_sets, scale, set_dominates, sum_sets
-from .values import OOMValue, add, dominates, inverse, mul
+from .values import INF, ZERO, OOMValue, Sign, add, dominates, inverse, mul
 
 DEFAULT_GUARD = 10**6
 
@@ -116,45 +121,120 @@ class PolicySet:
 
 
 # ---------------------------------------------------------------------------
-# the order-of-magnitude algebra over object tables
+# the order-of-magnitude algebra over numeric arrays
 #
-# The steps look the calculus up by its name in this module when they run,
-# so that a wrapper installed on the name sees every call.
+# A probability is its order, ``inf`` for zero: a product adds orders, and
+# a sum or a dominance maximum of probabilities is their minimum.  A signed
+# value reads its sign as two bits, + = 1, - = 2, +- = 3, and stores one
+# order per bit, ``inf`` where the bit is unset: ``(+,k)`` is ``(k, inf)``,
+# ``(-,k)`` is ``(inf, k)``, ``(+-,k)`` is ``(k, k)`` and zero is
+# ``(inf, inf)``.  The value is the lower of the two orders, with every bit
+# that reaches it.  A sum of values is then the minimum per bit: the lowest
+# order, with the OR of the signs that reach it.  (A bit's order above the
+# value's order is ignored, so sums need no clean-up.)  Scaling by a
+# probability adds its order to both bits; a zero probability gives zero.
+#
+# A utility set is a table with two leading axes, (bit, end): its low and
+# its high element, equal for a singleton, as stored by ``OOMSet``.
 
-def _cellwise(fn, factors, diagram, order_key) -> Factor:
-    """``fn`` of the factors' entries, in factor order, for every cell of
-    their union scope."""
-    scope = union_scope(factors, order_key)
-    shape = diagram.domain_sizes(scope)
-    columns = [
-        np.broadcast_to(align(f, scope, diagram), shape).ravel().tolist()
-        for f in factors
-    ]
-    return factor(diagram, scope, [fn(*cell) for cell in zip(*columns)])
-
-
-def _along(fn, f: Factor, y: str, diagram) -> Factor:
-    """``fn`` of the entries along ``y``, in domain order, for every cell of
-    the rest of the scope."""
-    axis = f.scope.index(y)
-    rows = np.moveaxis(f.table, axis, -1).reshape(-1, len(diagram.domain(y)))
-    scope = f.scope[:axis] + f.scope[axis + 1 :]
-    return factor(diagram, scope, [fn(*row) for row in rows.tolist()])
+def encode_value(v: OOMValue) -> tuple[float, float]:
+    """A value's (+ bit, - bit) orders."""
+    return (
+        INF if v.sign is Sign.MINUS else v.order,
+        INF if v.sign is Sign.PLUS else v.order,
+    )
 
 
-def _product(*values: OOMValue) -> OOMValue:
-    return functools.reduce(mul, values)
+def encode_orders(values: Sequence[OOMValue]) -> np.ndarray:
+    """Positive or zero probabilities as their orders."""
+    return np.array([v.order for v in values], dtype=float)
 
 
-def _total(*values: OOMValue) -> OOMValue:
-    total = functools.reduce(add, values)
-    assert total.is_positive or total.is_zero
-    return total
+def encode_sets(sets: Sequence[OOMSet]) -> np.ndarray:
+    """Canonical sets as a (bit, end, set) table."""
+    ends = [encode_value(s.elements[0]) + encode_value(s.elements[-1]) for s in sets]
+    return np.array(ends, dtype=float).reshape(-1, 2, 2).transpose(2, 1, 0)
 
 
-def _normalize(total: OOMValue, s: OOMSet) -> OOMSet:
-    """A utility sum divided by its probability mass; zero where the mass is."""
-    return scale(inverse(total), s) if not total.is_zero else ZERO_SET
+def decode_value(plus: float, minus: float) -> OOMValue:
+    """The value of a pair of bit orders."""
+    if plus == minus == INF:
+        return ZERO
+    sign = Sign.PLUS if plus < minus else Sign.MINUS if minus < plus else Sign.PLUSMINUS
+    return OOMValue(sign, int(min(plus, minus)))
+
+
+def decode_set(table: np.ndarray) -> OOMSet:
+    """The set of a (bit, end) table."""
+    lo, hi = decode_value(*table[:, 0]), decode_value(*table[:, 1])
+    return OOMSet((lo,) if lo == hi else (lo, hi))
+
+
+def canonical(plus: np.ndarray, minus: np.ndarray, axis) -> np.ndarray:
+    """``canonicalize`` of the values along ``axis`` (an axis or a tuple of
+    them), given by their bit orders; a (bit, end, rest) table.
+
+    Per sign: ``m_s`` is its lowest order, ``n_s`` its highest, and a sign
+    that does not occur has ``m_s = inf`` and ``n_s = -inf``.  Zero counts as
+    a +- value at order ``inf``.
+    """
+    is_pm = plus == minus
+    m_plus = np.min(plus, axis, initial=INF, where=plus < minus)
+    m_pm = np.min(plus, axis, initial=INF, where=is_pm)
+    n_pm = np.max(plus, axis, initial=-INF, where=is_pm)
+    n_minus = np.max(minus, axis, initial=-INF, where=minus < plus)
+    has_plus = m_plus < INF
+    # a positive at least as low as every +- value is the whole set
+    lone_plus = has_plus & (m_plus <= m_pm)
+    only_minus = ~has_plus & (n_pm == -INF)
+    # otherwise a +- value at m_pm is the low end (there are no +- values
+    # only when all are negative, and then m_pm is inf)
+    lo_minus = np.where(lone_plus, INF, np.where(only_minus, n_minus, m_pm))
+    lo_plus = np.where(lone_plus, m_plus, m_pm)
+    # the high end: the best positive, else the +- extreme or a less-bad
+    # negative, whichever is higher
+    hi_plus = np.where(has_plus, m_plus, np.where(n_pm >= n_minus, n_pm, INF))
+    hi_minus = np.where(has_plus, INF, np.maximum(n_pm, n_minus))
+    return np.array([[lo_plus, hi_plus], [lo_minus, hi_minus]])
+
+
+def sum_ends(table: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """``sum_sets`` of the sets along ``axis`` of a (bit, end, ...) table (an
+    axis after the two leading ones), or of each set alone if ``axis`` is
+    None: the ends summed separately, then the pair canonicalized."""
+    if axis is not None:
+        table = table.min(2 + axis)
+    return canonical(table[0], table[1], 0)
+
+
+def max_ends(table: np.ndarray, axis: int) -> np.ndarray:
+    """``max_sets`` of the sets along ``axis`` of a (bit, end, ...) table:
+    every end of every set, canonicalized."""
+    return canonical(table[0], table[1], (0, 1 + axis))
+
+
+def maximal_mask(table: np.ndarray, axis: int) -> np.ndarray:
+    """Per cell of the other axes of a (bit, end, ...) table, which of the
+    sets along ``axis`` no other set strictly dominates: a boolean table
+    with those sets along its first axis."""
+    # (..., set, element) views of the bit orders
+    plus, minus = (np.moveaxis(t, (1 + axis, 0), (-2, -1)) for t in table)
+    order = np.minimum(plus, minus)
+    positive, negative = plus < minus, minus < plus
+    # element x of set a dominates element y of set b, as [..., a, b, x, y]
+    a_order, a_pos = order[..., :, None, :, None], positive[..., :, None, :, None]
+    b_order, b_neg = order[..., None, :, None, :], negative[..., None, :, None, :]
+    dom = (b_neg & (a_pos | (a_order >= b_order))) | (a_pos & (a_order <= b_order))
+    covers = dom.any(-2).all(-1)  # set a dominates set b
+    beaten = (covers & ~np.swapaxes(covers, -1, -2)).any(-2)
+    return np.moveaxis(~beaten, -1, 0)
+
+
+def _cells(mask: np.ndarray) -> tuple[frozenset[int], ...]:
+    """The columns of an (action, cell) rule mask as action sets."""
+    rows = [tuple(row) for row in mask.T.tolist()]
+    sets = {r: frozenset(a for a, kept in enumerate(r) if kept) for r in set(rows)}
+    return tuple(sets[r] for r in rows)
 
 
 def _max_value(*values: OOMValue) -> OOMValue:
@@ -194,47 +274,77 @@ def elim_oom_id(
     diagram: OOMInfluenceDiagram, order: list[str] | None = None
 ) -> OOMSolution:
     require_valid(diagram, qualitative=True)
-    run = eliminate(diagram, order, _chance_step, _decision_step)
-    root_thetas = [t.item() for t in run.root_thetas]
-    meu = sum_sets(*root_thetas) if root_thetas else ZERO_SET
+    run = eliminate(
+        diagram, order, _chance_step, _decision_step, (encode_orders, encode_sets)
+    )
+    roots = run.root_thetas
+    meu = decode_set(sum_ends(np.stack(roots, -1), 0)) if roots else ZERO_SET
     policies = _expand_policy_set(diagram, run.rules)
     return OOMSolution(meu=meu, policies=policies, max_table_cells=run.max_cells)
 
 
+def _without(scope: tuple[str, ...], axis: int) -> tuple[str, ...]:
+    return scope[:axis] + scope[axis + 1 :]
+
+
+def _min_out(f: Factor, y: str) -> Factor:
+    """``y`` summed (or maximized) out of a probability table."""
+    axis = f.scope.index(y)
+    return Factor(_without(f.scope, axis), f.table.min(axis))
+
+
+def _fold(factors, order_key, diagram, op) -> Factor:
+    scope = union_scope(factors, order_key)
+    return Factor(scope, product(factors, scope, diagram, op))
+
+
+def _utility(thetas, lam, order_key, diagram) -> Factor:
+    """The bucket's utility sum, scaled by its probability product if any."""
+    theta = _fold(thetas, order_key, diagram, np.minimum)
+    theta = Factor(theta.scope, sum_ends(theta.table))
+    return theta if lam is None else _fold([theta, lam], order_key, diagram, np.add)
+
+
 def _chance_step(diagram, order_key, y, lambdas, thetas):
     assert lambdas, f"chance bucket {y} has no probability component"
-    lam = _cellwise(_product, lambdas, diagram, order_key)
-    lam_msg = _along(_total, lam, y, diagram)
+    lam = _fold(lambdas, order_key, diagram, np.add)
+    lam_msg = _min_out(lam, y)
     theta_msg = None
     if thetas:
-        theta = _cellwise(sum_sets, thetas, diagram, order_key)
-        combined = _cellwise(scale, [lam, theta], diagram, order_key)
-        sums = _along(sum_sets, combined, y, diagram)
-        theta_msg = _cellwise(_normalize, [lam_msg, sums], diagram, order_key)
+        combined = _utility(thetas, lam, order_key, diagram)
+        axis = combined.scope.index(y)
+        scope = _without(combined.scope, axis)
+        sums = sum_ends(combined.table, axis)
+        # divided by the probability mass; where the mass is zero, so is
+        # every scaled term, and the sum stays zero
+        total = align(lam_msg, scope, diagram)
+        theta_msg = Factor(scope, sums - np.where(total < INF, total, 0.0))
     return lam_msg, theta_msg
 
 
 def _decision_step(diagram, order_key, y, lambdas, thetas):
-    lam = _cellwise(_product, lambdas, diagram, order_key) if lambdas else None
-    lam_msg = _along(_max_value, lam, y, diagram) if lam is not None else None
+    lam = _fold(lambdas, order_key, diagram, np.add) if lambdas else None
+    lam_msg = _min_out(lam, y) if lam is not None else None
     if not thetas:
         # nothing downstream distinguishes the actions: keep them all
-        k = len(diagram.domain(y))
-        return lam_msg, None, factor(diagram, (), [frozenset(range(k))])
-    combined = _cellwise(sum_sets, thetas, diagram, order_key)
-    if lam is not None:
-        combined = _cellwise(scale, [lam, combined], diagram, order_key)
-    theta_msg = _along(max_sets, combined, y, diagram)
-    return lam_msg, theta_msg, _along(_maximal_actions, combined, y, diagram)
+        return lam_msg, None, Factor((), np.ones(len(diagram.domain(y)), dtype=bool))
+    combined = _utility(thetas, lam, order_key, diagram)
+    axis = combined.scope.index(y)
+    scope = _without(combined.scope, axis)
+    theta_msg = Factor(scope, max_ends(combined.table, axis))
+    rule = Factor(scope, maximal_mask(combined.table, axis))
+    return lam_msg, theta_msg, rule
 
 
 def _expand_policy_set(
     diagram: OOMInfluenceDiagram, rules: Mapping[str, Factor]
 ) -> PolicySet:
+    """Rules as (action, ...) masks over their bucket scopes."""
     scopes = {}
     cells = {}
     for d in diagram.decision_vars:
-        scopes[d], cells[d] = expand_rule(diagram, d, rules[d])
+        scopes[d], mask = expand_rule(diagram, d, rules[d])
+        cells[d] = _cells(mask)
     return PolicySet(
         decisions=tuple(diagram.decision_order),
         scopes=scopes,
@@ -362,7 +472,8 @@ def brute_force_oom(
 
         if y in decisions:
             scope_sorted = tuple(sorted(ctx_vars))
-            raw_rules[y] = factor(diagram, scope_sorted, cells)
+            mask = np.array([[a in cell for cell in cells] for a in range(k)])
+            raw_rules[y] = factor(diagram, scope_sorted, mask)
         max_cells = max(max_cells, len(lam_out), len(theta_out))
         if lam_out and lam_ctx_vars:
             lams.append(_DictFactor(lam_ctx_vars, lam_out))
