@@ -24,12 +24,14 @@ from .diagram import (
     InfluenceDiagram,
     OOMInfluenceDiagram,
     load,
+    require_valid,
     save,
     validate,
 )
 from .exact import PolicyEvaluator, solve_exact
 from .generator import GeneratorParams
 from .oom_solve import elim_oom_id
+from .ordering import legal_ordering
 
 
 def _print_rule(diagram: InfluenceDiagram, d: str, scope, entries) -> None:
@@ -105,10 +107,12 @@ def _cmd_solve_oom(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    diagram = load(args.diagram)
-    v = solve_exact(diagram).meu
+    diagram = require_valid(load(args.diagram), qualitative=False)
+    # conversion keeps the graph, so one ordering serves both solves
+    order = legal_ordering(diagram)
+    v = solve_exact(diagram, order=order).meu
     oom = convert(diagram, ConversionConfig(args.epsilon))
-    solution = elim_oom_id(oom)
+    solution = elim_oom_id(oom, order=order)
     policies, replaced = solution.policies.sample(args.samples, seed=args.seed)
     utilities = sorted(PolicyEvaluator(diagram).evaluate_many(policies))
     v_med, v_max, eta_med, eta_max = sample_errors(v, utilities)

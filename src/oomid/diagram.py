@@ -23,6 +23,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .sets import OOMSet, parse_set
 from .values import OOMValue, parse_value
 
@@ -74,6 +76,8 @@ class InfluenceDiagram:
     chance_vars: tuple[str, ...] = field(init=False, repr=False, compare=False)
     decision_vars: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _index: Mapping[str, Variable] = field(init=False, repr=False, compare=False)
+    # set by the first ``require_valid`` that finds no problem
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # derived once: the id index and the variables of each kind
@@ -208,13 +212,18 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
 
 def require_valid(diagram: InfluenceDiagram, qualitative: bool) -> InfluenceDiagram:
     """``diagram`` itself if it is of the wanted kind and valid, else a
-    ``DiagramError`` naming every violation."""
+    ``DiagramError`` naming every violation.
+
+    A diagram is frozen, so a successful validation is recorded on it and
+    not repeated; the kind is checked on every call."""
     if isinstance(diagram, OOMInfluenceDiagram) != qualitative:
         wanted = "an order-of-magnitude" if qualitative else "a numeric"
         raise DiagramError(f"expected {wanted} diagram")
-    problems = validate(diagram)
-    if problems:
-        raise DiagramError("; ".join(problems))
+    if not diagram._valid:
+        problems = validate(diagram)
+        if problems:
+            raise DiagramError("; ".join(problems))
+        object.__setattr__(diagram, "_valid", True)
     return diagram
 
 
@@ -372,6 +381,29 @@ class Policy:
             diagram.domain(v).index(assignment[v]) for v in rule.scope
         )
         return diagram.domain(decision)[rule.action_index(sizes, config)]
+
+
+@dataclass(frozen=True, eq=False)
+class PolicyBatch:
+    """``size`` policies as arrays: per decision, its information set and a
+    ``(size, cells)`` integer array whose rows are the policies' rule
+    ``actions``.  Indexing (and so iterating) gives one ``Policy``."""
+
+    size: int
+    scopes: Mapping[str, tuple[str, ...]]
+    actions: Mapping[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> Policy:
+        i = range(self.size)[i]  # IndexError outside the batch
+        return Policy(
+            rules={
+                d: PolicyRule(d, self.scopes[d], tuple(a[i].tolist()))
+                for d, a in self.actions.items()
+            }
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ once per diagram and utility (greedy min-degree, ties by name); each step
 of the plan is one ``product`` over that step's tables, summed over the
 eliminated variable.  ``evaluate_many`` runs the plan for a batch of
 policies at once: every table has a leading batch axis, of length one for
-CPTs and utilities and one per policy for the one-hot decision tables;
-``evaluate`` and ``evaluate_policy`` are batches of one.
+CPTs and utilities and one per policy for the one-hot decision tables.
+The batch is a ``PolicyBatch``, per decision an (s, cells) array of action
+indices, checked once per decision; a list of ``Policy`` is stacked into
+one first.  ``evaluate`` and ``evaluate_policy`` are batches of one.
 ``brute_force_meu`` enumerates every policy with its own evaluation, as an
 independent oracle for testing.
 """
@@ -36,6 +38,7 @@ from .diagram import (
     InfluenceDiagram,
     Kind,
     Policy,
+    PolicyBatch,
     PolicyRule,
     require_valid,
 )
@@ -203,37 +206,36 @@ def _plan(diagram: InfluenceDiagram, scopes: list[tuple[str, ...]]) -> _Plan:
     return _Plan(tuple(steps), tuple(live), max_cells)
 
 
-def _policy_actions(diagram: InfluenceDiagram, policy: Policy) -> list[np.ndarray]:
-    """The validated action index of every cell, per decision."""
-    rows = []
+def _stack(diagram: InfluenceDiagram, policies: Sequence[Policy]) -> PolicyBatch:
+    """A list of policies as a batch, each rule checked for its decision,
+    scope and cell count."""
+    scopes, actions = {}, {}
     for d in diagram.decision_vars:
-        if d not in policy.rules:
-            raise DiagramError(f"policy has no rule for decision {d}")
-        rule = policy.rules[d]
         info = tuple(diagram.information_sets.get(d, ()))
-        if tuple(rule.scope) != info:
-            raise DiagramError(
-                f"rule for {d} is over {rule.scope}, expected {info}"
-            )
-        actions = np.asarray(rule.actions)
-        if actions.shape != (math.prod(diagram.domain_sizes(info)),):
-            raise DiagramError(f"rule for {d} is incomplete")
-        k = len(diagram.domain(d))
-        if actions.dtype.kind not in "iu" or not (
-            0 <= actions.min() and actions.max() < k
-        ):
-            raise DiagramError(f"rule for {d} has an action outside 0..{k - 1}")
-        rows.append(actions)
-    return rows
+        cells = math.prod(diagram.domain_sizes(info))
+        rows = []
+        for policy in policies:
+            rule = policy.rules.get(d)
+            if rule is None:
+                raise DiagramError(f"policy has no rule for decision {d}")
+            if tuple(rule.scope) != info:
+                raise DiagramError(f"rule for {d} is over {rule.scope}, expected {info}")
+            if len(rule.actions) != cells:
+                raise DiagramError(f"rule for {d} is incomplete")
+            rows.append(rule.actions)
+        scopes[d] = info
+        actions[d] = np.array(rows) if rows else np.zeros((0, cells), dtype=int)
+    return PolicyBatch(len(policies), scopes, actions)
 
 
 class PolicyEvaluator:
     """Exact policy evaluation with the diagram-side work done once.
 
     The factor scopes do not depend on the policy, so the elimination is
-    planned once per utility.  ``evaluate_many`` stacks the policies' one-hot
-    decision tables along a leading axis and runs each plan for all of them
-    at once, in chunks sized so that the largest table stays bounded.
+    planned once per utility.  ``evaluate_many`` builds one-hot decision
+    tables from a batch's action arrays, with the policies along a leading
+    axis, and runs each plan for all of them at once, in chunks sized so
+    that the largest table stays bounded.
     """
 
     def __init__(self, diagram: InfluenceDiagram):
@@ -257,31 +259,46 @@ class PolicyEvaluator:
     def evaluate(self, policy: Policy) -> float:
         return self.evaluate_many([policy])[0]
 
-    def evaluate_many(self, policies: Sequence[Policy]) -> list[float]:
+    def evaluate_many(self, policies: PolicyBatch | Sequence[Policy]) -> list[float]:
         """Expected utility of each policy, in order."""
+        if not isinstance(policies, PolicyBatch):
+            policies = _stack(self._diagram, policies)
+        actions = [self._checked(policies, scope) for scope in self._policy_scopes]
         values: list[float] = []
-        for start in range(0, len(policies), self._chunk):
-            chunk = [
-                _policy_actions(self._diagram, p)
-                for p in policies[start : start + self._chunk]
-            ]
+        for start in range(0, policies.size, self._chunk):
+            stop = min(start + self._chunk, policies.size)
             policy_factors = [
-                Factor(scope, self._one_hot([row[i] for row in chunk], scope))
-                for i, scope in enumerate(self._policy_scopes)
+                Factor(scope, self._one_hot(a[start:stop], scope))
+                for a, scope in zip(actions, self._policy_scopes)
             ]
-            total = np.zeros(len(chunk))
+            total = np.zeros(stop - start)
             for plan, utility in zip(self._plans, self._utilities):
                 total += self._run(plan, self._cpts + policy_factors + [utility])
             values.extend(total.tolist())
         return values
 
-    def _one_hot(self, actions: list[np.ndarray], scope: tuple[str, ...]) -> np.ndarray:
+    def _checked(self, batch: PolicyBatch, scope: tuple[str, ...]) -> np.ndarray:
+        """The batch's actions for the decision of a policy ``scope``, after
+        checking their information set, shape, type and range."""
+        d, info = scope[-1], scope[:-1]
+        if d not in batch.actions or d not in batch.scopes:
+            raise DiagramError(f"policy has no rule for decision {d}")
+        if tuple(batch.scopes[d]) != info:
+            raise DiagramError(f"rule for {d} is over {batch.scopes[d]}, expected {info}")
+        actions = np.asarray(batch.actions[d])
+        *sizes, k = self._diagram.domain_sizes(scope)
+        if actions.shape != (batch.size, math.prod(sizes)):
+            raise DiagramError(f"rule for {d} is incomplete")
+        if actions.dtype.kind not in "iu" or (
+            actions.size and not (0 <= actions.min() and actions.max() < k)
+        ):
+            raise DiagramError(f"rule for {d} has an action outside 0..{k - 1}")
+        return actions
+
+    def _one_hot(self, actions: np.ndarray, scope: tuple[str, ...]) -> np.ndarray:
         shape = self._diagram.domain_sizes(scope)
-        stacked = np.stack(actions)
-        table = np.zeros(stacked.shape + shape[-1:])
-        table[
-            np.arange(len(actions))[:, None], np.arange(stacked.shape[1]), stacked
-        ] = 1.0
+        table = np.zeros(actions.shape + shape[-1:])
+        table[np.arange(len(actions))[:, None], np.arange(actions.shape[1]), actions] = 1.0
         return table.reshape((len(actions),) + shape)
 
     def _run(self, plan: _Plan, tables: list[Factor]) -> np.ndarray:

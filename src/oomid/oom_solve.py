@@ -13,7 +13,9 @@ The decision step maximizes over the actions and records, per parent
 configuration, every action whose value set is not strictly dominated by
 another action's: ties between incomparable value sets keep both actions,
 which is what makes the result a policy *set*.  Rules are boolean action
-masks until the policy set is built.
+masks until the policy set is built.  ``PolicySet`` numbers its policies
+in mixed radix, one digit per cell, and ``sample`` decodes all drawn
+indices at once into a ``PolicyBatch`` of (s, cells) action arrays.
 
 ``brute_force_oom`` is the test oracle: the same elimination semantics
 applied to one joint table over all variables, with no bucket, scope, or
@@ -26,6 +28,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,8 +36,7 @@ import numpy as np
 from .diagram import (
     GuardExceeded,
     OOMInfluenceDiagram,
-    Policy,
-    PolicyRule,
+    PolicyBatch,
     require_valid,
 )
 from .elimination import (
@@ -56,47 +58,58 @@ DEFAULT_GUARD = 10**6
 # ---------------------------------------------------------------------------
 # policy sets
 
+# Sampled policy indices are split into runs of consecutive cells whose
+# radix product stays within this bound, so that each run's digits fit int64.
+_RUN_BOUND = 1 << 62
+
+
 @dataclass(frozen=True)
 class PolicySet:
-    """Per decision and parent configuration, the set of maximizing actions."""
+    """Per decision and parent configuration, the set of maximizing actions.
+
+    Policies are numbered in mixed radix: the cells of all decisions in
+    decision order, each cell a digit (least significant first) that picks
+    one of its actions in ascending order.
+    """
 
     decisions: tuple[str, ...]
     scopes: Mapping[str, tuple[str, ...]]
     action_counts: Mapping[str, int]
     cells: Mapping[str, tuple[frozenset[int], ...]]  # row-major over scope
-    # per decision, each cell's actions in ascending order: the digits that
-    # ``_decode`` reads a policy index in
-    _options: Mapping[str, tuple[tuple[int, ...], ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    # decode tables: each cell's actions in ascending order, padded, as a
+    # (cells, k) table; each cell's radix, run and place value in its run;
+    # the radix product of each run
+    _actions: np.ndarray = field(init=False, repr=False, compare=False)
+    _radix: np.ndarray = field(init=False, repr=False, compare=False)
+    _run: np.ndarray = field(init=False, repr=False, compare=False)
+    _place: np.ndarray = field(init=False, repr=False, compare=False)
+    _run_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for d in self.decisions:
-            assert all(self.cells[d]), f"empty action set in a cell of {d}"
-        options = {
-            d: tuple(tuple(sorted(cell)) for cell in self.cells[d])
-            for d in self.decisions
-        }
-        object.__setattr__(self, "_options", options)
+        cells = [cell for d in self.decisions for cell in self.cells[d]]
+        assert all(cells), "empty action set in a cell"
+        k = max(map(len, cells), default=1)
+        padded = {c: sorted(c) + [0] * (k - len(c)) for c in set(cells)}
+        runs, place, run_sizes, size = [], [], [], 1
+        for cell in cells:
+            if size * len(cell) > _RUN_BOUND:
+                run_sizes.append(size)
+                size = 1
+            runs.append(len(run_sizes))
+            place.append(size)
+            size *= len(cell)
+        run_sizes.append(size)
+        set_ = partial(object.__setattr__, self)
+        set_("_actions", np.array([padded[c] for c in cells], dtype=np.intp).reshape(-1, k))
+        set_("_radix", np.array([len(c) for c in cells], dtype=np.int64))
+        set_("_run", np.array(runs, dtype=np.intp))
+        set_("_place", np.array(place, dtype=np.int64))
+        set_("_run_sizes", tuple(run_sizes))
 
     def count(self) -> int:
-        total = 1
-        for d in self.decisions:
-            for cell in self.cells[d]:
-                total *= len(cell)
-        return total
+        return math.prod(self._run_sizes)
 
-    def _decode(self, index: int) -> Policy:
-        rules = {}
-        for d in self.decisions:
-            actions = []
-            for options in self._options[d]:
-                index, digit = divmod(index, len(options))
-                actions.append(options[digit])
-            rules[d] = PolicyRule(decision=d, scope=self.scopes[d], actions=tuple(actions))
-        return Policy(rules=rules)
-
-    def sample(self, s: int, seed: int = 0) -> tuple[list[Policy], bool]:
+    def sample(self, s: int, seed: int = 0) -> tuple[PolicyBatch, bool]:
         """Uniform sample of ``s`` policies.
 
         Distinct policies (by rejection) when the set is large enough;
@@ -117,7 +130,22 @@ class PolicySet:
                 if i not in seen:
                     seen.add(i)
                     indices.append(i)
-        return [self._decode(i) for i in indices], with_replacement
+        return self._batch(indices), with_replacement
+
+    def _batch(self, indices: Sequence[int]) -> PolicyBatch:
+        """The policies of ``indices``: each index split into its runs'
+        values, then every digit of every run at once."""
+        runs = []
+        for i in indices:
+            for size in self._run_sizes:
+                i, value = divmod(i, size)
+                runs.append(value)
+        runs = np.array(runs, dtype=np.int64).reshape(len(indices), -1)
+        digits = runs[:, self._run] // self._place % self._radix
+        actions = self._actions[np.arange(len(self._radix)), digits]
+        bounds = np.cumsum([len(self.cells[d]) for d in self.decisions])
+        per_decision = dict(zip(self.decisions, np.split(actions, bounds[:-1], axis=1)))
+        return PolicyBatch(len(indices), self.scopes, per_decision)
 
 
 # ---------------------------------------------------------------------------

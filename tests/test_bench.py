@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from oomid.bench import (
@@ -154,3 +156,20 @@ class TestCsv:
         write_results_csv(results, a)
         write_results_csv(results, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_small_grid_bytes_pinned(self, tmp_path):
+        # P/M x n = 25 x eps 0.5/0.05/0.005, 2 instances, 100 samples, seed 0:
+        # sampling, decoding and scoring must not change a byte of the CSV
+        results = []
+        for cls in "PM":
+            params = GeneratorParams(
+                n_c=20, n_d=5, k=2, p=2, r=5, a=5, utility_class=cls
+            )
+            results.extend(
+                run_experiment(params, [0.5, 0.05, 0.005], s=100, instances=2, seed=0)
+            )
+        out = tmp_path / "grid.csv"
+        write_results_csv(results, out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7945bfb194cbfc0f34df8a332dd66231eddb52a621f66fec821c92d927b804e0"
+        )

@@ -3,13 +3,16 @@ import random
 import numpy as np
 import pytest
 
+from oomid import diagram as diagram_module
 from oomid import exact
 from oomid.diagram import (
     DiagramError,
     GuardExceeded,
     Policy,
+    PolicyBatch,
     PolicyRule,
     from_dict,
+    to_dict,
     wildcatter,
 )
 from oomid.exact import (
@@ -19,6 +22,7 @@ from oomid.exact import (
     solve_exact,
 )
 from oomid.generator import GeneratorParams, generate
+from oomid.oom_solve import elim_oom_id
 from oomid.ordering import is_legal_ordering, legal_ordering
 
 
@@ -76,6 +80,47 @@ def malformed_wildcatter_policy(diagram, case: str) -> Policy:
 
 
 MALFORMED = ["missing rule", "wrong scope", "incomplete rule", "action -1", "action 2"]
+
+
+def stacked(diagram, policies) -> PolicyBatch:
+    """``policies`` as a batch, built directly from their rules."""
+    return PolicyBatch(
+        len(policies),
+        {d: diagram.information_sets[d] for d in diagram.decision_vars},
+        {d: np.array([p.rules[d].actions for p in policies]) for d in diagram.decision_vars},
+    )
+
+
+def malformed_wildcatter_batch(diagram, case: str) -> PolicyBatch:
+    # three policies; Test has one cell and Drill six, both two actions
+    scopes = {"Test": (), "Drill": diagram.information_sets["Drill"]}
+    actions = {"Test": np.zeros((3, 1), dtype=int), "Drill": np.zeros((3, 6), dtype=int)}
+    if case == "wrong cell count":
+        actions["Drill"] = np.zeros((3, 5), dtype=int)
+    if case == "float dtype":
+        actions["Drill"] = np.zeros((3, 6))
+    if case == "action -1":
+        actions["Test"][1, 0] = -1
+    if case == "action k":
+        actions["Drill"][2, 5] = 2
+    if case == "missing decision":
+        del actions["Test"]
+    if case == "different row counts":
+        actions["Drill"] = np.zeros((2, 6), dtype=int)
+    if case == "wrong scope":
+        scopes["Drill"] = scopes["Drill"][:1]
+    return PolicyBatch(3, scopes, actions)
+
+
+MALFORMED_BATCH = [
+    "wrong cell count",
+    "float dtype",
+    "action -1",
+    "action k",
+    "missing decision",
+    "different row counts",
+    "wrong scope",
+]
 
 
 class TestWildcatter:
@@ -177,6 +222,15 @@ class TestEdgeCases:
         with pytest.raises(DiagramError):
             evaluate_policy(d, bad)
 
+    @pytest.mark.parametrize("case", MALFORMED_BATCH)
+    def test_malformed_batch_rejected(self, case):
+        d = wildcatter()
+        evaluator = PolicyEvaluator(d)
+        good = evaluate_policy(d, wildcatter_policy(d, 0, (0,) * 6))
+        assert evaluator.evaluate_many(malformed_wildcatter_batch(d, "none")) == [good] * 3
+        with pytest.raises(DiagramError):
+            evaluator.evaluate_many(malformed_wildcatter_batch(d, case))
+
     def test_empty_batch(self):
         assert PolicyEvaluator(wildcatter()).evaluate_many([]) == []
 
@@ -221,6 +275,35 @@ class TestEdgeCases:
         }
         with pytest.raises(DiagramError):
             solve_exact(from_dict(data))
+
+    def test_validated_once_per_diagram(self, monkeypatch):
+        calls = []
+        validate = diagram_module.validate
+        monkeypatch.setattr(
+            diagram_module, "validate", lambda d: calls.append(d) or validate(d)
+        )
+        d = wildcatter()
+        evaluate_policy(d, solve_exact(d).policy)
+        assert len(calls) == 1
+        # the kind is still checked on every call
+        with pytest.raises(DiagramError, match="order-of-magnitude"):
+            elim_oom_id(d)
+
+    def test_invalid_diagram_raises_on_every_call(self, monkeypatch):
+        calls = []
+        validate = diagram_module.validate
+        monkeypatch.setattr(
+            diagram_module, "validate", lambda d: calls.append(d) or validate(d)
+        )
+        data = to_dict(wildcatter())
+        data["cpts"][0]["table"] = [0.5, 0.3, 0.3]
+        d = from_dict(data)
+        for _ in range(2):
+            with pytest.raises(DiagramError, match="rows do not sum to 1"):
+                solve_exact(d)
+            with pytest.raises(DiagramError, match="rows do not sum to 1"):
+                PolicyEvaluator(d)
+        assert len(calls) == 4
 
     def test_evidence_not_solvable(self):
         data = {
@@ -270,6 +353,9 @@ class TestRandomAgreement:
         evaluator = PolicyEvaluator(d)
         one_at_a_time = [evaluator.evaluate(p) for p in policies]
         assert evaluator.evaluate_many(policies) == one_at_a_time
+        batch = stacked(d, policies)
+        assert list(batch) == policies
+        assert evaluator.evaluate_many(batch) == one_at_a_time
         split = evaluator.evaluate_many(policies[:3]) + evaluator.evaluate_many(
             policies[3:]
         )
@@ -281,6 +367,7 @@ class TestRandomAgreement:
             chunked = PolicyEvaluator(d)
             assert chunked._chunk == chunk
             assert chunked.evaluate_many(policies) == one_at_a_time
+            assert chunked.evaluate_many(batch) == one_at_a_time
 
     def test_within_block_permutation_invariance(self):
         rng = random.Random(5)

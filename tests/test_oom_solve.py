@@ -18,7 +18,7 @@ from oomid.diagram import (
     save,
     wildcatter,
 )
-from oomid.exact import evaluate_policy, solve_exact
+from oomid.exact import PolicyEvaluator, evaluate_policy, solve_exact
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import PolicySet, brute_force_oom, elim_oom_id
 from oomid.ordering import induced_width, legal_ordering
@@ -446,7 +446,7 @@ class TestPolicySet:
         _, ps = self.make()
         a, _ = ps.sample(5, seed=42)
         b, _ = ps.sample(5, seed=42)
-        assert a == b
+        assert list(a) == list(b)
 
     def test_sample_mapping_pinned(self):
         # pinned draws: the seed's index stream and the index -> policy
@@ -486,7 +486,9 @@ class TestPolicySet:
         o, ps = self.make()
         d = wildcatter()
         policies, _ = ps.sample(16, seed=7)
-        values = {round(evaluate_policy(d, p), 6) for p in policies}
+        scored = [evaluate_policy(d, p) for p in policies]
+        assert PolicyEvaluator(d).evaluate_many(policies) == scored
+        values = {round(v, 6) for v in scored}
         assert all(isinstance(v, float) for v in values)
         assert len(values) > 1  # the 128 tied policies differ numerically
 
@@ -494,6 +496,57 @@ class TestPolicySet:
         _, ps = self.make()
         with pytest.raises(ValueError):
             ps.sample(0)
+
+
+def reference_decode(ps: PolicySet, index: int) -> dict[str, tuple[int, ...]]:
+    """One ``divmod`` per cell, least significant first, in decision order:
+    each digit picks one of the cell's actions in ascending order."""
+    actions = {}
+    for d in ps.decisions:
+        row = []
+        for cell in ps.cells[d]:
+            index, digit = divmod(index, len(cell))
+            row.append(sorted(cell)[digit])
+        actions[d] = tuple(row)
+    assert index == 0
+    return actions
+
+
+def random_policy_set(rng: random.Random) -> PolicySet:
+    decisions = tuple(f"D{j}" for j in range(rng.randint(3, 4)))
+    k = {d: rng.randint(1, 5) for d in decisions}
+    cells = {
+        d: tuple(
+            frozenset(rng.sample(range(k[d]), rng.randint(1, k[d])))
+            for _ in range(rng.randint(80, 150))
+        )
+        for d in decisions
+    }
+    return PolicySet(decisions, {d: () for d in decisions}, k, cells)
+
+
+def uniform_policy_set(radix: int, cells: int) -> PolicySet:
+    return PolicySet(("D",), {"D": ()}, {"D": radix}, {"D": (frozenset(range(radix)),) * cells})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda seed=seed: random_policy_set(random.Random(seed)) for seed in range(20)]
+    + [lambda r=r: uniform_policy_set(r, 200) for r in (1, 2, 4, 5)],
+    ids=[f"random{seed}" for seed in range(20)] + [f"radix{r}" for r in (1, 2, 4, 5)],
+)
+def test_decoder_matches_divmod_reference(make):
+    # runs of cells are split where their radix product would pass 2^62;
+    # the all-radix-2 set fills a run exactly
+    ps = make()
+    count = ps.count()
+    assert count == math.prod(len(c) for d in ps.decisions for c in ps.cells[d])
+    rng = random.Random(count)
+    indices = [0, count - 1] + [rng.randrange(count) for _ in range(50)]
+    decoded = [
+        {d: p.rules[d].actions for d in ps.decisions} for p in ps._batch(indices)
+    ]
+    assert decoded == [reference_decode(ps, i) for i in indices]
 
 
 ILLEGAL_ORDERS = {
