@@ -12,17 +12,21 @@ same way; messages over no variable are the root results.  Only the two
 steps and the encoders know the algebra.
 
 ``product`` is the one contraction kernel: it aligns tables over a scope
-and folds them left to right, by multiplication unless told otherwise.
-The exact solver's steps and every step of its policy evaluator run
-through it; the evaluator's tables carry a leading batch axis, which
-``align`` keeps.
+and folds them left to right, by multiplication unless told otherwise;
+``fold`` does so over the union of the tables' scopes, which is how both
+solvers' steps combine a bucket.  Every step of the exact solver and of
+its policy evaluator runs through it; the evaluator's tables carry a
+leading batch axis, which ``align`` keeps.  ``align`` looks each target
+variable's axis up in one position table per target scope, takes each
+axis's size from the table's own shape, and transposes only when the
+scope is out of the target's order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,39 +46,49 @@ def factor(diagram: InfluenceDiagram, scope: tuple[str, ...], table: np.ndarray)
     return Factor(scope, table.reshape(table.shape[:-1] + diagram.domain_sizes(scope)))
 
 
-def align(f: Factor, target: tuple[str, ...], diagram: InfluenceDiagram) -> np.ndarray:
+def align(f: Factor, target: tuple[str, ...]) -> np.ndarray:
     """View a factor's table as an array broadcastable over ``target``.
 
     Leading axes beyond the scope's (a batch axis) are kept in front.
     """
-    lead = f.table.ndim - len(f.scope)
-    perm = sorted(range(len(f.scope)), key=lambda i: target.index(f.scope[i]))
-    arr = np.transpose(f.table, list(range(lead)) + [lead + i for i in perm])
-    shape = tuple(
-        len(diagram.domain(v)) if v in f.scope else 1 for v in target
-    )
-    return arr.reshape(f.table.shape[:lead] + shape)
+    return _aligned(f, {v: i for i, v in enumerate(target)})
+
+
+def _aligned(f: Factor, position: dict[str, int]) -> np.ndarray:
+    """``align`` with each target variable's axis given by ``position``."""
+    table = f.table
+    where = [position[v] for v in f.scope]
+    lead = table.ndim - len(where)
+    if where != sorted(where):
+        perm = sorted(range(len(where)), key=where.__getitem__)
+        table = table.transpose(*range(lead), *(lead + i for i in perm))
+        where.sort()
+    shape = [1] * len(position)
+    for at, size in zip(where, table.shape[lead:]):
+        shape[at] = size
+    return table.reshape(table.shape[:lead] + tuple(shape))
 
 
 def product(
-    factors: Sequence[Factor],
-    scope: tuple[str, ...],
-    diagram: InfluenceDiagram,
-    op: np.ufunc = np.multiply,
+    factors: Sequence[Factor], scope: tuple[str, ...], op: np.ufunc = np.multiply
 ) -> np.ndarray:
     """The factors' tables aligned over ``scope`` and folded by ``op``, left
     to right."""
-    table = align(factors[0], scope, diagram)
+    position = {v: i for i, v in enumerate(scope)}
+    table = _aligned(factors[0], position)
     for f in factors[1:]:
-        table = op(table, align(f, scope, diagram))
+        table = op(table, _aligned(f, position))
     return table
 
 
-def union_scope(
-    factors: Iterable[Factor], order_key: dict[str, int]
-) -> tuple[str, ...]:
+def fold(
+    factors: Sequence[Factor], order_key: dict[str, int], op: np.ufunc = np.multiply
+) -> Factor:
+    """``product`` over the union of the factors' scopes, in ``order_key``
+    order."""
     seen = {v for f in factors for v in f.scope}
-    return tuple(sorted(seen, key=lambda v: order_key[v]))
+    scope = tuple(sorted(seen, key=order_key.__getitem__))
+    return Factor(scope, product(factors, scope, op))
 
 
 def resolve_order(diagram: InfluenceDiagram, order: list[str] | None) -> list[str]:
@@ -154,7 +168,7 @@ def expand_rule(
     info = tuple(diagram.information_sets.get(decision, ()))
     extra = [v for v in rule.scope if v not in info]
     assert not extra, f"decision {decision}: rule depends on unobserved {extra}"
-    table = align(rule, info, diagram)
+    table = align(rule, info)
     lead = table.shape[: table.ndim - len(info)]
     full = np.broadcast_to(table, lead + diagram.domain_sizes(info))
     return info, full.reshape(lead + (-1,))

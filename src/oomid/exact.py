@@ -1,8 +1,8 @@
 """Exact solving of numeric influence diagrams.
 
 ``solve_exact`` runs the shared bucket elimination of ``elimination`` on
-float tables; this module supplies its two steps, which multiply tables
-with the shared broadcast ``product``.  The chance step marginalizes the
+float tables; this module supplies its two steps, which combine tables
+with the shared broadcast ``fold``.  The chance step marginalizes the
 bucket variable out of the probability product and renormalizes the
 utility by that marginal (zero-probability configurations contribute
 zero).  The decision step maximizes the utility, keeps the first
@@ -11,9 +11,9 @@ is constant in the decision.
 
 ``PolicyEvaluator`` scores fixed policies.  The scopes of its factors do
 not depend on the policy, so it plans the elimination of every variable
-once per diagram and utility (greedy min-degree, ties by name); each step
-of the plan is one ``product`` over that step's tables, summed over the
-eliminated variable.  ``evaluate_many`` runs the plan for a batch of
+once per diagram and utility (greedy min-degree, ties by name, on the
+neighbour bitmasks of ``ordering``); each step of the plan is one
+``product`` over that step's tables, summed over the eliminated variable.  ``evaluate_many`` runs the plan for a batch of
 policies at once: every table has a leading batch axis, of length one for
 CPTs and utilities and one per policy for the one-hot decision tables.
 The batch is a ``PolicyBatch``, per decision an (s, cells) array of action
@@ -48,25 +48,10 @@ from .elimination import (
     eliminate,
     expand_rule,
     factor,
+    fold,
     product,
-    union_scope,
 )
-from .ordering import eliminate_node, scope_graph
-
-
-def _combine(
-    factors: list[Factor],
-    diagram: InfluenceDiagram,
-    order_key: dict[str, int],
-    how: str,
-) -> Factor:
-    scope = union_scope(factors, order_key)
-    if how == "mul":
-        return Factor(scope, product(factors, scope, diagram))
-    table = np.zeros(diagram.domain_sizes(scope))
-    for f in factors:
-        table = table + align(f, scope, diagram)
-    return Factor(scope, table)
+from .ordering import bits, eliminate_bit, name_ranks, neighbour_masks, scope_mask
 
 
 @dataclass(frozen=True)
@@ -101,19 +86,19 @@ def _floats(entries: tuple) -> np.ndarray:
 
 def _chance_step(diagram, order_key, y, lambdas, thetas):
     assert lambdas, f"chance bucket {y} has no probability component"
-    lam = _combine(lambdas, diagram, order_key, "mul")
+    lam = fold(lambdas, order_key)
     axis = lam.scope.index(y)
     lam_msg = Factor(
         lam.scope[:axis] + lam.scope[axis + 1 :], lam.table.sum(axis=axis)
     )
     theta_msg = None
     if thetas:
-        theta = _combine(thetas, diagram, order_key, "add")
-        combined = _combine([lam, theta], diagram, order_key, "mul")
+        theta = fold(thetas, order_key, np.add)
+        combined = fold([lam, theta], order_key)
         c_axis = combined.scope.index(y)
         num = combined.table.sum(axis=c_axis)
         num_scope = combined.scope[:c_axis] + combined.scope[c_axis + 1 :]
-        lam_aligned = align(lam_msg, num_scope, diagram)
+        lam_aligned = align(lam_msg, num_scope)
         table = np.divide(
             num,
             np.broadcast_to(lam_aligned, num.shape),
@@ -131,7 +116,7 @@ def _decision_step(diagram, order_key, y, lambdas, thetas):
     # message is re-emitted and would otherwise be counted twice downstream.
     lam_msg = None
     if lambdas:
-        lam = _combine(lambdas, diagram, order_key, "mul")
+        lam = fold(lambdas, order_key)
         l_axis = lam.scope.index(y)
         spread = lam.table.max(axis=l_axis) - lam.table.min(axis=l_axis)
         assert np.all(
@@ -143,7 +128,7 @@ def _decision_step(diagram, order_key, y, lambdas, thetas):
     if not thetas:
         # nothing downstream distinguishes the actions
         return lam_msg, None, Factor((), np.zeros((), dtype=int))
-    combined = _combine(thetas, diagram, order_key, "add")
+    combined = fold(thetas, order_key, np.add)
     axis = combined.scope.index(y)
     theta_msg = Factor(
         combined.scope[:axis] + combined.scope[axis + 1 :],
@@ -182,28 +167,44 @@ def _plan(diagram: InfluenceDiagram, scopes: list[tuple[str, ...]]) -> _Plan:
     The order is greedy min-degree on the graph of the scopes, ties broken
     by name: the variable whose factors span the fewest variables goes
     next.  Eliminating a variable joins its neighbours, as the message over
-    them does.
+    them does.  Scopes are bitmasks over ``diagram.variables``, so a step's
+    operands and union are read off bits, in the diagram's variable order.
     """
-    order_key = {v.id: i for i, v in enumerate(diagram.variables)}
-    scopes = list(scopes)
-    graph = scope_graph(scopes)
-    live = list(range(len(scopes)))
+    names = [v.id for v in diagram.variables]
+    index = {v: i for i, v in enumerate(names)}
+    masks = [scope_mask(s, index) for s in scopes]
+    graph = neighbour_masks(len(names), masks)
+    # (degree, name) as one integer: degree times n plus the name's rank
+    n, rank = len(names), name_ranks(names)
+    key = [graph[i].bit_count() * n + rank[i] for i in range(n)]
+    holders = [0] * n  # per variable, the slots whose scope holds it
+    for s, mask in enumerate(masks):
+        for v in bits(mask):
+            holders[v] |= 1 << s
+    remaining = [v for v in range(n) if holders[v]]
+    sizes = [len(v.domain) for v in diagram.variables]
+    consumed, max_cells = 0, 1
     steps = []
-    while graph:
-        y = min(graph, key=lambda v: (len(graph[v]), v))
-        eliminate_node(graph, y)
-        operands = tuple(s for s in live if y in scopes[s])
-        live = [s for s in live if y not in scopes[s]]
-        union = tuple(
-            sorted({v for s in operands for v in scopes[s]}, key=order_key.__getitem__)
-        )
-        steps.append((operands, union, y))
-        live.append(len(scopes))
-        scopes.append(tuple(v for v in union if v != y))
-    max_cells = max(
-        (math.prod(diagram.domain_sizes(union)) for _, union, _ in steps), default=1
-    )
-    return _Plan(tuple(steps), tuple(live), max_cells)
+    while remaining:
+        y = min(remaining, key=key.__getitem__)
+        remaining.remove(y)
+        for a in bits(eliminate_bit(graph, y)):
+            key[a] = graph[a].bit_count() * n + rank[a]
+        taken = holders[y]
+        consumed |= taken
+        operands = bits(taken)
+        union = 0
+        for s in operands:
+            union |= masks[s]
+        members = bits(union)
+        new = 1 << len(masks)
+        for v in members:
+            holders[v] = holders[v] & ~taken | new
+        steps.append((tuple(operands), tuple(names[v] for v in members), names[y]))
+        max_cells = max(max_cells, math.prod(sizes[v] for v in members))
+        masks.append(union & ~(1 << y))
+    roots = (1 << len(masks)) - 1 & ~consumed
+    return _Plan(tuple(steps), tuple(bits(roots)), max_cells)
 
 
 def _stack(diagram: InfluenceDiagram, policies: Sequence[Policy]) -> PolicyBatch:
@@ -303,12 +304,12 @@ class PolicyEvaluator:
 
     def _run(self, plan: _Plan, tables: list[Factor]) -> np.ndarray:
         for operands, union, y in plan.steps:
-            table = product([tables[s] for s in operands], union, self._diagram)
+            table = product([tables[s] for s in operands], union)
             table = table.sum(axis=1 + union.index(y))
             for s in operands:
                 tables[s] = None  # each table feeds one step; free it
             tables.append(Factor(tuple(v for v in union if v != y), table))
-        return product([tables[s] for s in plan.roots], (), self._diagram)
+        return product([tables[s] for s in plan.roots], ())
 
 
 def evaluate_policy(diagram: InfluenceDiagram, policy: Policy) -> float:
@@ -321,7 +322,7 @@ def _policy_space(diagram: InfluenceDiagram) -> list[tuple[str, tuple[str, ...],
     out = []
     for d in diagram.decision_vars:
         info = tuple(diagram.information_sets.get(d, ()))
-        n_cells = int(np.prod(diagram.domain_sizes(info))) if info else 1
+        n_cells = math.prod(diagram.domain_sizes(info))
         out.append((d, info, n_cells, len(diagram.domain(d))))
     return out
 
@@ -338,7 +339,9 @@ def brute_force_meu(
     space = _policy_space(diagram)
     count = 1
     for _, _, n_cells, k in space:
-        count *= k**n_cells
+        # k**n_cells can have billions of digits; k > 1 already exceeds the
+        # guard at exponent guard.bit_length(), so the exponent stops there
+        count *= k ** min(n_cells, guard.bit_length())
         if count > guard:
             raise GuardExceeded(
                 f"policy space exceeds the brute-force guard of {guard}"

@@ -45,9 +45,8 @@ from .elimination import (
     eliminate,
     expand_rule,
     factor,
-    product,
+    fold,
     resolve_order,
-    union_scope,
 )
 from .sets import OOMSet, ZERO_SET, max_sets, scale, set_dominates, sum_sets
 from .values import INF, ZERO, OOMValue, Sign, add, dominates, inverse, mul
@@ -321,42 +320,37 @@ def _min_out(f: Factor, y: str) -> Factor:
     return Factor(_without(f.scope, axis), f.table.min(axis))
 
 
-def _fold(factors, order_key, diagram, op) -> Factor:
-    scope = union_scope(factors, order_key)
-    return Factor(scope, product(factors, scope, diagram, op))
-
-
-def _utility(thetas, lam, order_key, diagram) -> Factor:
+def _utility(thetas, lam, order_key) -> Factor:
     """The bucket's utility sum, scaled by its probability product if any."""
-    theta = _fold(thetas, order_key, diagram, np.minimum)
+    theta = fold(thetas, order_key, np.minimum)
     theta = Factor(theta.scope, sum_ends(theta.table))
-    return theta if lam is None else _fold([theta, lam], order_key, diagram, np.add)
+    return theta if lam is None else fold([theta, lam], order_key, np.add)
 
 
 def _chance_step(diagram, order_key, y, lambdas, thetas):
     assert lambdas, f"chance bucket {y} has no probability component"
-    lam = _fold(lambdas, order_key, diagram, np.add)
+    lam = fold(lambdas, order_key, np.add)
     lam_msg = _min_out(lam, y)
     theta_msg = None
     if thetas:
-        combined = _utility(thetas, lam, order_key, diagram)
+        combined = _utility(thetas, lam, order_key)
         axis = combined.scope.index(y)
         scope = _without(combined.scope, axis)
         sums = sum_ends(combined.table, axis)
         # divided by the probability mass; where the mass is zero, so is
         # every scaled term, and the sum stays zero
-        total = align(lam_msg, scope, diagram)
+        total = align(lam_msg, scope)
         theta_msg = Factor(scope, sums - np.where(total < INF, total, 0.0))
     return lam_msg, theta_msg
 
 
 def _decision_step(diagram, order_key, y, lambdas, thetas):
-    lam = _fold(lambdas, order_key, diagram, np.add) if lambdas else None
+    lam = fold(lambdas, order_key, np.add) if lambdas else None
     lam_msg = _min_out(lam, y) if lam is not None else None
     if not thetas:
         # nothing downstream distinguishes the actions: keep them all
         return lam_msg, None, Factor((), np.ones(len(diagram.domain(y)), dtype=bool))
-    combined = _utility(thetas, lam, order_key, diagram)
+    combined = _utility(thetas, lam, order_key)
     axis = combined.scope.index(y)
     scope = _without(combined.scope, axis)
     theta_msg = Factor(scope, max_ends(combined.table, axis))

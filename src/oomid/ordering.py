@@ -4,67 +4,128 @@ An elimination ordering is legal when its reverse extends the temporal
 order: the never-observed chance variables go first, then the last
 decision, then the variables observed just before it, and so on.  Only the
 order *within* a chance block is free; min-fill over the interaction graph
-picks it, with lexicographic tie-breaking for determinism.
+picks it, with ties broken by variable name (as strings) for determinism.
+
+The graph is one integer bitmask per variable, bit i standing for the i-th
+variable of ``diagram.variables``: the variable's neighbours.  Fill is
+counted with ``int.bit_count`` over masks, and ``eliminate_bit`` is the one
+graph update, shared with the policy-evaluation planner.  ``legal_ordering``
+keeps each variable's fill and recounts it only when an elimination can
+have changed it: eliminating u touches only u's neighbours and theirs.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .diagram import InfluenceDiagram, temporal_partition
+from .diagram import DiagramError, InfluenceDiagram, temporal_partition
 
 
-def scope_graph(scopes: Iterable[Iterable[str]]) -> dict[str, set[str]]:
-    """Undirected graph connecting every pair of variables sharing a scope."""
-    adj: dict[str, set[str]] = {}
+def bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def scope_mask(scope: Iterable[str], index: dict[str, int]) -> int:
+    mask = 0
+    for v in scope:
+        mask |= 1 << index[v]
+    return mask
+
+
+def name_ranks(names: list[str]) -> list[int]:
+    """Each name's position among ``names`` sorted as strings."""
+    rank = [0] * len(names)
+    for r, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
+        rank[i] = r
+    return rank
+
+
+def neighbour_masks(size: int, scopes: Iterable[int]) -> list[int]:
+    """Per variable, the mask of the variables sharing a scope with it;
+    scopes are masks over ``size`` variables."""
+    adj = [0] * size
     for scope in scopes:
-        for v in scope:
-            adj.setdefault(v, set()).update(scope)
-    for v, neighbours in adj.items():
-        neighbours.discard(v)
-    return adj
+        for i in bits(scope):
+            adj[i] |= scope
+    return [mask & ~(1 << i) for i, mask in enumerate(adj)]
+
+
+def eliminate_bit(adj: list[int], i: int) -> int:
+    """Remove variable ``i`` from the graph and connect its neighbours;
+    return its neighbour mask."""
+    neighbours = adj[i]
+    adj[i] = 0
+    gone = 1 << i
+    for a in bits(neighbours):
+        adj[a] = (adj[a] | neighbours) & ~(gone | 1 << a)
+    return neighbours
+
+
+def _graph(diagram: InfluenceDiagram) -> tuple[list[str], dict[str, int], list[int]]:
+    """The variable names, their bit indices and the neighbour masks of the
+    interaction graph."""
+    names = [v.id for v in diagram.variables]
+    index = {v: i for i, v in enumerate(names)}
+    scopes = [cpt.scope for cpt in diagram.cpts]
+    scopes += [u.scope for u in diagram.utilities]
+    scopes += [(d,) + tuple(ps) for d, ps in diagram.information_sets.items()]
+    adj = neighbour_masks(len(names), (scope_mask(s, index) for s in scopes))
+    return names, index, adj
 
 
 def interaction_graph(diagram: InfluenceDiagram) -> dict[str, set[str]]:
     """Undirected graph connecting every pair of variables sharing a factor."""
-    scopes = [(v.id,) for v in diagram.variables]
-    scopes += [cpt.scope for cpt in diagram.cpts]
-    scopes += [u.scope for u in diagram.utilities]
-    scopes += [
-        (d,) + tuple(ps) for d, ps in diagram.information_sets.items()
-    ]
-    return scope_graph(scopes)
+    names, _, adj = _graph(diagram)
+    return {v: {names[j] for j in bits(adj[i])} for i, v in enumerate(names)}
 
 
-def _fill_count(adj: dict[str, set[str]], v: str) -> int:
-    neighbours = [n for n in adj[v]]
-    missing = 0
-    for i, a in enumerate(neighbours):
-        for b in neighbours[i + 1 :]:
-            if b not in adj[a]:
-                missing += 1
-    return missing
-
-
-def eliminate_node(adj: dict[str, set[str]], v: str) -> None:
-    """Remove ``v`` from the graph and connect its neighbours."""
-    neighbours = adj.pop(v)
-    for n in neighbours:
-        adj[n] |= neighbours
-        adj[n] -= {n, v}
+def _fill(adj: list[int], i: int) -> int:
+    """Edges missing between the neighbours of ``i``."""
+    neighbours = rest = adj[i]
+    present = 0  # twice the edges present
+    while rest:
+        low = rest & -rest
+        present += (adj[low.bit_length() - 1] & neighbours).bit_count()
+        rest ^= low
+    degree = neighbours.bit_count()
+    return (degree * (degree - 1) - present) // 2
 
 
 def legal_ordering(diagram: InfluenceDiagram) -> list[str]:
     """Deterministic legal elimination ordering (first-eliminated first)."""
-    adj = interaction_graph(diagram)
+    names, index, adj = _graph(diagram)
+    # (fill, name) as one integer: fill times n plus the name's rank
+    n, rank = len(names), name_ranks(names)
+    key = [0] * n
+    stale = (1 << n) - 1  # variables whose key must be recounted
     order: list[str] = []
     for block in temporal_partition(diagram).blocks():
-        remaining = list(block)
+        remaining = [index[v] for v in block]
         while remaining:
-            best = min(remaining, key=lambda v: (_fill_count(adj, v), v))
-            order.append(best)
-            eliminate_node(adj, best)
+            for i in remaining:
+                if stale >> i & 1:
+                    key[i] = _fill(adj, i) * n + rank[i]
+                    stale ^= 1 << i
+            best = min(remaining, key=key.__getitem__)
+            order.append(names[best])
             remaining.remove(best)
+            neighbours = eliminate_bit(adj, best)
+            stale |= neighbours
+            if key[best] >= n:
+                # edges were added between the neighbours: the fill of a
+                # variable next to two of them may have fallen
+                around = 0
+                for a in bits(neighbours):
+                    around |= adj[a]
+                for w in bits(around & ~neighbours):
+                    if (adj[w] & neighbours).bit_count() > 1:
+                        stale |= 1 << w
     return order
 
 
@@ -92,9 +153,9 @@ def is_legal_ordering(diagram: InfluenceDiagram, order: list[str]) -> bool:
 
 def induced_width(diagram: InfluenceDiagram, order: list[str]) -> int:
     """Width of the ordering: the largest neighbourhood met when eliminating."""
-    adj = interaction_graph(diagram)
-    width = 0
-    for v in order:
-        width = max(width, len(adj[v]))
-        eliminate_node(adj, v)
-    return width
+    names, index, adj = _graph(diagram)
+    if sorted(order) != sorted(names):
+        raise DiagramError(f"not an ordering of the diagram's variables: {order}")
+    return max(
+        (eliminate_bit(adj, index[v]).bit_count() for v in order), default=0
+    )

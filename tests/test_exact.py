@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -324,6 +326,20 @@ class TestEdgeCases:
         with pytest.raises(GuardExceeded):
             brute_force_meu(d, guard=10)
 
+    def test_guard_counts_cells_beyond_int64(self):
+        # 2**64 cells: a product in int64 wraps to 0 and would pass the guard
+        chance = [f"X{i}" for i in range(64)]
+        data = {
+            "variables": [{"id": x, "kind": "chance", "domain": ["a", "b"]} for x in chance]
+            + [{"id": "D", "kind": "decision", "domain": ["a", "b"]}],
+            "cpts": [{"child": x, "parents": [], "table": [0.5, 0.5]} for x in chance],
+            "utilities": [{"scope": ["D"], "table": [0, 1]}],
+            "decision_order": ["D"],
+            "information_sets": {"D": chance},
+        }
+        with pytest.raises(GuardExceeded):
+            brute_force_meu(from_dict(data), guard=10**6)
+
 
 class TestRandomAgreement:
     @pytest.mark.parametrize("i", range(30))
@@ -395,3 +411,24 @@ class TestRandomAgreement:
                     continue
                 scale = max(1.0, abs(base))
                 assert abs(solve_exact(d, order=shuffled).meu - base) <= 1e-9 * scale
+
+
+def test_exact_outputs_pinned():
+    # 20 diagrams at the benchmark's n = 80 settings: the MEU, the policy, the
+    # default ordering and the evaluated value must not change a bit
+    digest = hashlib.sha256()
+    for seed in range(20):
+        d = generate(
+            GeneratorParams(
+                n_c=75, n_d=5, k=2, p=2, r=5, a=5, utility_class="PM"[seed % 2], seed=seed
+            )
+        )
+        sol = solve_exact(d)
+        rules = sol.policy.rules
+        actions = {v: list(rules[v].actions) for v in sorted(rules)}
+        value = evaluate_policy(d, sol.policy)
+        fields = [sol.meu.hex(), json.dumps(actions), ",".join(legal_ordering(d)), value.hex()]
+        digest.update("|".join(fields).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "4355643c02a75d497c25729bef2bd03df82228f0cb13fdfd4ed78ded16bd2ccd"
+    )

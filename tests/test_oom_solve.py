@@ -571,6 +571,24 @@ def test_illegal_order_rejected(solve, diagram, mutate):
         solve(diagram, order=mutate(legal_ordering(diagram)))
 
 
+NOT_PERMUTATIONS = {
+    "missing": ["Oil", "Drill", "Seismic"],
+    "duplicated": ["Oil", "Drill", "Seismic", "Test", "Oil"],
+    "duplicate in place of one": ["Oil", "Drill", "Seismic", "Oil"],
+    "unknown": ["Oil", "Drill", "Seismic", "Test", "Rain"],
+}
+
+
+@pytest.mark.parametrize("order", NOT_PERMUTATIONS.values(), ids=NOT_PERMUTATIONS.keys())
+def test_width_of_non_permutation_rejected(order):
+    with pytest.raises(DiagramError, match="not an ordering of the diagram's variables"):
+        induced_width(wildcatter(), order)
+
+
+def test_width_of_illegal_permutation():
+    assert induced_width(wildcatter(), ["Test", "Seismic", "Drill", "Oil"]) == 3
+
+
 class TestGuardsAndIO:
     def test_oracle_guard(self):
         d = generate(GeneratorParams(n_c=18, n_d=2, k=2, p=2, r=3, a=3, seed=1))

@@ -1,0 +1,204 @@
+"""The bitset orderings and plans against set-based reference oracles.
+
+The oracles are the set-based min-fill ordering, induced width and
+min-degree planner that the bitset versions replaced: the pair loop that
+recounts every fill at every step, and operands found by scanning scopes.
+Orderings, widths and plans must be equal, including every tie-break.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oomid.diagram import from_dict, temporal_partition, wildcatter
+from oomid.exact import _plan
+from oomid.generator import GeneratorParams, generate
+from oomid.ordering import induced_width, interaction_graph, legal_ordering
+
+
+def oracle_scope_graph(scopes):
+    adj = {}
+    for scope in scopes:
+        for v in scope:
+            adj.setdefault(v, set()).update(scope)
+    for v, neighbours in adj.items():
+        neighbours.discard(v)
+    return adj
+
+
+def oracle_interaction_graph(diagram):
+    scopes = [(v.id,) for v in diagram.variables]
+    scopes += [cpt.scope for cpt in diagram.cpts]
+    scopes += [u.scope for u in diagram.utilities]
+    scopes += [(d,) + tuple(ps) for d, ps in diagram.information_sets.items()]
+    return oracle_scope_graph(scopes)
+
+
+def oracle_fill_count(adj, v):
+    neighbours = list(adj[v])
+    missing = 0
+    for i, a in enumerate(neighbours):
+        for b in neighbours[i + 1 :]:
+            if b not in adj[a]:
+                missing += 1
+    return missing
+
+
+def oracle_eliminate_node(adj, v):
+    neighbours = adj.pop(v)
+    for n in neighbours:
+        adj[n] |= neighbours
+        adj[n] -= {n, v}
+
+
+def oracle_legal_ordering(diagram):
+    adj = oracle_interaction_graph(diagram)
+    order = []
+    for block in temporal_partition(diagram).blocks():
+        remaining = list(block)
+        while remaining:
+            best = min(remaining, key=lambda v: (oracle_fill_count(adj, v), v))
+            order.append(best)
+            oracle_eliminate_node(adj, best)
+            remaining.remove(best)
+    return order
+
+
+def oracle_induced_width(diagram, order):
+    adj = oracle_interaction_graph(diagram)
+    width = 0
+    for v in order:
+        width = max(width, len(adj[v]))
+        oracle_eliminate_node(adj, v)
+    return width
+
+
+def oracle_plan(diagram, scopes):
+    """(steps, roots, max_cells) of greedy min-degree, ties by name."""
+    order_key = {v.id: i for i, v in enumerate(diagram.variables)}
+    scopes = list(scopes)
+    graph = oracle_scope_graph(scopes)
+    live = list(range(len(scopes)))
+    steps = []
+    while graph:
+        y = min(graph, key=lambda v: (len(graph[v]), v))
+        oracle_eliminate_node(graph, y)
+        operands = tuple(s for s in live if y in scopes[s])
+        live = [s for s in live if y not in scopes[s]]
+        union = tuple(
+            sorted({v for s in operands for v in scopes[s]}, key=order_key.__getitem__)
+        )
+        steps.append((operands, union, y))
+        live.append(len(scopes))
+        scopes.append(tuple(v for v in union if v != y))
+    max_cells = max(
+        (math.prod(diagram.domain_sizes(union)) for _, union, _ in steps), default=1
+    )
+    return tuple(steps), tuple(live), max_cells
+
+
+def evaluator_scopes(diagram):
+    """The scopes ``PolicyEvaluator`` plans over, one list per utility."""
+    policies = [
+        tuple(diagram.information_sets.get(d, ())) + (d,) for d in diagram.decision_vars
+    ]
+    scopes = [c.scope for c in diagram.cpts] + policies
+    return [scopes + [u.scope] for u in diagram.utilities]
+
+
+def assert_matches_oracles(diagram):
+    order = legal_ordering(diagram)
+    assert order == oracle_legal_ordering(diagram)
+    assert induced_width(diagram, order) == oracle_induced_width(diagram, order)
+    assert interaction_graph(diagram) == oracle_interaction_graph(diagram)
+    for scopes in evaluator_scopes(diagram):
+        plan = _plan(diagram, scopes)
+        assert (plan.steps, plan.roots, plan.max_cells) == oracle_plan(diagram, scopes)
+
+
+def generated(i: int) -> GeneratorParams:
+    # n = 10..80, k = 2..4, both classes; three in four at n <= 40, where
+    # the oracles are fast, and domains of 4 only there
+    if i % 4 == 0:
+        n, k = 80 - (i * 37) % 71, 2 + (i // 8) % 2
+    else:
+        n, k = 10 + (i * 37) % 31, 2 + i % 3
+    n_d = 1 + i % 5
+    return GeneratorParams(
+        n_c=n - n_d, n_d=n_d, k=k, p=1 + i % 3, r=min(5, n - n_d),
+        a=1 + i % 5, utility_class="PM"[(i // 4 + i) % 2], seed=7000 + i,
+    )
+
+
+def test_generated_diagrams_match_oracles():
+    for i in range(200):
+        assert_matches_oracles(generate(generated(i)))
+
+
+def test_wildcatter_matches_oracles():
+    assert_matches_oracles(wildcatter())
+
+
+@st.composite
+def diagrams(draw):
+    """Random small diagrams whose names mix one and two digits (X2 sorts
+    after X10), listed in an order unrelated to their names."""
+    numbers = draw(st.lists(st.integers(0, 30), min_size=2, max_size=12, unique=True))
+    names = [f"X{i}" for i in numbers]
+    decisions = set(draw(st.lists(st.sampled_from(names), max_size=3, unique=True)))
+    variables, cpts = [], []
+    info = {}
+    for pos, v in enumerate(names):
+        parents = draw(st.lists(st.sampled_from(names[:pos]), max_size=3, unique=True)) if pos else []
+        k = draw(st.integers(2, 3))
+        kind = "decision" if v in decisions else "chance"
+        variables.append({"id": v, "kind": kind, "domain": [f"v{j}" for j in range(k)]})
+        if v in decisions:
+            info[v] = parents
+        else:
+            cells = k * math.prod(len(variables[names.index(p)]["domain"]) for p in parents)
+            cpts.append({"child": v, "parents": parents, "table": [1 / k] * cells})
+    utilities = []
+    for _ in range(draw(st.integers(1, 3))):
+        scope = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+        cells = math.prod(len(variables[names.index(v)]["domain"]) for v in scope)
+        utilities.append({"scope": scope, "table": [1.0] * cells})
+    data = {
+        "variables": variables,
+        "cpts": cpts,
+        "utilities": utilities,
+        "decision_order": [v for v in names if v in decisions],
+        "information_sets": info,
+    }
+    return draw(st.permutations(range(len(names)))), data
+
+
+@settings(max_examples=100)
+@given(diagrams())
+def test_random_diagrams_match_oracles(case):
+    permutation, data = case
+    data["variables"] = [data["variables"][i] for i in permutation]
+    assert_matches_oracles(from_dict(data))
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_random_scope_lists_plan_like_oracle(data):
+    numbers = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=14, unique=True))
+    names = [f"X{i}" for i in numbers]
+    variables = [
+        {"id": v, "kind": "chance", "domain": ["a", "b", "c"][: 2 + i % 2]}
+        for i, v in enumerate(names)
+    ]
+    diagram = from_dict(
+        {"variables": variables, "cpts": [], "utilities": [], "decision_order": []}
+    )
+    scopes = data.draw(
+        st.lists(
+            st.lists(st.sampled_from(names), min_size=1, max_size=5, unique=True).map(tuple),
+            max_size=12,
+        )
+    )
+    plan = _plan(diagram, scopes)
+    assert (plan.steps, plan.roots, plan.max_cells) == oracle_plan(diagram, scopes)
