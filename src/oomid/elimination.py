@@ -1,25 +1,26 @@
-"""Bucket elimination shared by the exact and the order-of-magnitude solver.
+"""Bucket elimination shared by the exact solver, its policy evaluator and
+the order-of-magnitude solver.
 
 A ``Factor`` is a scope and a numeric table with one axis per scope
 variable, after any leading axes the table's encoding needs: float
-probabilities and utilities for a numeric diagram; for a qualitative one,
-probability orders and utility sets encoded as ``oom_solve`` describes.
-``eliminate`` encodes every probability factor (lambda) and utility factor
-(theta) with the solver's encoders, puts each into the bucket of its
-earliest variable in the ordering, runs the algebra's chance or decision
-step on each bucket in turn, and puts each message into a later bucket the
-same way; messages over no variable are the root results.  Only the two
-steps and the encoders know the algebra.
+probabilities and utilities for a numeric diagram, with a leading batch
+axis once a table depends on the policies being evaluated; for a
+qualitative one, probability orders and utility sets encoded as
+``oom_solve`` describes.  ``encoded`` turns CPTs or utilities into factors
+with a solver's encoder.  ``eliminate`` puts each probability factor
+(lambda) and utility factor (theta) into the bucket of its earliest
+variable in a legal ordering, runs the algebra's chance or decision step on
+each bucket in turn, and puts each message into a later bucket the same
+way; messages over no variable are the root results.  Only the two steps
+and the encoders know the algebra.
 
 ``product`` is the one contraction kernel: it aligns tables over a scope
 and folds them left to right, by multiplication unless told otherwise;
-``fold`` does so over the union of the tables' scopes, which is how both
-solvers' steps combine a bucket.  Every step of the exact solver and of
-its policy evaluator runs through it; the evaluator's tables carry a
-leading batch axis, which ``align`` keeps.  ``align`` looks each target
+``fold`` does so over the union of the tables' scopes, which is how every
+step combines a bucket.  ``align`` keeps leading axes, looks each target
 variable's axis up in one position table per target scope, takes each
-axis's size from the table's own shape, and transposes only when the
-scope is out of the target's order.
+axis's size from the table's own shape, and transposes only when the scope
+is out of the target's order.
 """
 
 from __future__ import annotations
@@ -102,29 +103,36 @@ def resolve_order(diagram: InfluenceDiagram, order: list[str] | None) -> list[st
 
 @dataclass
 class Elimination:
-    root_lambdas: list[np.ndarray]  # 0-d tables, in the order they arrived
+    root_lambdas: list[np.ndarray]  # tables over no variable, in the order they arrived
     root_thetas: list[np.ndarray]
     rules: dict[str, Factor]
     max_cells: int  # cells of the largest message scope
 
 
+def encoded(
+    diagram: InfluenceDiagram, functions: Sequence, encode: Callable[[tuple], np.ndarray]
+) -> list[Factor]:
+    """CPTs or utilities as factors, ``encode`` turning a function's
+    row-major entries into a table whose last axis runs over them."""
+    return [factor(diagram, fn.scope, encode(fn.table)) for fn in functions]
+
+
 def eliminate(
     diagram: InfluenceDiagram,
-    order: list[str] | None,
+    order: list[str],
+    lambdas: Sequence[Factor],
+    thetas: Sequence[Factor],
     chance_step: Callable[..., tuple],
     decision_step: Callable[..., tuple],
-    encode: tuple[Callable[[tuple], np.ndarray], Callable[[tuple], np.ndarray]],
 ) -> Elimination:
-    """Run the buckets along ``order`` (the default legal ordering if None).
+    """Run the buckets of the probability (``lambdas``) and utility
+    (``thetas``) factors along the legal ordering ``order``.
 
-    ``encode`` holds the solver's encoders of a CPT's and of a utility's
-    row-major entries: each returns a table whose last axis runs over them.
     Both steps get ``(diagram, order_key, variable, lambdas, thetas)``.  The
     chance step returns the lambda and the theta message, the decision step
     also the decision's rule as a factor over the theta message's scope; a
     message may be None.
     """
-    order = resolve_order(diagram, order)
     order_key = {v: i for i, v in enumerate(order)}
     buckets: list[tuple[list[Factor], list[Factor]]] = [([], []) for _ in order]
 
@@ -132,9 +140,9 @@ def eliminate(
         pos = min(order_key[v] for v in f.scope)
         buckets[pos][kind].append(f)
 
-    for kind, functions in enumerate((diagram.cpts, diagram.utilities)):
-        for fn in functions:
-            place(factor(diagram, fn.scope, encode[kind](fn.table)), kind)
+    for kind, factors in enumerate((lambdas, thetas)):
+        for f in factors:
+            place(f, kind)
 
     result = Elimination([], [], {}, 0)
     roots = (result.root_lambdas, result.root_thetas)

@@ -9,26 +9,27 @@ zero).  The decision step maximizes the utility, keeps the first
 maximizing action in domain order, and asserts that the probability part
 is constant in the decision.
 
-``PolicyEvaluator`` scores fixed policies.  The scopes of its factors do
-not depend on the policy, so it plans the elimination of every variable
-once per diagram and utility (greedy min-degree, ties by name, on the
-neighbour bitmasks of ``ordering``); each step of the plan is one
-``product`` over that step's tables, summed over the eliminated variable.  ``evaluate_many`` runs the plan for a batch of
-policies at once: every table has a leading batch axis, of length one for
-CPTs and utilities and one per policy for the one-hot decision tables.
-The batch is a ``PolicyBatch``, per decision an (s, cells) array of action
-indices, checked once per decision; a list of ``Policy`` is stacked into
-one first.  ``evaluate`` and ``evaluate_policy`` are batches of one.
-``brute_force_meu`` enumerates every policy with its own evaluation, as an
-independent oracle for testing.
+``PolicyEvaluator`` scores fixed policies on the same driver: per utility,
+one sum-product over the CPTs and that utility along a legal ordering of
+the diagram's non-forgetting closure.  A chance step sums its variable
+out; a decision step selects each policy's action along the decision's
+axis where the solver takes the max.  Tables gain a leading batch axis,
+one entry per policy, only at the first decision bucket, so everything
+eliminated before it is computed once for the whole batch.
+``evaluate_many`` takes a ``PolicyBatch``, per decision an (s, cells)
+array of action indices, checked once per decision; a list of ``Policy``
+is stacked into one first.  ``evaluate`` and ``evaluate_policy`` are
+batches of one.  ``brute_force_meu`` enumerates every policy and scores
+each with ``policy_value``, an independent oracle for testing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -40,18 +41,20 @@ from .diagram import (
     Policy,
     PolicyBatch,
     PolicyRule,
+    apply_nonforgetting,
     require_valid,
 )
 from .elimination import (
     Factor,
     align,
     eliminate,
+    encoded,
     expand_rule,
-    factor,
     fold,
     product,
+    resolve_order,
 )
-from .ordering import bits, eliminate_bit, name_ranks, neighbour_masks, scope_mask
+from .ordering import largest_bucket, legal_ordering
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,14 @@ def solve_exact(
 ) -> ExactSolution:
     """Maximum expected utility and one optimal policy (first-action ties)."""
     require_valid(diagram, qualitative=False)
-    run = eliminate(diagram, order, _chance_step, _decision_step, (_floats, _floats))
+    run = eliminate(
+        diagram,
+        resolve_order(diagram, order),
+        encoded(diagram, diagram.cpts, _floats),
+        encoded(diagram, diagram.utilities, _floats),
+        _chance_step,
+        _decision_step,
+    )
     for lam in run.root_lambdas:
         assert np.isclose(float(lam), 1.0), (
             f"final probability mass is {float(lam)}, expected 1"
@@ -139,72 +149,41 @@ def _decision_step(diagram, order_key, y, lambdas, thetas):
     return lam_msg, theta_msg, Factor(theta_msg.scope, actions)
 
 
-# Cells of the largest step table of one chunk of policies: broadcasting
-# materialises the product over a step's whole union scope, the summed
-# variable included.  Bounds the memory of ``evaluate_many`` (32 MiB of
+# Cells of the largest table of one chunk of policies: every table of the
+# evaluator's elimination spans at most one bucket, and carries at most one
+# entry per policy.  Bounds the memory of ``evaluate_many`` (32 MiB of
 # float64 per table) for any number of policies.
 _CHUNK_CELLS = 1 << 22
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """Bucket elimination of every variable from one utility's factors.
-
-    Slots number the tables: the CPTs, one policy factor per decision and
-    the utility, then the result of each step in turn.  A step multiplies
-    its operand slots in order over their union scope and sums out one
-    variable.  The product of the ``roots`` tables is the expected utility.
-    """
-
-    steps: tuple[tuple[tuple[int, ...], tuple[str, ...], str], ...]
-    roots: tuple[int, ...]
-    max_cells: int  # largest step union per policy
+def _sum_step(diagram, order_key, y, lambdas, thetas):
+    """Sum ``y`` out of the bucket's product; the message carries the
+    utility if the bucket does."""
+    f = fold(lambdas + thetas, order_key)
+    i = f.scope.index(y)
+    msg = Factor(f.scope[:i] + f.scope[i + 1 :], f.table.sum(axis=i - len(f.scope)))
+    return (None, msg) if thetas else (msg, None)
 
 
-def _plan(diagram: InfluenceDiagram, scopes: list[tuple[str, ...]]) -> _Plan:
-    """Plan the elimination of every variable in ``scopes``.
-
-    The order is greedy min-degree on the graph of the scopes, ties broken
-    by name: the variable whose factors span the fewest variables goes
-    next.  Eliminating a variable joins its neighbours, as the message over
-    them does.  Scopes are bitmasks over ``diagram.variables``, so a step's
-    operands and union are read off bits, in the diagram's variable order.
-    """
-    names = [v.id for v in diagram.variables]
-    index = {v: i for i, v in enumerate(names)}
-    masks = [scope_mask(s, index) for s in scopes]
-    graph = neighbour_masks(len(names), masks)
-    # (degree, name) as one integer: degree times n plus the name's rank
-    n, rank = len(names), name_ranks(names)
-    key = [graph[i].bit_count() * n + rank[i] for i in range(n)]
-    holders = [0] * n  # per variable, the slots whose scope holds it
-    for s, mask in enumerate(masks):
-        for v in bits(mask):
-            holders[v] |= 1 << s
-    remaining = [v for v in range(n) if holders[v]]
-    sizes = [len(v.domain) for v in diagram.variables]
-    consumed, max_cells = 0, 1
-    steps = []
-    while remaining:
-        y = min(remaining, key=key.__getitem__)
-        remaining.remove(y)
-        for a in bits(eliminate_bit(graph, y)):
-            key[a] = graph[a].bit_count() * n + rank[a]
-        taken = holders[y]
-        consumed |= taken
-        operands = bits(taken)
-        union = 0
-        for s in operands:
-            union |= masks[s]
-        members = bits(union)
-        new = 1 << len(masks)
-        for v in members:
-            holders[v] = holders[v] & ~taken | new
-        steps.append((tuple(operands), tuple(names[v] for v in members), names[y]))
-        max_cells = max(max_cells, math.prod(sizes[v] for v in members))
-        masks.append(union & ~(1 << y))
-    roots = (1 << len(masks)) - 1 & ~consumed
-    return _Plan(tuple(steps), tuple(bits(roots)), max_cells)
+def _select_step(rules, diagram, order_key, y, lambdas, thetas):
+    """Take each policy's action out of the bucket's product: along ``y``,
+    at the entry its rule gives for the decision's information set."""
+    if not lambdas and not thetas:
+        return None, None, None
+    rule = rules[y]
+    scope = tuple(
+        sorted(
+            {v for f in lambdas + thetas for v in f.scope} | set(rule.scope),
+            key=order_key.__getitem__,
+        )
+    )
+    table = product(lambdas + thetas, scope)
+    if table.ndim == len(scope):
+        table = table[np.newaxis]
+    i = scope.index(y)
+    chosen = np.take_along_axis(table, align(rule, scope), 1 + i).squeeze(1 + i)
+    msg = Factor(scope[:i] + scope[i + 1 :], chosen)
+    return (None, msg, None) if thetas else (msg, None, None)
 
 
 def _stack(diagram: InfluenceDiagram, policies: Sequence[Policy]) -> PolicyBatch:
@@ -232,29 +211,20 @@ def _stack(diagram: InfluenceDiagram, policies: Sequence[Policy]) -> PolicyBatch
 class PolicyEvaluator:
     """Exact policy evaluation with the diagram-side work done once.
 
-    The factor scopes do not depend on the policy, so the elimination is
-    planned once per utility.  ``evaluate_many`` builds one-hot decision
-    tables from a batch's action arrays, with the policies along a leading
-    axis, and runs each plan for all of them at once, in chunks sized so
-    that the largest table stays bounded.
+    The ordering, the encoded tables and the chunk size depend on the
+    diagram only.  A forgetting diagram is ordered and eliminated as its
+    non-forgetting closure, which only adds observations: each decision
+    still goes before everything its rule reads.
     """
 
     def __init__(self, diagram: InfluenceDiagram):
         require_valid(diagram, qualitative=False)
         self._diagram = diagram
-
-        def batch_of_one(fn) -> Factor:
-            return factor(diagram, fn.scope, _floats(fn.table)[np.newaxis])
-
-        self._cpts = [batch_of_one(c) for c in diagram.cpts]
-        self._utilities = [batch_of_one(u) for u in diagram.utilities]
-        self._policy_scopes = [
-            tuple(diagram.information_sets.get(d, ())) + (d,)
-            for d in diagram.decision_vars
-        ]
-        scopes = [c.scope for c in diagram.cpts] + self._policy_scopes
-        self._plans = [_plan(diagram, scopes + [u.scope]) for u in diagram.utilities]
-        largest = max((plan.max_cells for plan in self._plans), default=1)
+        self._closure = apply_nonforgetting(diagram)
+        self._order = legal_ordering(self._closure)
+        self._cpts = encoded(diagram, diagram.cpts, _floats)
+        self._utilities = encoded(diagram, diagram.utilities, _floats)
+        largest = largest_bucket(self._closure, self._order)
         self._chunk = max(1, _CHUNK_CELLS // largest)
 
     def evaluate(self, policy: Policy) -> float:
@@ -264,52 +234,43 @@ class PolicyEvaluator:
         """Expected utility of each policy, in order."""
         if not isinstance(policies, PolicyBatch):
             policies = _stack(self._diagram, policies)
-        actions = [self._checked(policies, scope) for scope in self._policy_scopes]
+        rules = {d: self._checked(policies, d) for d in self._diagram.decision_vars}
         values: list[float] = []
         for start in range(0, policies.size, self._chunk):
             stop = min(start + self._chunk, policies.size)
-            policy_factors = [
-                Factor(scope, self._one_hot(a[start:stop], scope))
-                for a, scope in zip(actions, self._policy_scopes)
-            ]
+            chunk = {d: Factor(r.scope, r.table[start:stop]) for d, r in rules.items()}
+            select = functools.partial(_select_step, chunk)
             total = np.zeros(stop - start)
-            for plan, utility in zip(self._plans, self._utilities):
-                total += self._run(plan, self._cpts + policy_factors + [utility])
+            for utility in self._utilities:
+                run = eliminate(
+                    self._closure, self._order, self._cpts, [utility], _sum_step, select
+                )
+                value = run.root_thetas[0]
+                for lam in run.root_lambdas:
+                    value = value * lam
+                total += value
             values.extend(total.tolist())
         return values
 
-    def _checked(self, batch: PolicyBatch, scope: tuple[str, ...]) -> np.ndarray:
-        """The batch's actions for the decision of a policy ``scope``, after
-        checking their information set, shape, type and range."""
-        d, info = scope[-1], scope[:-1]
+    def _checked(self, batch: PolicyBatch, d: str) -> Factor:
+        """The batch's rule for decision ``d`` as a factor over its
+        information set, with a leading batch axis, after checking the set
+        and the actions' shape, type and range."""
+        info = tuple(self._diagram.information_sets.get(d, ()))
         if d not in batch.actions or d not in batch.scopes:
             raise DiagramError(f"policy has no rule for decision {d}")
         if tuple(batch.scopes[d]) != info:
             raise DiagramError(f"rule for {d} is over {batch.scopes[d]}, expected {info}")
         actions = np.asarray(batch.actions[d])
-        *sizes, k = self._diagram.domain_sizes(scope)
+        k = len(self._diagram.domain(d))
+        sizes = self._diagram.domain_sizes(info)
         if actions.shape != (batch.size, math.prod(sizes)):
             raise DiagramError(f"rule for {d} is incomplete")
         if actions.dtype.kind not in "iu" or (
             actions.size and not (0 <= actions.min() and actions.max() < k)
         ):
             raise DiagramError(f"rule for {d} has an action outside 0..{k - 1}")
-        return actions
-
-    def _one_hot(self, actions: np.ndarray, scope: tuple[str, ...]) -> np.ndarray:
-        shape = self._diagram.domain_sizes(scope)
-        table = np.zeros(actions.shape + shape[-1:])
-        table[np.arange(len(actions))[:, None], np.arange(actions.shape[1]), actions] = 1.0
-        return table.reshape((len(actions),) + shape)
-
-    def _run(self, plan: _Plan, tables: list[Factor]) -> np.ndarray:
-        for operands, union, y in plan.steps:
-            table = product([tables[s] for s in operands], union)
-            table = table.sum(axis=1 + union.index(y))
-            for s in operands:
-                tables[s] = None  # each table feeds one step; free it
-            tables.append(Factor(tuple(v for v in union if v != y), table))
-        return product([tables[s] for s in plan.roots], ())
+        return Factor(info, actions.reshape((batch.size,) + sizes))
 
 
 def evaluate_policy(diagram: InfluenceDiagram, policy: Policy) -> float:
@@ -325,6 +286,43 @@ def _policy_space(diagram: InfluenceDiagram) -> list[tuple[str, tuple[str, ...],
         n_cells = math.prod(diagram.domain_sizes(info))
         out.append((d, info, n_cells, len(diagram.domain(d))))
     return out
+
+
+def policy_value(diagram: InfluenceDiagram, actions: Mapping[str, Sequence[int]]) -> float:
+    """Expected utility of the policy whose rule for each decision ``d`` is
+    ``actions[d]``, row-major over its information set: the sum over every
+    configuration of the chance variables, the decisions set by the rules.
+    """
+    chance = [v for v in diagram.variables if v.kind is Kind.CHANCE]
+    total = 0.0
+    for chance_config in itertools.product(*[range(len(v.domain)) for v in chance]):
+        assignment: dict[str, int] = {v.id: val for v, val in zip(chance, chance_config)}
+        for d in diagram.decision_order:
+            if d in assignment:
+                continue
+            info = tuple(diagram.information_sets.get(d, ()))
+            idx = 0
+            for p in info:
+                idx = idx * len(diagram.domain(p)) + assignment[p]
+            assignment[d] = actions[d][idx]
+        prob = 1.0
+        for cpt in diagram.cpts:
+            pos = 0
+            for s in cpt.scope:
+                pos = pos * len(diagram.domain(s)) + assignment[s]
+            prob *= cpt.table[pos]
+            if prob == 0.0:
+                break
+        if prob == 0.0:
+            continue
+        util = 0.0
+        for u in diagram.utilities:
+            pos = 0
+            for s in u.scope:
+                pos = pos * len(diagram.domain(s)) + assignment[s]
+            util += u.table[pos]
+        total += prob * util
+    return total
 
 
 def brute_force_meu(
@@ -347,46 +345,6 @@ def brute_force_meu(
                 f"policy space exceeds the brute-force guard of {guard}"
             )
 
-    chance = [v for v in diagram.variables if v.kind is Kind.CHANCE]
-    var_index = {v.id: i for i, v in enumerate(diagram.variables)}
-    cpts = list(diagram.cpts)
-    utils = list(diagram.utilities)
-
-    def eu(policy_actions: dict[str, tuple[int, ...]]) -> float:
-        total = 0.0
-        for chance_config in itertools.product(
-            *[range(len(v.domain)) for v in chance]
-        ):
-            assignment: dict[str, int] = {
-                v.id: val for v, val in zip(chance, chance_config)
-            }
-            for d in diagram.decision_order:
-                if d in assignment:
-                    continue
-                info = tuple(diagram.information_sets.get(d, ()))
-                idx = 0
-                for p in info:
-                    idx = idx * len(diagram.domain(p)) + assignment[p]
-                assignment[d] = policy_actions[d][idx]
-            prob = 1.0
-            for cpt in cpts:
-                pos = 0
-                for s in cpt.scope:
-                    pos = pos * len(diagram.domain(s)) + assignment[s]
-                prob *= cpt.table[pos]
-                if prob == 0.0:
-                    break
-            if prob == 0.0:
-                continue
-            util = 0.0
-            for u in utils:
-                pos = 0
-                for s in u.scope:
-                    pos = pos * len(diagram.domain(s)) + assignment[s]
-                util += u.table[pos]
-            total += prob * util
-        return total
-
     def all_policies():
         per_decision_tables = [
             itertools.product(range(k), repeat=n_cells) for _, _, n_cells, k in space
@@ -394,7 +352,7 @@ def brute_force_meu(
         for combo in itertools.product(*per_decision_tables):
             yield {space[i][0]: combo[i] for i in range(len(space))}
 
-    values = [eu(actions) for actions in all_policies()]
+    values = [policy_value(diagram, actions) for actions in all_policies()]
     best = max(values)
     tol = 1e-9 * max(1.0, abs(best))
     winners = []

@@ -43,6 +43,7 @@ from .elimination import (
     Factor,
     align,
     eliminate,
+    encoded,
     expand_rule,
     factor,
     fold,
@@ -73,7 +74,6 @@ class PolicySet:
 
     decisions: tuple[str, ...]
     scopes: Mapping[str, tuple[str, ...]]
-    action_counts: Mapping[str, int]
     cells: Mapping[str, tuple[frozenset[int], ...]]  # row-major over scope
     # decode tables: each cell's actions in ascending order, padded, as a
     # (cells, k) table; each cell's radix, run and place value in its run;
@@ -302,7 +302,12 @@ def elim_oom_id(
 ) -> OOMSolution:
     require_valid(diagram, qualitative=True)
     run = eliminate(
-        diagram, order, _chance_step, _decision_step, (encode_orders, encode_sets)
+        diagram,
+        resolve_order(diagram, order),
+        encoded(diagram, diagram.cpts, encode_orders),
+        encoded(diagram, diagram.utilities, encode_sets),
+        _chance_step,
+        _decision_step,
     )
     roots = run.root_thetas
     meu = decode_set(sum_ends(np.stack(roots, -1), 0)) if roots else ZERO_SET
@@ -370,7 +375,6 @@ def _expand_policy_set(
     return PolicySet(
         decisions=tuple(diagram.decision_order),
         scopes=scopes,
-        action_counts={d: len(diagram.domain(d)) for d in diagram.decision_vars},
         cells=cells,
     )
 

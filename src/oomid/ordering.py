@@ -8,20 +8,21 @@ picks it, with ties broken by variable name (as strings) for determinism.
 
 The graph is one integer bitmask per variable, bit i standing for the i-th
 variable of ``diagram.variables``: the variable's neighbours.  Fill is
-counted with ``int.bit_count`` over masks, and ``eliminate_bit`` is the one
-graph update, shared with the policy-evaluation planner.  ``legal_ordering``
-keeps each variable's fill and recounts it only when an elimination can
-have changed it: eliminating u touches only u's neighbours and theirs.
+counted with ``int.bit_count`` over masks, and ``_eliminate`` is the one
+graph update.  ``legal_ordering`` keeps each variable's fill and recounts
+it only when an elimination can have changed it: eliminating u touches
+only u's neighbours and theirs.  ``induced_width`` and ``largest_bucket``
+read the neighbourhoods of one walk along a given ordering.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import math
 
 from .diagram import DiagramError, InfluenceDiagram, temporal_partition
 
 
-def bits(mask: int) -> list[int]:
+def _bits(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
     out = []
     while mask:
@@ -31,38 +32,13 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def scope_mask(scope: Iterable[str], index: dict[str, int]) -> int:
-    mask = 0
-    for v in scope:
-        mask |= 1 << index[v]
-    return mask
-
-
-def name_ranks(names: list[str]) -> list[int]:
-    """Each name's position among ``names`` sorted as strings."""
-    rank = [0] * len(names)
-    for r, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
-        rank[i] = r
-    return rank
-
-
-def neighbour_masks(size: int, scopes: Iterable[int]) -> list[int]:
-    """Per variable, the mask of the variables sharing a scope with it;
-    scopes are masks over ``size`` variables."""
-    adj = [0] * size
-    for scope in scopes:
-        for i in bits(scope):
-            adj[i] |= scope
-    return [mask & ~(1 << i) for i, mask in enumerate(adj)]
-
-
-def eliminate_bit(adj: list[int], i: int) -> int:
+def _eliminate(adj: list[int], i: int) -> int:
     """Remove variable ``i`` from the graph and connect its neighbours;
     return its neighbour mask."""
     neighbours = adj[i]
     adj[i] = 0
     gone = 1 << i
-    for a in bits(neighbours):
+    for a in _bits(neighbours):
         adj[a] = (adj[a] | neighbours) & ~(gone | 1 << a)
     return neighbours
 
@@ -75,14 +51,20 @@ def _graph(diagram: InfluenceDiagram) -> tuple[list[str], dict[str, int], list[i
     scopes = [cpt.scope for cpt in diagram.cpts]
     scopes += [u.scope for u in diagram.utilities]
     scopes += [(d,) + tuple(ps) for d, ps in diagram.information_sets.items()]
-    adj = neighbour_masks(len(names), (scope_mask(s, index) for s in scopes))
-    return names, index, adj
+    adj = [0] * len(names)
+    for scope in scopes:
+        mask = 0
+        for v in scope:
+            mask |= 1 << index[v]
+        for i in _bits(mask):
+            adj[i] |= mask
+    return names, index, [mask & ~(1 << i) for i, mask in enumerate(adj)]
 
 
 def interaction_graph(diagram: InfluenceDiagram) -> dict[str, set[str]]:
     """Undirected graph connecting every pair of variables sharing a factor."""
     names, _, adj = _graph(diagram)
-    return {v: {names[j] for j in bits(adj[i])} for i, v in enumerate(names)}
+    return {v: {names[j] for j in _bits(adj[i])} for i, v in enumerate(names)}
 
 
 def _fill(adj: list[int], i: int) -> int:
@@ -101,7 +83,10 @@ def legal_ordering(diagram: InfluenceDiagram) -> list[str]:
     """Deterministic legal elimination ordering (first-eliminated first)."""
     names, index, adj = _graph(diagram)
     # (fill, name) as one integer: fill times n plus the name's rank
-    n, rank = len(names), name_ranks(names)
+    n = len(names)
+    rank = [0] * n
+    for r, i in enumerate(sorted(range(n), key=names.__getitem__)):
+        rank[i] = r
     key = [0] * n
     stale = (1 << n) - 1  # variables whose key must be recounted
     order: list[str] = []
@@ -115,15 +100,15 @@ def legal_ordering(diagram: InfluenceDiagram) -> list[str]:
             best = min(remaining, key=key.__getitem__)
             order.append(names[best])
             remaining.remove(best)
-            neighbours = eliminate_bit(adj, best)
+            neighbours = _eliminate(adj, best)
             stale |= neighbours
             if key[best] >= n:
                 # edges were added between the neighbours: the fill of a
                 # variable next to two of them may have fallen
                 around = 0
-                for a in bits(neighbours):
+                for a in _bits(neighbours):
                     around |= adj[a]
-                for w in bits(around & ~neighbours):
+                for w in _bits(around & ~neighbours):
                     if (adj[w] & neighbours).bit_count() > 1:
                         stale |= 1 << w
     return order
@@ -134,13 +119,8 @@ def is_legal_ordering(diagram: InfluenceDiagram, order: list[str]) -> bool:
     if sorted(order) != sorted(v.id for v in diagram.variables):
         return False
     position = {v: i for i, v in enumerate(reversed(order))}
-    partition = temporal_partition(diagram)
-    blocks_in_time = [partition.initial]
-    for d, revealed in partition.stages:
-        blocks_in_time.append((d,))
-        blocks_in_time.append(revealed)
     upper = -1
-    for block in blocks_in_time:
+    for block in reversed(temporal_partition(diagram).blocks()):
         if not block:
             continue
         lo = min(position[v] for v in block)
@@ -151,11 +131,33 @@ def is_legal_ordering(diagram: InfluenceDiagram, order: list[str]) -> bool:
     return True
 
 
-def induced_width(diagram: InfluenceDiagram, order: list[str]) -> int:
-    """Width of the ordering: the largest neighbourhood met when eliminating."""
+def _neighbourhoods(
+    diagram: InfluenceDiagram, order: list[str]
+) -> tuple[dict[str, int], list[int]]:
+    """The variables' bit indices, and the neighbour mask each variable of
+    ``order`` has when it is eliminated."""
     names, index, adj = _graph(diagram)
     if sorted(order) != sorted(names):
         raise DiagramError(f"not an ordering of the diagram's variables: {order}")
+    return index, [_eliminate(adj, index[v]) for v in order]
+
+
+def induced_width(diagram: InfluenceDiagram, order: list[str]) -> int:
+    """Width of the ordering: the largest neighbourhood met when eliminating."""
+    _, masks = _neighbourhoods(diagram, order)
+    return max((mask.bit_count() for mask in masks), default=0)
+
+
+def largest_bucket(diagram: InfluenceDiagram, order: list[str]) -> int:
+    """Cells of the largest bucket along the ordering: a variable and its
+    neighbours when it is eliminated.  Every table of the elimination,
+    messages and decision rules included, spans at most these."""
+    index, masks = _neighbourhoods(diagram, order)
+    sizes = [len(v.domain) for v in diagram.variables]
     return max(
-        (eliminate_bit(adj, index[v]).bit_count() for v in order), default=0
+        (
+            sizes[index[v]] * math.prod(sizes[j] for j in _bits(mask))
+            for v, mask in zip(order, masks)
+        ),
+        default=1,
     )

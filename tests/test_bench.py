@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +175,25 @@ class TestCsv:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "7945bfb194cbfc0f34df8a332dd66231eddb52a621f66fec821c92d927b804e0"
         )
+
+
+def load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = load_tracing()
+
+
+@pytest.mark.parametrize(
+    "path, attr",
+    [(path, attr) for path, attr, _ in TRACING.SPANS + TRACING.COUNTS],
+    ids=lambda x: x,
+)
+def test_traced_names_exist(path, attr):
+    # the traced benchmark run replaces each of these names in its owner's
+    # namespace and fails outright when one has gone
+    assert attr in TRACING._resolve(path).__dict__

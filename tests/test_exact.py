@@ -13,6 +13,7 @@ from oomid.diagram import (
     Policy,
     PolicyBatch,
     PolicyRule,
+    apply_nonforgetting,
     from_dict,
     to_dict,
     wildcatter,
@@ -21,11 +22,12 @@ from oomid.exact import (
     PolicyEvaluator,
     brute_force_meu,
     evaluate_policy,
+    policy_value,
     solve_exact,
 )
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
-from oomid.ordering import is_legal_ordering, legal_ordering
+from oomid.ordering import is_legal_ordering, largest_bucket, legal_ordering
 
 
 def wildcatter_policy(diagram, test_action, drill_actions):
@@ -192,6 +194,33 @@ class TestEdgeCases:
         )
         assert evaluate_policy(d, policy) == pytest.approx(3.0)
 
+    def test_utility_without_decision_scores_every_policy(self):
+        # D's bucket is empty: no table ever gains a batch axis, and the
+        # batch still gets one value per policy
+        data = {
+            "variables": [
+                {"id": "X", "kind": "chance", "domain": ["a", "b"]},
+                {"id": "Y", "kind": "chance", "domain": ["a", "b"]},
+                {"id": "D", "kind": "decision", "domain": ["l", "r"]},
+            ],
+            "cpts": [
+                {"child": "X", "parents": [], "table": [0.25, 0.75]},
+                {"child": "Y", "parents": ["X"], "table": [0.5, 0.5, 0.125, 0.875]},
+            ],
+            "utilities": [{"scope": ["X", "Y"], "table": [1.0, 2.0, 4.0, 8.0]}],
+            "decision_order": ["D"],
+            "information_sets": {"D": ["X"]},
+        }
+        d = from_dict(data)
+        policies = [
+            Policy(rules={"D": PolicyRule("D", ("X",), actions)})
+            for actions in [(0, 0), (0, 1), (1, 1)]
+        ]
+        expected = 0.25 * (0.5 * 1 + 0.5 * 2) + 0.75 * (0.125 * 4 + 0.875 * 8)
+        values = PolicyEvaluator(d).evaluate_many(policies)
+        assert values == pytest.approx([expected] * 3, rel=1e-12)
+        assert values == [policy_value(d, {"D": p.rules["D"].actions}) for p in policies]
+
     def test_incomplete_policy_rejected(self):
         d = wildcatter()
         with pytest.raises(DiagramError):
@@ -353,6 +382,29 @@ class TestRandomAgreement:
         for value in PolicyEvaluator(d).evaluate_many(winners):
             assert abs(value - meu) <= 1e-9 * scale
 
+    @pytest.mark.parametrize("nonforgetting", [True, False], ids=["closed", "forgetting"])
+    @pytest.mark.parametrize("i", range(30))
+    def test_random_policies_match_oracle(self, i, nonforgetting):
+        d = generate(small_params(i), nonforgetting=nonforgetting)
+        policies = random_policies(d, 6, seed=i)
+        values = PolicyEvaluator(d).evaluate_many(policies)
+        for policy, value in zip(policies, values):
+            expected = policy_value(d, {x: r.actions for x, r in policy.rules.items()})
+            assert abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
+
+    def test_forgetting_diagrams_evaluated_not_solved(self):
+        forgetting = 0
+        for i in range(30):
+            d = generate(small_params(i), nonforgetting=False)
+            if d.information_sets == apply_nonforgetting(d).information_sets:
+                continue
+            forgetting += 1
+            with pytest.raises(DiagramError, match="non-forgetting"):
+                solve_exact(d)
+            policies = random_policies(d, 3, seed=i)
+            assert len(PolicyEvaluator(d).evaluate_many(policies)) == 3
+        assert forgetting >= 5
+
     @pytest.mark.parametrize(
         "params",
         [small_params(i) for i in range(5)]
@@ -363,7 +415,7 @@ class TestRandomAgreement:
         ids=lambda p: f"n{p.n_c + p.n_d}-{p.utility_class}-seed{p.seed}",
     )
     def test_batch_matches_one_at_a_time(self, params, monkeypatch):
-        # n = 80: each step's table spans only that step's variables
+        # n = 80: each table spans at most one bucket
         d = generate(params)
         policies = random_policies(d, 7, seed=params.seed) + [solve_exact(d).policy]
         evaluator = PolicyEvaluator(d)
@@ -377,13 +429,43 @@ class TestRandomAgreement:
         )
         assert split == one_at_a_time
         # a smaller chunk bound: chunks of 3, 3 and 2 policies, then of one
-        largest = max(plan.max_cells for plan in evaluator._plans)
+        largest = largest_bucket(d, legal_ordering(d))
         for cells, chunk in [(3 * largest, 3), (1, 1)]:
             monkeypatch.setattr(exact, "_CHUNK_CELLS", cells)
             chunked = PolicyEvaluator(d)
             assert chunked._chunk == chunk
             assert chunked.evaluate_many(policies) == one_at_a_time
             assert chunked.evaluate_many(batch) == one_at_a_time
+
+    @pytest.mark.parametrize(
+        "params, nonforgetting",
+        [
+            (GeneratorParams(n_c=75, n_d=5, utility_class="P", seed=3), True),
+            (GeneratorParams(n_c=30, n_d=5, utility_class="M", seed=4), False),
+        ]
+        + [(small_params(i), False) for i in (0, 3, 8)],
+    )
+    def test_tables_within_chunk_bound(self, params, nonforgetting, monkeypatch):
+        # every table a step builds spans at most the largest bucket of the
+        # closure's ordering, once per policy of the chunk
+        d = generate(params, nonforgetting=nonforgetting)
+        closure = apply_nonforgetting(d)
+        largest = largest_bucket(closure, legal_ordering(closure))
+        sizes = []
+
+        def recorded(fn, table_of):
+            def wrapper(*args):
+                out = fn(*args)
+                sizes.append(table_of(out).size)
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(exact, "fold", recorded(exact.fold, lambda f: f.table))
+        monkeypatch.setattr(exact, "product", recorded(exact.product, lambda t: t))
+        monkeypatch.setattr(exact, "_CHUNK_CELLS", 3 * largest)
+        PolicyEvaluator(d).evaluate_many(random_policies(d, 8, seed=params.seed))
+        assert sizes and max(sizes) <= 3 * largest
 
     def test_within_block_permutation_invariance(self):
         rng = random.Random(5)
@@ -413,22 +495,36 @@ class TestRandomAgreement:
                 assert abs(solve_exact(d, order=shuffled).meu - base) <= 1e-9 * scale
 
 
-def test_exact_outputs_pinned():
-    # 20 diagrams at the benchmark's n = 80 settings: the MEU, the policy, the
-    # default ordering and the evaluated value must not change a bit
-    digest = hashlib.sha256()
+def pinned_diagrams():
+    # 20 diagrams at the benchmark's n = 80 settings
     for seed in range(20):
-        d = generate(
+        yield generate(
             GeneratorParams(
                 n_c=75, n_d=5, k=2, p=2, r=5, a=5, utility_class="PM"[seed % 2], seed=seed
             )
         )
+
+
+def test_exact_outputs_pinned():
+    # the MEU, the policy and the default ordering must not change a bit
+    digest = hashlib.sha256()
+    for d in pinned_diagrams():
         sol = solve_exact(d)
         rules = sol.policy.rules
         actions = {v: list(rules[v].actions) for v in sorted(rules)}
-        value = evaluate_policy(d, sol.policy)
-        fields = [sol.meu.hex(), json.dumps(actions), ",".join(legal_ordering(d)), value.hex()]
+        fields = [sol.meu.hex(), json.dumps(actions), ",".join(legal_ordering(d))]
         digest.update("|".join(fields).encode() + b"\n")
     assert digest.hexdigest() == (
-        "4355643c02a75d497c25729bef2bd03df82228f0cb13fdfd4ed78ded16bd2ccd"
+        "e58efcb02163698d6246155ebaf1b05b645d9a2668ef867c4abe80ca6bc65348"
+    )
+
+
+def test_evaluated_values_pinned():
+    # the optimal policy's evaluated value, which depends on the evaluator's
+    # elimination order and so may move in the last bits when that changes
+    digest = hashlib.sha256()
+    for d in pinned_diagrams():
+        digest.update(evaluate_policy(d, solve_exact(d).policy).hex().encode() + b"\n")
+    assert digest.hexdigest() == (
+        "9facd9fa12f12cb6eff058d8b22d2635de737f5bab8d024a609734bd3024e209"
     )

@@ -522,11 +522,11 @@ def random_policy_set(rng: random.Random) -> PolicySet:
         )
         for d in decisions
     }
-    return PolicySet(decisions, {d: () for d in decisions}, k, cells)
+    return PolicySet(decisions, {d: () for d in decisions}, cells)
 
 
 def uniform_policy_set(radix: int, cells: int) -> PolicySet:
-    return PolicySet(("D",), {"D": ()}, {"D": radix}, {"D": (frozenset(range(radix)),) * cells})
+    return PolicySet(("D",), {"D": ()}, {"D": (frozenset(range(radix)),) * cells})
 
 
 @pytest.mark.parametrize(

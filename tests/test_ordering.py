@@ -1,9 +1,9 @@
-"""The bitset orderings and plans against set-based reference oracles.
+"""The bitset orderings against set-based reference oracles.
 
-The oracles are the set-based min-fill ordering, induced width and
-min-degree planner that the bitset versions replaced: the pair loop that
-recounts every fill at every step, and operands found by scanning scopes.
-Orderings, widths and plans must be equal, including every tie-break.
+The oracles are the set-based min-fill ordering, induced width, largest
+bucket and interaction graph that the bitset versions replaced: the pair
+loop that recounts every fill at every step.  Results must be equal,
+including every tie-break.
 """
 
 import math
@@ -12,9 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oomid.diagram import from_dict, temporal_partition, wildcatter
-from oomid.exact import _plan
 from oomid.generator import GeneratorParams, generate
-from oomid.ordering import induced_width, interaction_graph, legal_ordering
+from oomid.ordering import (
+    induced_width,
+    interaction_graph,
+    largest_bucket,
+    legal_ordering,
+)
 
 
 def oracle_scope_graph(scopes):
@@ -74,47 +78,21 @@ def oracle_induced_width(diagram, order):
     return width
 
 
-def oracle_plan(diagram, scopes):
-    """(steps, roots, max_cells) of greedy min-degree, ties by name."""
-    order_key = {v.id: i for i, v in enumerate(diagram.variables)}
-    scopes = list(scopes)
-    graph = oracle_scope_graph(scopes)
-    live = list(range(len(scopes)))
-    steps = []
-    while graph:
-        y = min(graph, key=lambda v: (len(graph[v]), v))
-        oracle_eliminate_node(graph, y)
-        operands = tuple(s for s in live if y in scopes[s])
-        live = [s for s in live if y not in scopes[s]]
-        union = tuple(
-            sorted({v for s in operands for v in scopes[s]}, key=order_key.__getitem__)
-        )
-        steps.append((operands, union, y))
-        live.append(len(scopes))
-        scopes.append(tuple(v for v in union if v != y))
-    max_cells = max(
-        (math.prod(diagram.domain_sizes(union)) for _, union, _ in steps), default=1
-    )
-    return tuple(steps), tuple(live), max_cells
-
-
-def evaluator_scopes(diagram):
-    """The scopes ``PolicyEvaluator`` plans over, one list per utility."""
-    policies = [
-        tuple(diagram.information_sets.get(d, ())) + (d,) for d in diagram.decision_vars
-    ]
-    scopes = [c.scope for c in diagram.cpts] + policies
-    return [scopes + [u.scope] for u in diagram.utilities]
+def oracle_largest_bucket(diagram, order):
+    adj = oracle_interaction_graph(diagram)
+    largest = 1
+    for v in order:
+        largest = max(largest, math.prod(diagram.domain_sizes({v} | adj[v])))
+        oracle_eliminate_node(adj, v)
+    return largest
 
 
 def assert_matches_oracles(diagram):
     order = legal_ordering(diagram)
     assert order == oracle_legal_ordering(diagram)
     assert induced_width(diagram, order) == oracle_induced_width(diagram, order)
+    assert largest_bucket(diagram, order) == oracle_largest_bucket(diagram, order)
     assert interaction_graph(diagram) == oracle_interaction_graph(diagram)
-    for scopes in evaluator_scopes(diagram):
-        plan = _plan(diagram, scopes)
-        assert (plan.steps, plan.roots, plan.max_cells) == oracle_plan(diagram, scopes)
 
 
 def generated(i: int) -> GeneratorParams:
@@ -180,25 +158,3 @@ def test_random_diagrams_match_oracles(case):
     permutation, data = case
     data["variables"] = [data["variables"][i] for i in permutation]
     assert_matches_oracles(from_dict(data))
-
-
-@settings(max_examples=100)
-@given(st.data())
-def test_random_scope_lists_plan_like_oracle(data):
-    numbers = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=14, unique=True))
-    names = [f"X{i}" for i in numbers]
-    variables = [
-        {"id": v, "kind": "chance", "domain": ["a", "b", "c"][: 2 + i % 2]}
-        for i, v in enumerate(names)
-    ]
-    diagram = from_dict(
-        {"variables": variables, "cpts": [], "utilities": [], "decision_order": []}
-    )
-    scopes = data.draw(
-        st.lists(
-            st.lists(st.sampled_from(names), min_size=1, max_size=5, unique=True).map(tuple),
-            max_size=12,
-        )
-    )
-    plan = _plan(diagram, scopes)
-    assert (plan.steps, plan.roots, plan.max_cells) == oracle_plan(diagram, scopes)
