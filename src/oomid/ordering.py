@@ -84,7 +84,7 @@ def legal_ordering(diagram: InfluenceDiagram) -> list[str]:
     names, index, adj = _graph(diagram)
     # (fill, name) as one integer: fill times n plus the name's rank
     n = len(names)
-    rank = [0] * n
+    rank = [0] * n  # each name's position among the names sorted as strings
     for r, i in enumerate(sorted(range(n), key=names.__getitem__)):
         rank[i] = r
     key = [0] * n
