@@ -9,9 +9,9 @@ zero).  The decision step maximizes the utility, keeps the first
 maximizing action in domain order, and asserts that the probability part
 is constant in the decision.
 
-``PolicyEvaluator`` scores fixed policies on the same driver: per utility,
-one sum-product over the CPTs and that utility along a legal ordering of
-the diagram's non-forgetting closure.  A chance step sums its variable
+``PolicyEvaluator`` scores fixed policies with the same ``eliminate``:
+per utility, one sum-product over the CPTs and that utility along a legal
+ordering of the diagram's non-forgetting closure.  A chance step sums its variable
 out; a decision step selects each policy's action along the decision's
 axis where the solver takes the max.  Tables gain a leading batch axis,
 one entry per policy, only at the first decision bucket, so everything
