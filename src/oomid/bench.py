@@ -78,7 +78,7 @@ def run_experiment(
         # conversion keeps the graph, so one ordering serves every solve
         order = legal_ordering(diagram)
         v = solve_exact(diagram, order=order).meu
-        evaluator = PolicyEvaluator(diagram)
+        evaluator = PolicyEvaluator(diagram, order)
         for j, eps in enumerate(epsilons):
             oom = convert(diagram, ConversionConfig(eps))
             solution = elim_oom_id(oom, order=order)

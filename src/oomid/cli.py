@@ -114,7 +114,7 @@ def _cmd_compare(args) -> int:
     oom = convert(diagram, ConversionConfig(args.epsilon))
     solution = elim_oom_id(oom, order=order)
     policies, replaced = solution.policies.sample(args.samples, seed=args.seed)
-    utilities = sorted(PolicyEvaluator(diagram).evaluate_many(policies))
+    utilities = sorted(PolicyEvaluator(diagram, order).evaluate_many(policies))
     v_med, v_max, eta_med, eta_max = sample_errors(v, utilities)
     print(f"v = {v:.6f}")
     print(f"v_med = {v_med:.6f}")

@@ -82,6 +82,11 @@ def product(
     return table
 
 
+def without(scope: tuple[str, ...], axis: int) -> tuple[str, ...]:
+    """``scope`` with the variable at ``axis`` taken out."""
+    return scope[:axis] + scope[axis + 1 :]
+
+
 def fold(
     factors: Sequence[Factor], order_key: dict[str, int], op: np.ufunc = np.multiply
 ) -> Factor:

@@ -53,8 +53,9 @@ from .elimination import (
     fold,
     product,
     resolve_order,
+    without,
 )
-from .ordering import largest_bucket, legal_ordering
+from .ordering import largest_bucket
 
 
 @dataclass(frozen=True)
@@ -98,16 +99,14 @@ def _chance_step(diagram, order_key, y, lambdas, thetas):
     assert lambdas, f"chance bucket {y} has no probability component"
     lam = fold(lambdas, order_key)
     axis = lam.scope.index(y)
-    lam_msg = Factor(
-        lam.scope[:axis] + lam.scope[axis + 1 :], lam.table.sum(axis=axis)
-    )
+    lam_msg = Factor(without(lam.scope, axis), lam.table.sum(axis=axis))
     theta_msg = None
     if thetas:
         theta = fold(thetas, order_key, np.add)
         combined = fold([lam, theta], order_key)
         c_axis = combined.scope.index(y)
         num = combined.table.sum(axis=c_axis)
-        num_scope = combined.scope[:c_axis] + combined.scope[c_axis + 1 :]
+        num_scope = without(combined.scope, c_axis)
         lam_aligned = align(lam_msg, num_scope)
         table = np.divide(
             num,
@@ -132,18 +131,13 @@ def _decision_step(diagram, order_key, y, lambdas, thetas):
         assert np.all(
             spread <= 1e-9 * np.maximum(1.0, np.abs(lam.table).max())
         ), f"probability component in decision bucket {y} varies with {y}"
-        lam_msg = Factor(
-            lam.scope[:l_axis] + lam.scope[l_axis + 1 :], lam.table.max(axis=l_axis)
-        )
+        lam_msg = Factor(without(lam.scope, l_axis), lam.table.max(axis=l_axis))
     if not thetas:
         # nothing downstream distinguishes the actions
         return lam_msg, None, Factor((), np.zeros((), dtype=int))
     combined = fold(thetas, order_key, np.add)
     axis = combined.scope.index(y)
-    theta_msg = Factor(
-        combined.scope[:axis] + combined.scope[axis + 1 :],
-        combined.table.max(axis=axis),
-    )
+    theta_msg = Factor(without(combined.scope, axis), combined.table.max(axis=axis))
     # first maximizing action in domain order
     actions = np.argmax(np.moveaxis(combined.table, axis, -1), axis=-1)
     return lam_msg, theta_msg, Factor(theta_msg.scope, actions)
@@ -161,7 +155,7 @@ def _sum_step(diagram, order_key, y, lambdas, thetas):
     utility if the bucket does."""
     f = fold(lambdas + thetas, order_key)
     i = f.scope.index(y)
-    msg = Factor(f.scope[:i] + f.scope[i + 1 :], f.table.sum(axis=i - len(f.scope)))
+    msg = Factor(without(f.scope, i), f.table.sum(axis=i - len(f.scope)))
     return (None, msg) if thetas else (msg, None)
 
 
@@ -182,7 +176,7 @@ def _select_step(rules, diagram, order_key, y, lambdas, thetas):
         table = table[np.newaxis]
     i = scope.index(y)
     chosen = np.take_along_axis(table, align(rule, scope), 1 + i).squeeze(1 + i)
-    msg = Factor(scope[:i] + scope[i + 1 :], chosen)
+    msg = Factor(without(scope, i), chosen)
     return (None, msg, None) if thetas else (msg, None, None)
 
 
@@ -211,17 +205,17 @@ def _stack(diagram: InfluenceDiagram, policies: Sequence[Policy]) -> PolicyBatch
 class PolicyEvaluator:
     """Exact policy evaluation with the diagram-side work done once.
 
-    The ordering, the encoded tables and the chunk size depend on the
-    diagram only.  A forgetting diagram is ordered and eliminated as its
-    non-forgetting closure, which only adds observations: each decision
-    still goes before everything its rule reads.
+    A forgetting diagram is ordered and eliminated as its non-forgetting
+    closure, which only adds observations: each decision still goes before
+    everything its rule reads.  The ordering (the closure's legal one unless
+    given), the encoded tables and the chunk size depend on the diagram only.
     """
 
-    def __init__(self, diagram: InfluenceDiagram):
+    def __init__(self, diagram: InfluenceDiagram, order: list[str] | None = None):
         require_valid(diagram, qualitative=False)
         self._diagram = diagram
         self._closure = apply_nonforgetting(diagram)
-        self._order = legal_ordering(self._closure)
+        self._order = resolve_order(self._closure, order)
         self._cpts = encoded(diagram, diagram.cpts, _floats)
         self._utilities = encoded(diagram, diagram.utilities, _floats)
         largest = largest_bucket(self._closure, self._order)

@@ -13,9 +13,9 @@ The decision step maximizes over the actions and records, per parent
 configuration, every action whose value set is not strictly dominated by
 another action's: ties between incomparable value sets keep both actions,
 which is what makes the result a policy *set*.  Rules are boolean action
-masks until the policy set is built.  ``PolicySet`` numbers its policies
-in mixed radix, one digit per cell, and ``sample`` decodes all drawn
-indices at once into a ``PolicyBatch`` of (s, cells) action arrays.
+masks end to end: ``PolicySet`` is built from them and derives ``cells``.
+It numbers policies in mixed radix, one digit per cell, and ``sample``
+decodes all drawn indices at once into (s, cells) action arrays.
 
 ``brute_force_oom`` is the test oracle: the same elimination semantics
 applied to one joint table over all variables, with no bucket, scope, or
@@ -28,7 +28,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,6 +48,7 @@ from .elimination import (
     factor,
     fold,
     resolve_order,
+    without,
 )
 from .sets import OOMSet, ZERO_SET, max_sets, scale, set_dominates, sum_sets
 from .values import INF, ZERO, OOMValue, Sign, add, dominates, inverse, mul
@@ -59,51 +60,67 @@ DEFAULT_GUARD = 10**6
 # policy sets
 
 # Sampled policy indices are split into runs of consecutive cells whose
-# radix product stays within this bound, so that each run's digits fit int64.
-_RUN_BOUND = 1 << 62
+# radix product stays within 2**_RUN_BITS, so that each run's digits fit int64.
+_RUN_BITS = 62
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicySet:
     """Per decision and parent configuration, the set of maximizing actions.
 
     Policies are numbered in mixed radix: the cells of all decisions in
     decision order, each cell a digit (least significant first) that picks
-    one of its actions in ascending order.
+    one of its kept actions in ascending order.
     """
 
     decisions: tuple[str, ...]
     scopes: Mapping[str, tuple[str, ...]]
-    cells: Mapping[str, tuple[frozenset[int], ...]]  # row-major over scope
-    # decode tables: each cell's actions in ascending order, padded, as a
-    # (cells, k) table; each cell's radix, run and place value in its run;
-    # the radix product of each run
-    _actions: np.ndarray = field(init=False, repr=False, compare=False)
-    _radix: np.ndarray = field(init=False, repr=False, compare=False)
-    _run: np.ndarray = field(init=False, repr=False, compare=False)
-    _place: np.ndarray = field(init=False, repr=False, compare=False)
-    _run_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masks: Mapping[str, np.ndarray]  # (action, cell), cells row-major over scope
+    # decode tables: every cell's kept actions in ascending order, one cell
+    # after another; each cell's first entry there, its radix, run and place
+    # value in its run; the radix product of each run
+    _kept: np.ndarray = field(init=False, repr=False)
+    _first: np.ndarray = field(init=False, repr=False)
+    _radix: np.ndarray = field(init=False, repr=False)
+    _run: np.ndarray = field(init=False, repr=False)
+    _place: np.ndarray = field(init=False, repr=False)
+    _run_sizes: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        cells = [cell for d in self.decisions for cell in self.cells[d]]
-        assert all(cells), "empty action set in a cell"
-        k = max(map(len, cells), default=1)
-        padded = {c: sorted(c) + [0] * (k - len(c)) for c in set(cells)}
-        runs, place, run_sizes, size = [], [], [], 1
-        for cell in cells:
-            if size * len(cell) > _RUN_BOUND:
-                run_sizes.append(size)
-                size = 1
-            runs.append(len(run_sizes))
-            place.append(size)
-            size *= len(cell)
-        run_sizes.append(size)
+        # (cell, action) masks, and an empty one for a set without decisions
+        masks = [self.masks[d].T for d in self.decisions] + [np.zeros((0, 1), dtype=bool)]
+        radix = np.concatenate([m.sum(1) for m in masks])
+        assert radix.all(), "empty action set in a cell"
+        # a digit of radix r takes bit_length(r - 1) bits: cutting the running
+        # total every ``span`` bits puts at most span - 1 + max(bits) in a run
+        bits = np.frexp(radix - 1)[1]
+        span = _RUN_BITS + 1 - bits.max(initial=1)
+        run = np.maximum(np.cumsum(bits) - 1, 0) // span
+        pos = np.arange(len(run)) - np.searchsorted(run, run)  # place in the run
+        places = np.ones((run.max(initial=0) + 1, pos.max(initial=0) + 1), dtype=np.int64)
+        places[run, pos] = radix
+        places = np.cumprod(places, axis=1)
         set_ = partial(object.__setattr__, self)
-        set_("_actions", np.array([padded[c] for c in cells], dtype=np.intp).reshape(-1, k))
-        set_("_radix", np.array([len(c) for c in cells], dtype=np.int64))
-        set_("_run", np.array(runs, dtype=np.intp))
-        set_("_place", np.array(place, dtype=np.int64))
-        set_("_run_sizes", tuple(run_sizes))
+        set_("_kept", np.concatenate([m.nonzero()[1] for m in masks]))
+        set_("_first", np.cumsum(radix) - radix)
+        set_("_radix", radix)
+        set_("_run", run)
+        set_("_place", places[run, pos] // radix)
+        set_("_run_sizes", tuple(places[:, -1].tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PolicySet):
+            return NotImplemented
+        mine, theirs = (self.decisions, self.scopes), (other.decisions, other.scopes)
+        return mine == theirs and self.cells == other.cells
+
+    @cached_property
+    def cells(self) -> dict[str, tuple[frozenset[int], ...]]:
+        """Each decision's cells as the sets of their kept actions."""
+        return {
+            d: tuple(frozenset(c.nonzero()[0].tolist()) for c in self.masks[d].T)
+            for d in self.decisions
+        }
 
     def count(self) -> int:
         return math.prod(self._run_sizes)
@@ -141,8 +158,8 @@ class PolicySet:
                 runs.append(value)
         runs = np.array(runs, dtype=np.int64).reshape(len(indices), -1)
         digits = runs[:, self._run] // self._place % self._radix
-        actions = self._actions[np.arange(len(self._radix)), digits]
-        bounds = np.cumsum([len(self.cells[d]) for d in self.decisions])
+        actions = self._kept[self._first + digits]
+        bounds = np.cumsum([self.masks[d].shape[1] for d in self.decisions])
         per_decision = dict(zip(self.decisions, np.split(actions, bounds[:-1], axis=1)))
         return PolicyBatch(len(indices), self.scopes, per_decision)
 
@@ -257,13 +274,6 @@ def maximal_mask(table: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(~beaten, -1, 0)
 
 
-def _cells(mask: np.ndarray) -> tuple[frozenset[int], ...]:
-    """The columns of an (action, cell) rule mask as action sets."""
-    rows = [tuple(row) for row in mask.T.tolist()]
-    sets = {r: frozenset(a for a, kept in enumerate(r) if kept) for r in set(rows)}
-    return tuple(sets[r] for r in rows)
-
-
 def _max_value(*values: OOMValue) -> OOMValue:
     """Dominance maximum of probability values (totally ordered)."""
     best: OOMValue | None = None
@@ -315,20 +325,17 @@ def elim_oom_id(
     return OOMSolution(meu=meu, policies=policies, max_table_cells=run.max_cells)
 
 
-def _without(scope: tuple[str, ...], axis: int) -> tuple[str, ...]:
-    return scope[:axis] + scope[axis + 1 :]
-
-
 def _min_out(f: Factor, y: str) -> Factor:
     """``y`` summed (or maximized) out of a probability table."""
     axis = f.scope.index(y)
-    return Factor(_without(f.scope, axis), f.table.min(axis))
+    return Factor(without(f.scope, axis), f.table.min(axis))
 
 
 def _utility(thetas, lam, order_key) -> Factor:
     """The bucket's utility sum, scaled by its probability product if any."""
     theta = fold(thetas, order_key, np.minimum)
-    theta = Factor(theta.scope, sum_ends(theta.table))
+    if len(thetas) > 1:  # one theta is canonical: encoded, or a shifted message
+        theta = Factor(theta.scope, sum_ends(theta.table))
     return theta if lam is None else fold([theta, lam], order_key, np.add)
 
 
@@ -340,7 +347,7 @@ def _chance_step(diagram, order_key, y, lambdas, thetas):
     if thetas:
         combined = _utility(thetas, lam, order_key)
         axis = combined.scope.index(y)
-        scope = _without(combined.scope, axis)
+        scope = without(combined.scope, axis)
         sums = sum_ends(combined.table, axis)
         # divided by the probability mass; where the mass is zero, so is
         # every scaled term, and the sum stays zero
@@ -357,7 +364,7 @@ def _decision_step(diagram, order_key, y, lambdas, thetas):
         return lam_msg, None, Factor((), np.ones(len(diagram.domain(y)), dtype=bool))
     combined = _utility(thetas, lam, order_key)
     axis = combined.scope.index(y)
-    scope = _without(combined.scope, axis)
+    scope = without(combined.scope, axis)
     theta_msg = Factor(scope, max_ends(combined.table, axis))
     rule = Factor(scope, maximal_mask(combined.table, axis))
     return lam_msg, theta_msg, rule
@@ -366,17 +373,11 @@ def _decision_step(diagram, order_key, y, lambdas, thetas):
 def _expand_policy_set(
     diagram: OOMInfluenceDiagram, rules: Mapping[str, Factor]
 ) -> PolicySet:
-    """Rules as (action, ...) masks over their bucket scopes."""
-    scopes = {}
-    cells = {}
+    """The policy set of rules that are (action, ...) masks over bucket scopes."""
+    scopes, masks = {}, {}
     for d in diagram.decision_vars:
-        scopes[d], mask = expand_rule(diagram, d, rules[d])
-        cells[d] = _cells(mask)
-    return PolicySet(
-        decisions=tuple(diagram.decision_order),
-        scopes=scopes,
-        cells=cells,
-    )
+        scopes[d], masks[d] = expand_rule(diagram, d, rules[d])
+    return PolicySet(tuple(diagram.decision_order), scopes, masks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -404,6 +405,37 @@ class TestRandomAgreement:
             policies = random_policies(d, 3, seed=i)
             assert len(PolicyEvaluator(d).evaluate_many(policies)) == 3
         assert forgetting >= 5
+
+    @pytest.mark.parametrize(
+        "params",
+        [small_params(i) for i in range(10)]
+        + [
+            GeneratorParams(n_c=n - 5, n_d=5, utility_class=c, seed=n)
+            for n, c in [(25, "P"), (45, "M")]
+        ],
+        ids=lambda p: f"n{p.n_c + p.n_d}-{p.utility_class}-seed{p.seed}",
+    )
+    def test_caller_ordering_bit_equal_to_default(self, params):
+        # a closed diagram is its own closure, so its ordering is the default
+        d = generate(params)
+        policies = random_policies(d, 6, seed=params.seed)
+        default = PolicyEvaluator(d).evaluate_many(policies)
+        assert PolicyEvaluator(d, legal_ordering(d)).evaluate_many(policies) == default
+
+    def test_forgetting_diagram_along_its_own_ordering(self):
+        # Drill forgets Test: the diagram's ordering, legal for its closure
+        # too, may differ from the closure's, and must score every policy
+        d = wildcatter(nonforgetting=False)
+        assert d.information_sets != apply_nonforgetting(d).information_sets
+        policies = [
+            wildcatter_policy(d, test, drill)
+            for test in (0, 1)
+            for drill in itertools.product((0, 1), repeat=3)
+        ]
+        values = PolicyEvaluator(d, legal_ordering(d)).evaluate_many(policies)
+        for policy, value in zip(policies, values):
+            expected = policy_value(d, {x: r.actions for x, r in policy.rules.items()})
+            assert abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
 
     @pytest.mark.parametrize(
         "params",

@@ -141,3 +141,18 @@ def test_maximal_actions(sets, arity):
     combos, table = tuples_table(sets, arity)
     got = [frozenset(np.flatnonzero(col).tolist()) for col in maximal_mask(table, 1).T]
     assert got == [_maximal_actions(*c) for c in combos]
+
+
+def test_single_sets_are_fixed_points_of_sum():
+    # the solver skips ``sum_ends`` on a bucket with one utility: an encoded
+    # canonical set, a sum or maximum of sets, or one shifted by a finite
+    # order must come back unchanged
+    _, table = tuples_table(SETS, 2)
+    for t in [encode_sets(SETS), sum_ends(table, 1), max_ends(table, 1)]:
+        for shift in range(-4, 5):
+            assert np.array_equal(sum_ends(t + shift), t + shift)
+    # while a pair of arbitrary ends is not a fixed point in general
+    pairs = list(itertools.product(WINDOW, repeat=2))
+    lo, hi = bits([a for a, _ in pairs]), bits([b for _, b in pairs])
+    raw = np.array([[lo[0], hi[0]], [lo[1], hi[1]]])
+    assert not np.array_equal(sum_ends(raw), raw)

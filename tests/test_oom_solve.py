@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from oomid.convert import ConversionConfig, convert
@@ -16,12 +17,13 @@ from oomid.diagram import (
     from_dict,
     load,
     save,
+    temporal_partition,
     wildcatter,
 )
 from oomid.exact import PolicyEvaluator, evaluate_policy, solve_exact
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import PolicySet, brute_force_oom, elim_oom_id
-from oomid.ordering import induced_width, legal_ordering
+from oomid.ordering import induced_width, is_legal_ordering, legal_ordering
 from oomid.sets import ZERO_SET, canonicalize, equiv, singleton
 from oomid.values import ZERO, OOMValue, Sign, add, mul
 
@@ -422,6 +424,49 @@ def test_paper_grid_solves_pinned():
     assert digest.hexdigest() == PAPER_GRID_DIGEST
 
 
+def block_shuffle(d, order: list[str], rng: random.Random, window: int = 5) -> list[str]:
+    """``order`` with its variables shuffled inside each run of ``window``
+    consecutive variables of one temporal block: a legal ordering whose
+    width stays near the min-fill ordering's."""
+    block = {v: i for i, b in enumerate(temporal_partition(d).blocks()) for v in b}
+    out: list[str] = []
+    run: list[str] = []
+    for v in order:
+        if run and (block[v] != block[run[0]] or len(run) == window):
+            rng.shuffle(run)
+            out += run
+            run = []
+        run.append(v)
+    rng.shuffle(run)
+    return out + run
+
+
+@pytest.mark.parametrize(
+    "n, cls", [(n, cls) for n in (25, 35, 45) for cls in "PM"], ids=lambda x: str(x)
+)
+def test_paper_size_ordering_invariance(n, cls):
+    seed = n + "PM".index(cls)
+    d = generate(
+        GeneratorParams(n_c=n - 5, n_d=5, k=2, p=2, r=5, a=5, utility_class=cls, seed=seed)
+    )
+    o = convert(d, ConversionConfig({25: 0.5, 35: 0.05, 45: 0.005}[n]))
+    order = legal_ordering(d)
+    base, meu = elim_oom_id(o, order=order), solve_exact(d, order=order).meu
+    rng = random.Random(n)
+    for _ in range(2):
+        shuffled = block_shuffle(d, order, rng)
+        assert shuffled != order and is_legal_ordering(d, shuffled)
+        sol = elim_oom_id(o, order=shuffled)
+        assert sol.meu == base.meu
+        assert sol.policies.cells == base.policies.cells
+        assert sol.policies.count() == base.policies.count()
+        exact = solve_exact(d, order=shuffled)
+        assert abs(exact.meu - meu) <= 1e-12 * abs(meu)
+        # the optimal policy may change only between tied actions
+        value = PolicyEvaluator(d, shuffled).evaluate(exact.policy)
+        assert abs(value - meu) <= 1e-9 * max(1.0, abs(meu))
+
+
 class TestPolicySet:
     def make(self, eps=0.001):
         o = wildcatter_oom(eps)
@@ -515,18 +560,18 @@ def reference_decode(ps: PolicySet, index: int) -> dict[str, tuple[int, ...]]:
 def random_policy_set(rng: random.Random) -> PolicySet:
     decisions = tuple(f"D{j}" for j in range(rng.randint(3, 4)))
     k = {d: rng.randint(1, 5) for d in decisions}
-    cells = {
-        d: tuple(
-            frozenset(rng.sample(range(k[d]), rng.randint(1, k[d])))
+    masks = {}
+    for d in decisions:
+        cells = [
+            rng.sample(range(k[d]), rng.randint(1, k[d]))
             for _ in range(rng.randint(80, 150))
-        )
-        for d in decisions
-    }
-    return PolicySet(decisions, {d: () for d in decisions}, cells)
+        ]
+        masks[d] = np.array([[a in cell for cell in cells] for a in range(k[d])])
+    return PolicySet(decisions, {d: () for d in decisions}, masks)
 
 
 def uniform_policy_set(radix: int, cells: int) -> PolicySet:
-    return PolicySet(("D",), {"D": ()}, {"D": (frozenset(range(radix)),) * cells})
+    return PolicySet(("D",), {"D": ()}, {"D": np.ones((radix, cells), dtype=bool)})
 
 
 @pytest.mark.parametrize(
@@ -549,6 +594,20 @@ def test_decoder_matches_divmod_reference(make):
     assert decoded == [reference_decode(ps, i) for i in indices]
 
 
+def test_runs_fit_int64():
+    # every run's radix product must fit int64 for its digits to decode
+    sets = [random_policy_set(random.Random(seed)) for seed in range(20)]
+    sets += [uniform_policy_set(r, 300) for r in (1, 2, 3, 5, 1000)]
+    for ps in sets:
+        assert max(ps._run_sizes) <= 1 << 62
+        assert ps.count() == math.prod(len(c) for d in ps.decisions for c in ps.cells[d])
+        indices = [0, ps.count() - 1, ps.count() // 3]
+        decoded = [
+            {d: p.rules[d].actions for d in ps.decisions} for p in ps._batch(indices)
+        ]
+        assert decoded == [reference_decode(ps, i) for i in indices]
+
+
 ILLEGAL_ORDERS = {
     "reversed": lambda order: order[::-1],
     "missing": lambda order: order[1:],
@@ -563,8 +622,12 @@ ILLEGAL_ORDERS = {
         (solve_exact, wildcatter()),
         (elim_oom_id, wildcatter_oom(0.1)),
         (brute_force_oom, wildcatter_oom(0.1)),
+        (PolicyEvaluator, wildcatter()),
+        (PolicyEvaluator, wildcatter(nonforgetting=False)),
     ],
-    ids=["solve_exact", "elim_oom_id", "brute_force_oom"],
+    ids=[
+        "solve_exact", "elim_oom_id", "brute_force_oom", "evaluator", "evaluator-forgetting"
+    ],
 )
 def test_illegal_order_rejected(solve, diagram, mutate):
     with pytest.raises(DiagramError, match="not a legal elimination ordering"):
