@@ -223,7 +223,23 @@ def require_valid(diagram: InfluenceDiagram, qualitative: bool) -> InfluenceDiag
         problems = validate(diagram)
         if problems:
             raise DiagramError("; ".join(problems))
-        object.__setattr__(diagram, "_valid", True)
+        mark_valid(diagram)
+    return diagram
+
+
+def mark_valid(diagram: InfluenceDiagram) -> InfluenceDiagram:
+    """Record ``diagram`` as valid, so ``require_valid`` does not check it.
+
+    Besides ``require_valid``, the one caller is ``convert``, whose output
+    is valid by construction: it starts from a valid numeric diagram and
+    keeps its variables, scopes, decision order and information sets, so
+    every structural and graph check passes as before.  Each probability
+    becomes zero or ``(+,k)``; a numeric row sums to 1, so it has a
+    positive entry, which becomes non-zero.  Each utility becomes an
+    ``OOMSet``.  ``test_convert`` checks ``validate`` on converted
+    diagrams to keep this argument honest.
+    """
+    object.__setattr__(diagram, "_valid", True)
     return diagram
 
 

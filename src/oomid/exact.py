@@ -102,18 +102,15 @@ def _chance_step(diagram, order_key, y, lambdas, thetas):
     lam_msg = Factor(without(lam.scope, axis), lam.table.sum(axis=axis))
     theta_msg = None
     if thetas:
-        theta = fold(thetas, order_key, np.add)
+        theta = thetas[0] if len(thetas) == 1 else fold(thetas, order_key, np.add)
         combined = fold([lam, theta], order_key)
         c_axis = combined.scope.index(y)
         num = combined.table.sum(axis=c_axis)
         num_scope = without(combined.scope, c_axis)
-        lam_aligned = align(lam_msg, num_scope)
-        table = np.divide(
-            num,
-            np.broadcast_to(lam_aligned, num.shape),
-            out=np.zeros_like(num),
-            where=np.broadcast_to(lam_aligned, num.shape) != 0,
-        )
+        marginal = align(lam_msg, num_scope)
+        # 0.0 where the marginal is zero; num there is a sum of 0 * theta,
+        # which is -0.0 for a negative theta, so it cannot serve as out
+        table = np.divide(num, marginal, out=np.zeros_like(num), where=marginal != 0)
         theta_msg = Factor(num_scope, table)
     return lam_msg, theta_msg
 
@@ -175,7 +172,11 @@ def _select_step(rules, diagram, order_key, y, lambdas, thetas):
     if table.ndim == len(scope):
         table = table[np.newaxis]
     i = scope.index(y)
-    chosen = np.take_along_axis(table, align(rule, scope), 1 + i).squeeze(1 + i)
+    choice = align(rule, scope).squeeze(1 + i)
+    actions = np.moveaxis(table, 1 + i, 0)
+    chosen = actions[0]
+    for a in range(1, len(actions)):
+        chosen = np.where(choice == a, actions[a], chosen)
     msg = Factor(without(scope, i), chosen)
     return (None, msg, None) if thetas else (msg, None, None)
 

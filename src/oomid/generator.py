@@ -15,6 +15,7 @@ entries are balanced to within one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,7 @@ def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDi
         picks = rng.choice(
             np.arange(params.r, total), size=params.n_d, replace=False
         )
-        decision_positions = set(int(x) for x in picks)
+        decision_positions = set(picks.tolist())
 
     names: list[str] = []
     kinds: list[Kind] = []
@@ -97,7 +98,7 @@ def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDi
     parents: list[list[int]] = [[] for _ in range(total)]
     for pos in range(params.r, total):
         parents[pos] = sorted(
-            int(x) for x in rng.choice(pos, size=min(params.p, pos), replace=False)
+            rng.choice(pos, size=min(params.p, pos), replace=False).tolist()
         )
 
     # chain consecutive decisions with a forced arc so they form a path
@@ -113,25 +114,20 @@ def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDi
 
     chance_positions = [i for i in range(total) if kinds[i] is Kind.CHANCE]
     n_extreme = int(EXTREME_FRACTION * len(chance_positions))
-    extreme = set(
-        int(x)
-        for x in rng.choice(chance_positions, size=n_extreme, replace=False)
-    )
+    extreme = set(rng.choice(chance_positions, size=n_extreme, replace=False).tolist())
 
     cpts = []
     for pos in chance_positions:
         scope_sizes = [len(domains[q]) for q in parents[pos]] + [len(domains[pos])]
-        rows = int(np.prod(scope_sizes[:-1])) if scope_sizes[:-1] else 1
+        rows = math.prod(scope_sizes[:-1])
         k_child = scope_sizes[-1]
         if pos in extreme:
             # near-deterministic rows: all but one entry is tiny, the
             # remaining mass sits at a random position
             table = rng.uniform(EXTREME_LOW, EXTREME_HIGH, size=(rows, k_child))
-            heavy = rng.integers(0, k_child, size=rows)
-            for row_idx in range(rows):
-                h = int(heavy[row_idx])
-                table[row_idx, h] = 0.0
-                table[row_idx, h] = 1.0 - table[row_idx].sum()
+            heavy = (np.arange(rows), rng.integers(0, k_child, size=rows))
+            table[heavy] = 0.0
+            table[heavy] = 1.0 - table.sum(axis=1)
         else:
             table = rng.uniform(0.0, 1.0, size=(rows, k_child))
             table /= table.sum(axis=1, keepdims=True)
@@ -139,14 +135,12 @@ def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDi
             CPT(
                 child=names[pos],
                 parents=tuple(names[q] for q in parents[pos]),
-                table=tuple(float(x) for x in table.reshape(-1)),
+                table=tuple(table.reshape(-1).tolist()),
             )
         )
 
-    scope_positions = sorted(
-        int(x) for x in rng.choice(total, size=params.a, replace=False)
-    )
-    n_cells = int(np.prod([len(domains[q]) for q in scope_positions]))
+    scope_positions = sorted(rng.choice(total, size=params.a, replace=False).tolist())
+    n_cells = math.prod(len(domains[q]) for q in scope_positions)
     exponents = rng.integers(0, MAX_UTILITY_EXPONENT + 1, size=n_cells)
     magnitudes = np.power(10.0, exponents)
     if params.utility_class == "M":
@@ -154,7 +148,7 @@ def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDi
         magnitudes = magnitudes * signs
     utility = UtilityFunction(
         scope=tuple(names[q] for q in scope_positions),
-        table=tuple(float(x) for x in magnitudes),
+        table=tuple(magnitudes.tolist()),
     )
 
     diagram = InfluenceDiagram(

@@ -26,6 +26,7 @@ from oomid.exact import (
     policy_value,
     solve_exact,
 )
+from oomid.elimination import Factor, align, product
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
 from oomid.ordering import is_legal_ordering, largest_bucket, legal_ordering
@@ -177,6 +178,17 @@ class TestEdgeCases:
         sol = solve_exact(from_dict(data))
         assert sol.meu == pytest.approx(7.0)
         assert sol.policy.rules["D"].actions == (0,)
+
+    def test_chance_bucket_with_two_utilities(self):
+        # Oil's bucket sums two thetas, the drilling payoff and a survey
+        # cost over Oil alone
+        data = to_dict(wildcatter())
+        data["utilities"].append({"scope": ["Oil"], "table": [-5.0, 1.0, 20.0]})
+        d = from_dict(data)
+        meu, _ = brute_force_meu(d)
+        sol = solve_exact(d)
+        assert sol.meu == pytest.approx(meu, rel=1e-12)
+        assert evaluate_policy(d, sol.policy) == pytest.approx(meu, rel=1e-12)
 
     def test_constant_utility_any_policy(self):
         data = {
@@ -525,6 +537,84 @@ class TestRandomAgreement:
                     continue
                 scale = max(1.0, abs(base))
                 assert abs(solve_exact(d, order=shuffled).meu - base) <= 1e-9 * scale
+
+
+def take_along_reference(rule, order_key, y, lambdas, thetas):
+    """The decision step's selection by ``np.take_along_axis``: the product
+    over the bucket's and the rule's variables, then each policy's action."""
+    scope = tuple(
+        sorted(
+            {v for f in lambdas + thetas for v in f.scope} | set(rule.scope),
+            key=order_key.__getitem__,
+        )
+    )
+    table = product(lambdas + thetas, scope)
+    if table.ndim == len(scope):
+        table = table[np.newaxis]
+    i = scope.index(y)
+    chosen = np.take_along_axis(table, align(rule, scope), 1 + i).squeeze(1 + i)
+    return scope[:i] + scope[i + 1 :], chosen
+
+
+class TestSelectStep:
+    # bucket of decision D over A, B (and C, read only by the rule); every
+    # table is random, every action in range
+    SIZES = {"A": 2, "B": 3, "C": 2}
+    ORDER_KEY = {"D": 0, "A": 1, "B": 2, "C": 3}
+
+    def tables(self, rng, k, batch, rule_scope):
+        sizes = dict(self.SIZES, D=k)
+        s = 5
+
+        def table(scope, lead=()):
+            return Factor(scope, rng.normal(size=lead + tuple(sizes[v] for v in scope)))
+
+        lambdas = [table(("A", "D"))]
+        thetas = [table(("B", "D", "A"), (s,) if batch else ())]
+        rule = Factor(
+            rule_scope,
+            rng.integers(0, k, size=(s,) + tuple(sizes[v] for v in rule_scope)),
+        )
+        return rule, lambdas, thetas
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("batch", [False, True], ids=["batch-1", "batch-s"])
+    @pytest.mark.parametrize(
+        "rule_scope",
+        [("A", "B"), ("B", "A"), ("A",), (), ("A", "C")],
+        ids=["all", "transposed", "broadcast", "constant", "unread-var"],
+    )
+    def test_matches_take_along_axis(self, k, batch, rule_scope):
+        rng = np.random.default_rng(k * 10 + batch)
+        rule, lambdas, thetas = self.tables(rng, k, batch, rule_scope)
+        for lams, ths in [(lambdas, thetas), (lambdas, []), ([], thetas)]:
+            lam_msg, theta_msg, none = exact._select_step(
+                {"D": rule}, None, self.ORDER_KEY, "D", lams, ths
+            )
+            assert none is None
+            msg = theta_msg if ths else lam_msg
+            assert (lam_msg if ths else theta_msg) is None
+            scope, expected = take_along_reference(rule, self.ORDER_KEY, "D", lams, ths)
+            assert msg.scope == scope
+            assert msg.table.shape == expected.shape
+            assert np.array_equal(msg.table, expected)
+
+    def test_k3_policies_match_oracle(self):
+        checked = 0
+        for seed in range(6):
+            params = GeneratorParams(
+                n_c=6, n_d=2, k=3, p=1, r=2, a=3, utility_class="PM"[seed % 2], seed=seed
+            )
+            d = generate(params)
+            if max(len(d.domain(x)) for x in d.decision_vars) < 3:
+                continue
+            checked += 1
+            policies = random_policies(d, 8, seed=seed)
+            values = PolicyEvaluator(d).evaluate_many(policies)
+            for policy, value in zip(policies, values):
+                expected = policy_value(d, {x: r.actions for x, r in policy.rules.items()})
+                assert abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
+        assert checked >= 3
 
 
 def pinned_diagrams():

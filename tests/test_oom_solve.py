@@ -441,10 +441,26 @@ def block_shuffle(d, order: list[str], rng: random.Random, window: int = 5) -> l
     return out + run
 
 
-@pytest.mark.parametrize(
+PAPER_SIZES = pytest.mark.parametrize(
     "n, cls", [(n, cls) for n in (25, 35, 45) for cls in "PM"], ids=lambda x: str(x)
 )
+
+
+@PAPER_SIZES
 def test_paper_size_ordering_invariance(n, cls):
+    check_ordering_invariance(n, cls, shuffles=2)
+
+
+@pytest.mark.slow
+@PAPER_SIZES
+def test_paper_size_ordering_invariance_many(n, cls):
+    check_ordering_invariance(n, cls, shuffles=64)
+
+
+def check_ordering_invariance(n: int, cls: str, shuffles: int) -> None:
+    """Random legal orderings of one paper-size diagram: ``elim_oom_id``
+    gives the same MEU and policy set, ``solve_exact`` the same MEU within
+    1e-12 and a policy that scores it."""
     seed = n + "PM".index(cls)
     d = generate(
         GeneratorParams(n_c=n - 5, n_d=5, k=2, p=2, r=5, a=5, utility_class=cls, seed=seed)
@@ -453,7 +469,7 @@ def test_paper_size_ordering_invariance(n, cls):
     order = legal_ordering(d)
     base, meu = elim_oom_id(o, order=order), solve_exact(d, order=order).meu
     rng = random.Random(n)
-    for _ in range(2):
+    for _ in range(shuffles):
         shuffled = block_shuffle(d, order, rng)
         assert shuffled != order and is_legal_ordering(d, shuffled)
         sol = elim_oom_id(o, order=shuffled)
