@@ -40,11 +40,6 @@ class ExperimentResult:
     sample_count: int
 
 
-def _median_low(sorted_values: Sequence[float]) -> float:
-    """Lower-middle element for even counts."""
-    return sorted_values[(len(sorted_values) - 1) // 2]
-
-
 def sample_errors(
     v: float, utilities: Sequence[float]
 ) -> tuple[float, float, float, float]:
@@ -54,7 +49,7 @@ def sample_errors(
     The errors are relative, except when ``v`` is zero: the relative error
     is undefined there, so the absolute error is reported instead.
     """
-    v_med = _median_low(utilities)
+    v_med = _nearest_rank(utilities, 50)  # the lower middle for an even count
     v_max = utilities[-1]
     if v == 0.0:
         return v_med, v_max, abs(v - v_med), abs(v - v_max)

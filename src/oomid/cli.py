@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 bad input (parse, validation, option values),
-3 I/O failure, 4 a brute-force or size guard refused the instance.
+3 I/O failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .bench import (
 from .convert import ConversionConfig, convert
 from .diagram import (
     DiagramError,
-    GuardExceeded,
     InfluenceDiagram,
     OOMInfluenceDiagram,
     load,
@@ -215,9 +214,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

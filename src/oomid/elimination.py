@@ -16,11 +16,12 @@ and the encoders know the algebra.
 
 ``product`` is the one contraction kernel: it aligns tables over a scope
 and folds them left to right, by multiplication unless told otherwise;
-``fold`` does so over the union of the tables' scopes, which is how every
-step combines a bucket.  ``align`` keeps leading axes, looks each target
-variable's axis up in one position table per target scope, takes each
-axis's size from the table's own shape, and transposes only when the scope
-is out of the target's order.
+every step combines its bucket with ``fold``, a ``product`` over the
+union of the scopes, and takes its variable out with ``reduce_out``, which
+counts the variable's axis from the end so that leading axes pass through.
+``align`` keeps leading axes, looks each target variable's axis up in one
+position table per target scope, takes each axis's size from the table's
+own shape, and transposes only when the scope is out of the target's order.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ def product(
     return table
 
 
-def without(scope: tuple[str, ...], axis: int) -> tuple[str, ...]:
-    """``scope`` with the variable at ``axis`` taken out."""
-    return scope[:axis] + scope[axis + 1 :]
+def ordered(variables, order_key: dict[str, int]) -> tuple[str, ...]:
+    """``variables`` as a scope, in ``order_key`` order."""
+    return tuple(sorted(variables, key=order_key.__getitem__))
 
 
 def fold(
@@ -92,9 +93,15 @@ def fold(
 ) -> Factor:
     """``product`` over the union of the factors' scopes, in ``order_key``
     order."""
-    seen = {v for f in factors for v in f.scope}
-    scope = tuple(sorted(seen, key=order_key.__getitem__))
+    scope = ordered({v for f in factors for v in f.scope}, order_key)
     return Factor(scope, product(factors, scope, op))
+
+
+def reduce_out(f: Factor, y: str, reduce: Callable) -> Factor:
+    """``f`` with ``y`` taken out by ``reduce(table, axis)``, ``axis`` being
+    ``y``'s axis counted from the end, so leading axes pass through."""
+    i = f.scope.index(y)
+    return Factor(f.scope[:i] + f.scope[i + 1 :], reduce(f.table, i - len(f.scope)))
 
 
 def resolve_order(diagram: InfluenceDiagram, order: list[str] | None) -> list[str]:

@@ -2,12 +2,12 @@
 
 ``solve_exact`` runs the shared bucket elimination of ``elimination`` on
 float tables; this module supplies its two steps, which combine tables
-with the shared broadcast ``fold``.  The chance step marginalizes the
-bucket variable out of the probability product and renormalizes the
-utility by that marginal (zero-probability configurations contribute
-zero).  The decision step maximizes the utility, keeps the first
-maximizing action in domain order, and asserts that the probability part
-is constant in the decision.
+with ``fold`` and reduce them with ``reduce_out``.  The chance step
+marginalizes the bucket variable out of the probability product and
+renormalizes the utility by that marginal (zero-probability
+configurations contribute zero).  The decision step maximizes the
+utility, keeps the first maximizing action in domain order, and asserts
+that the probability part is constant in the decision.
 
 ``PolicyEvaluator`` scores fixed policies with the same ``eliminate``:
 per utility, one sum-product over the CPTs and that utility along a legal
@@ -51,9 +51,10 @@ from .elimination import (
     encoded,
     expand_rule,
     fold,
+    ordered,
     product,
+    reduce_out,
     resolve_order,
-    without,
 )
 from .ordering import largest_bucket
 
@@ -98,20 +99,16 @@ def _floats(entries: tuple) -> np.ndarray:
 def _chance_step(diagram, order_key, y, lambdas, thetas):
     assert lambdas, f"chance bucket {y} has no probability component"
     lam = fold(lambdas, order_key)
-    axis = lam.scope.index(y)
-    lam_msg = Factor(without(lam.scope, axis), lam.table.sum(axis=axis))
+    lam_msg = reduce_out(lam, y, np.ndarray.sum)
     theta_msg = None
     if thetas:
         theta = thetas[0] if len(thetas) == 1 else fold(thetas, order_key, np.add)
-        combined = fold([lam, theta], order_key)
-        c_axis = combined.scope.index(y)
-        num = combined.table.sum(axis=c_axis)
-        num_scope = without(combined.scope, c_axis)
-        marginal = align(lam_msg, num_scope)
+        num = reduce_out(fold([lam, theta], order_key), y, np.ndarray.sum)
+        marginal = align(lam_msg, num.scope)
         # 0.0 where the marginal is zero; num there is a sum of 0 * theta,
         # which is -0.0 for a negative theta, so it cannot serve as out
-        table = np.divide(num, marginal, out=np.zeros_like(num), where=marginal != 0)
-        theta_msg = Factor(num_scope, table)
+        theta_msg = Factor(num.scope, np.zeros_like(num.table))
+        np.divide(num.table, marginal, out=theta_msg.table, where=marginal != 0)
     return lam_msg, theta_msg
 
 
@@ -123,21 +120,18 @@ def _decision_step(diagram, order_key, y, lambdas, thetas):
     lam_msg = None
     if lambdas:
         lam = fold(lambdas, order_key)
-        l_axis = lam.scope.index(y)
-        spread = lam.table.max(axis=l_axis) - lam.table.min(axis=l_axis)
+        lam_msg = reduce_out(lam, y, np.ndarray.max)
+        spread = lam_msg.table - reduce_out(lam, y, np.ndarray.min).table
         assert np.all(
             spread <= 1e-9 * np.maximum(1.0, np.abs(lam.table).max())
         ), f"probability component in decision bucket {y} varies with {y}"
-        lam_msg = Factor(without(lam.scope, l_axis), lam.table.max(axis=l_axis))
     if not thetas:
         # nothing downstream distinguishes the actions
         return lam_msg, None, Factor((), np.zeros((), dtype=int))
     combined = fold(thetas, order_key, np.add)
-    axis = combined.scope.index(y)
-    theta_msg = Factor(without(combined.scope, axis), combined.table.max(axis=axis))
+    theta_msg = reduce_out(combined, y, np.ndarray.max)
     # first maximizing action in domain order
-    actions = np.argmax(np.moveaxis(combined.table, axis, -1), axis=-1)
-    return lam_msg, theta_msg, Factor(theta_msg.scope, actions)
+    return lam_msg, theta_msg, reduce_out(combined, y, np.ndarray.argmax)
 
 
 # Cells of the largest table of one chunk of policies: every table of the
@@ -150,9 +144,7 @@ _CHUNK_CELLS = 1 << 22
 def _sum_step(diagram, order_key, y, lambdas, thetas):
     """Sum ``y`` out of the bucket's product; the message carries the
     utility if the bucket does."""
-    f = fold(lambdas + thetas, order_key)
-    i = f.scope.index(y)
-    msg = Factor(without(f.scope, i), f.table.sum(axis=i - len(f.scope)))
+    msg = reduce_out(fold(lambdas + thetas, order_key), y, np.ndarray.sum)
     return (None, msg) if thetas else (msg, None)
 
 
@@ -162,22 +154,18 @@ def _select_step(rules, diagram, order_key, y, lambdas, thetas):
     if not lambdas and not thetas:
         return None, None, None
     rule = rules[y]
-    scope = tuple(
-        sorted(
-            {v for f in lambdas + thetas for v in f.scope} | set(rule.scope),
-            key=order_key.__getitem__,
-        )
-    )
-    table = product(lambdas + thetas, scope)
-    if table.ndim == len(scope):
-        table = table[np.newaxis]
-    i = scope.index(y)
-    choice = align(rule, scope).squeeze(1 + i)
-    actions = np.moveaxis(table, 1 + i, 0)
-    chosen = actions[0]
-    for a in range(1, len(actions)):
-        chosen = np.where(choice == a, actions[a], chosen)
-    msg = Factor(without(scope, i), chosen)
+    seen = {v for f in lambdas + thetas for v in f.scope}
+    scope = ordered(seen | set(rule.scope), order_key)
+
+    def select(table, axis):
+        choice = align(rule, scope).squeeze(axis)
+        actions = np.moveaxis(table, axis, 0)
+        chosen = actions[0]
+        for a in range(1, len(actions)):
+            chosen = np.where(choice == a, actions[a], chosen)
+        return chosen
+
+    msg = reduce_out(Factor(scope, product(lambdas + thetas, scope)), y, select)
     return (None, msg, None) if thetas else (msg, None, None)
 
 

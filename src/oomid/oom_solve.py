@@ -47,8 +47,8 @@ from .elimination import (
     expand_rule,
     factor,
     fold,
+    reduce_out,
     resolve_order,
-    without,
 )
 from .sets import OOMSet, ZERO_SET, max_sets, scale, set_dominates, sum_sets
 from .values import INF, ZERO, OOMValue, Sign, add, dominates, inverse, mul
@@ -179,7 +179,8 @@ class PolicySet:
 # probability adds its order to both bits; a zero probability gives zero.
 #
 # A utility set is a table with two leading axes, (bit, end): its low and
-# its high element, equal for a singleton, as stored by ``OOMSet``.
+# its high element, equal for a singleton, as stored by ``OOMSet``.  The
+# kernels count ``axis`` from the end, past any further leading axes.
 
 def encode_value(v: OOMValue) -> tuple[float, float]:
     """A value's (+ bit, - bit) orders."""
@@ -243,18 +244,18 @@ def canonical(plus: np.ndarray, minus: np.ndarray, axis) -> np.ndarray:
 
 
 def sum_ends(table: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """``sum_sets`` of the sets along ``axis`` of a (bit, end, ...) table (an
-    axis after the two leading ones), or of each set alone if ``axis`` is
-    None: the ends summed separately, then the pair canonicalized."""
+    """``sum_sets`` of the sets along ``axis`` of a (bit, end, ...) table, or
+    of each set alone if ``axis`` is None: the ends summed separately, then
+    the pair canonicalized."""
     if axis is not None:
-        table = table.min(2 + axis)
+        table = table.min(axis)
     return canonical(table[0], table[1], 0)
 
 
 def max_ends(table: np.ndarray, axis: int) -> np.ndarray:
     """``max_sets`` of the sets along ``axis`` of a (bit, end, ...) table:
     every end of every set, canonicalized."""
-    return canonical(table[0], table[1], (0, 1 + axis))
+    return canonical(table[0], table[1], (0, axis))
 
 
 def maximal_mask(table: np.ndarray, axis: int) -> np.ndarray:
@@ -262,7 +263,7 @@ def maximal_mask(table: np.ndarray, axis: int) -> np.ndarray:
     sets along ``axis`` no other set strictly dominates: a boolean table
     with those sets along its first axis."""
     # (..., set, element) views of the bit orders
-    plus, minus = (np.moveaxis(t, (1 + axis, 0), (-2, -1)) for t in table)
+    plus, minus = (np.moveaxis(t, (axis, 0), (-2, -1)) for t in table)
     order = np.minimum(plus, minus)
     positive, negative = plus < minus, minus < plus
     # element x of set a dominates element y of set b, as [..., a, b, x, y]
@@ -320,15 +321,9 @@ def elim_oom_id(
         _decision_step,
     )
     roots = run.root_thetas
-    meu = decode_set(sum_ends(np.stack(roots, -1), 0)) if roots else ZERO_SET
+    meu = decode_set(sum_ends(np.stack(roots, -1), -1)) if roots else ZERO_SET
     policies = _expand_policy_set(diagram, run.rules)
     return OOMSolution(meu=meu, policies=policies, max_table_cells=run.max_cells)
-
-
-def _min_out(f: Factor, y: str) -> Factor:
-    """``y`` summed (or maximized) out of a probability table."""
-    axis = f.scope.index(y)
-    return Factor(without(f.scope, axis), f.table.min(axis))
 
 
 def _utility(thetas, lam, order_key) -> Factor:
@@ -342,32 +337,26 @@ def _utility(thetas, lam, order_key) -> Factor:
 def _chance_step(diagram, order_key, y, lambdas, thetas):
     assert lambdas, f"chance bucket {y} has no probability component"
     lam = fold(lambdas, order_key, np.add)
-    lam_msg = _min_out(lam, y)
+    lam_msg = reduce_out(lam, y, np.ndarray.min)  # a sum of probabilities
     theta_msg = None
     if thetas:
-        combined = _utility(thetas, lam, order_key)
-        axis = combined.scope.index(y)
-        scope = without(combined.scope, axis)
-        sums = sum_ends(combined.table, axis)
+        sums = reduce_out(_utility(thetas, lam, order_key), y, sum_ends)
         # divided by the probability mass; where the mass is zero, so is
         # every scaled term, and the sum stays zero
-        total = align(lam_msg, scope)
-        theta_msg = Factor(scope, sums - np.where(total < INF, total, 0.0))
+        total = align(lam_msg, sums.scope)
+        theta_msg = Factor(sums.scope, sums.table - np.where(total < INF, total, 0.0))
     return lam_msg, theta_msg
 
 
 def _decision_step(diagram, order_key, y, lambdas, thetas):
     lam = fold(lambdas, order_key, np.add) if lambdas else None
-    lam_msg = _min_out(lam, y) if lam is not None else None
+    lam_msg = reduce_out(lam, y, np.ndarray.min) if lam is not None else None
     if not thetas:
         # nothing downstream distinguishes the actions: keep them all
         return lam_msg, None, Factor((), np.ones(len(diagram.domain(y)), dtype=bool))
     combined = _utility(thetas, lam, order_key)
-    axis = combined.scope.index(y)
-    scope = without(combined.scope, axis)
-    theta_msg = Factor(scope, max_ends(combined.table, axis))
-    rule = Factor(scope, maximal_mask(combined.table, axis))
-    return lam_msg, theta_msg, rule
+    theta_msg = reduce_out(combined, y, max_ends)
+    return lam_msg, theta_msg, reduce_out(combined, y, maximal_mask)
 
 
 def _expand_policy_set(

@@ -2,7 +2,9 @@
 
 Every kernel runs once over a whole batch of operand tuples, and each
 result must equal the scalar result exactly.  Values come from the
-acceptance window; sets are every canonical set built from it.
+acceptance window; sets are every canonical set built from it.  Through
+``reduce_out``, every kernel and float reduction must pass leading axes
+through.
 """
 
 import itertools
@@ -10,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from oomid.elimination import Factor, reduce_out
 from oomid.oom_solve import (
     _max_value,
     _maximal_actions,
@@ -127,19 +130,19 @@ def test_pair_canonicalization():
 @pytest.mark.parametrize("sets, arity", [(SETS, 2), (SMALL_SETS, 3)], ids=["pairs", "triples"])
 def test_sum_sets(sets, arity):
     combos, table = tuples_table(sets, arity)
-    assert decoded_sets(sum_ends(table, 1)) == [sum_sets(*c) for c in combos]
+    assert decoded_sets(sum_ends(table, -1)) == [sum_sets(*c) for c in combos]
 
 
 @pytest.mark.parametrize("sets, arity", [(SETS, 2), (SMALL_SETS, 3)], ids=["pairs", "triples"])
 def test_max_sets(sets, arity):
     combos, table = tuples_table(sets, arity)
-    assert decoded_sets(max_ends(table, 1)) == [max_sets(*c) for c in combos]
+    assert decoded_sets(max_ends(table, -1)) == [max_sets(*c) for c in combos]
 
 
 @pytest.mark.parametrize("sets, arity", [(SETS, 2), (SMALL_SETS, 3)], ids=["pairs", "triples"])
 def test_maximal_actions(sets, arity):
     combos, table = tuples_table(sets, arity)
-    got = [frozenset(np.flatnonzero(col).tolist()) for col in maximal_mask(table, 1).T]
+    got = [frozenset(np.flatnonzero(col).tolist()) for col in maximal_mask(table, -1).T]
     assert got == [_maximal_actions(*c) for c in combos]
 
 
@@ -148,7 +151,7 @@ def test_single_sets_are_fixed_points_of_sum():
     # canonical set, a sum or maximum of sets, or one shifted by a finite
     # order must come back unchanged
     _, table = tuples_table(SETS, 2)
-    for t in [encode_sets(SETS), sum_ends(table, 1), max_ends(table, 1)]:
+    for t in [encode_sets(SETS), sum_ends(table, -1), max_ends(table, -1)]:
         for shift in range(-4, 5):
             assert np.array_equal(sum_ends(t + shift), t + shift)
     # while a pair of arbitrary ends is not a fixed point in general
@@ -156,3 +159,31 @@ def test_single_sets_are_fixed_points_of_sum():
     lo, hi = bits([a for a, _ in pairs]), bits([b for _, b in pairs])
     raw = np.array([[lo[0], hi[0]], [lo[1], hi[1]]])
     assert not np.array_equal(sum_ends(raw), raw)
+
+
+# ``reduce_out`` hands each reduction its axis counted from the end, so an
+# extra leading axis (after (bit, end) for sets, in front for floats) must
+# reduce to its slices' results, stacked where that axis lands in the result
+LEADING_LANDS = {sum_ends: 2, max_ends: 2, maximal_mask: 1}
+
+
+@pytest.mark.parametrize(
+    "reduce",
+    [*LEADING_LANDS, np.ndarray.min, np.ndarray.sum, np.ndarray.max, np.ndarray.argmax],
+    ids=lambda r: r.__name__,
+)
+def test_reduce_out_passes_leading_axes_through(reduce):
+    rng = np.random.default_rng(0)
+    scope, shape = ("a", "b", "c"), (3, 4, 3, 2)  # the leading axis, then the scope's
+    if reduce in LEADING_LANDS:
+        table, lead = encode_sets(SETS)[:, :, rng.integers(len(SETS), size=shape)], 2
+    else:
+        table, lead = rng.integers(-2, 3, size=shape).astype(float), 0  # with ties
+    for y in scope:
+        got = reduce_out(Factor(scope, table), y, reduce)
+        slices = [
+            reduce_out(Factor(scope, np.take(table, e, lead)), y, reduce).table
+            for e in range(shape[0])
+        ]
+        assert got.scope == tuple(v for v in scope if v != y)
+        assert np.array_equal(got.table, np.stack(slices, LEADING_LANDS.get(reduce, 0)))
