@@ -80,15 +80,17 @@ class TestRunExperiment:
 
 
 class TestStatistics:
+    def test_median_low_is_lower_middle(self):
+        # the 50th nearest-rank percentile, which ``sample_errors`` takes as v_med
+        assert _nearest_rank([1.0, 2.0], 50) == 1.0
+        assert _nearest_rank([1.0, 2.0, 3.0], 50) == 2.0
+        assert _nearest_rank([1.0, 2.0, 3.0, 4.0], 50) == 2.0
+
     def test_nearest_rank(self):
         values = sorted([0.1, 0.2, 0.3, 0.4])
         assert _nearest_rank(values, 25) == 0.1
         assert _nearest_rank(values, 50) == 0.2
         assert _nearest_rank(values, 75) == 0.3
-        # the 50th is the lower middle, which ``sample_errors`` takes as v_med
-        assert _nearest_rank([1.0, 2.0], 50) == 1.0
-        assert _nearest_rank([1.0, 2.0, 3.0], 50) == 2.0
-        assert _nearest_rank([1.0, 2.0, 3.0, 4.0], 50) == 2.0
 
     def test_identical_values_give_flat_percentiles(self):
         base = dict(
