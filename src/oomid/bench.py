@@ -20,7 +20,6 @@ from .convert import ConversionConfig, convert
 from .exact import PolicyEvaluator, solve_exact
 from .generator import GeneratorParams, generate
 from .oom_solve import elim_oom_id
-from .ordering import legal_ordering
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,11 @@ def run_experiment(
     for i in range(instances):
         instance_seed = seed * 1_000_003 + i
         diagram = generate(replace(params, seed=instance_seed))
-        # conversion keeps the graph, so one ordering serves every solve
-        order = legal_ordering(diagram)
-        v = solve_exact(diagram, order=order).meu
-        evaluator = PolicyEvaluator(diagram, order)
+        v = solve_exact(diagram).meu
+        evaluator = PolicyEvaluator(diagram)
         for j, eps in enumerate(epsilons):
             oom = convert(diagram, ConversionConfig(eps))
-            solution = elim_oom_id(oom, order=order)
+            solution = elim_oom_id(oom)
             count = solution.policies.count()
             policies, replaced = solution.policies.sample(
                 s, seed=instance_seed * 31 + j

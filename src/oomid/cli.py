@@ -30,7 +30,6 @@ from .diagram import (
 from .exact import PolicyEvaluator, solve_exact
 from .generator import GeneratorParams
 from .oom_solve import elim_oom_id
-from .ordering import legal_ordering
 
 
 def _print_rule(diagram: InfluenceDiagram, d: str, scope, entries) -> None:
@@ -107,13 +106,11 @@ def _cmd_solve_oom(args) -> int:
 
 def _cmd_compare(args) -> int:
     diagram = require_valid(load(args.diagram), qualitative=False)
-    # conversion keeps the graph, so one ordering serves both solves
-    order = legal_ordering(diagram)
-    v = solve_exact(diagram, order=order).meu
+    v = solve_exact(diagram).meu
     oom = convert(diagram, ConversionConfig(args.epsilon))
-    solution = elim_oom_id(oom, order=order)
+    solution = elim_oom_id(oom)
     policies, replaced = solution.policies.sample(args.samples, seed=args.seed)
-    utilities = sorted(PolicyEvaluator(diagram, order).evaluate_many(policies))
+    utilities = sorted(PolicyEvaluator(diagram).evaluate_many(policies))
     v_med, v_max, eta_med, eta_max = sample_errors(v, utilities)
     print(f"v = {v:.6f}")
     print(f"v_med = {v_med:.6f}")

@@ -14,7 +14,9 @@ by every entry that quantizes to it; both types are frozen.
 
 The converted diagram keeps the numeric diagram's variables, scopes,
 decision order and information sets, so ``convert`` records it as valid
-(see ``diagram.mark_valid``) instead of validating it again.
+(see ``diagram.mark_valid``) instead of validating it again, and hands it
+the numeric diagram's recorded elimination ordering, if any (see
+``ordering.legal_ordering``): the graph, and so the ordering, is the same.
 """
 
 from __future__ import annotations
@@ -156,18 +158,18 @@ def convert(diagram: InfluenceDiagram, cfg: ConversionConfig) -> OOMInfluenceDia
     eps = cfg.epsilon
     probabilities = _split(_probabilities(_flat(diagram.cpts), eps), diagram.cpts)
     utilities = _split(_utilities(_flat(diagram.utilities), eps), diagram.utilities)
-    return mark_valid(
-        OOMInfluenceDiagram(
-            variables=diagram.variables,
-            cpts=tuple(
-                CPT(c.child, c.parents, table)
-                for c, table in zip(diagram.cpts, probabilities)
-            ),
-            utilities=tuple(
-                UtilityFunction(u.scope, table)
-                for u, table in zip(diagram.utilities, utilities)
-            ),
-            decision_order=diagram.decision_order,
-            information_sets=dict(diagram.information_sets),
-        )
+    oom = OOMInfluenceDiagram(
+        variables=diagram.variables,
+        cpts=tuple(
+            CPT(c.child, c.parents, table)
+            for c, table in zip(diagram.cpts, probabilities)
+        ),
+        utilities=tuple(
+            UtilityFunction(u.scope, table)
+            for u, table in zip(diagram.utilities, utilities)
+        ),
+        decision_order=diagram.decision_order,
+        information_sets=dict(diagram.information_sets),
     )
+    object.__setattr__(oom, "_ordering", diagram._ordering)
+    return mark_valid(oom)

@@ -78,6 +78,10 @@ class InfluenceDiagram:
     _index: Mapping[str, Variable] = field(init=False, repr=False, compare=False)
     # set by the first ``require_valid`` that finds no problem
     _valid: bool = field(default=False, init=False, repr=False, compare=False)
+    # set by the first ``ordering.legal_ordering``
+    _ordering: tuple[str, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # derived once: the id index and the variables of each kind
@@ -103,7 +107,8 @@ class OOMInfluenceDiagram(InfluenceDiagram):
 def apply_nonforgetting(diagram: InfluenceDiagram) -> InfluenceDiagram:
     """Close the information sets: every decision also observes all earlier
     decisions and everything those decisions observed.  A decision without
-    an information set is left without one, for ``validate`` to report."""
+    an information set is left without one, for ``validate`` to report.
+    A diagram whose sets are already closed is returned itself."""
     info = diagram.information_sets
     closed: dict[str, tuple[str, ...]] = {}
     seen: list[str] = []  # earlier decisions and their observations, in order
@@ -114,6 +119,8 @@ def apply_nonforgetting(diagram: InfluenceDiagram) -> InfluenceDiagram:
         if d not in seen:
             seen.append(d)
     closed.update((d, ps) for d, ps in info.items() if d not in closed)
+    if closed == info:
+        return diagram
     return replace(diagram, information_sets=closed)
 
 

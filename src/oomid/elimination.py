@@ -75,11 +75,12 @@ def product(
     factors: Sequence[Factor], scope: tuple[str, ...], op: np.ufunc = np.multiply
 ) -> np.ndarray:
     """The factors' tables aligned over ``scope`` and folded by ``op``, left
-    to right."""
+    to right.  Each result is laid out C-contiguous, whatever the strides
+    of a transposed input view."""
     position = {v: i for i, v in enumerate(scope)}
     table = _aligned(factors[0], position)
     for f in factors[1:]:
-        table = op(table, _aligned(f, position))
+        table = op(table, _aligned(f, position), order="C")
     return table
 
 

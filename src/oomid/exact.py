@@ -196,8 +196,9 @@ class PolicyEvaluator:
 
     A forgetting diagram is ordered and eliminated as its non-forgetting
     closure, which only adds observations: each decision still goes before
-    everything its rule reads.  The ordering (the closure's legal one unless
-    given), the encoded tables and the chunk size depend on the diagram only.
+    everything its rule reads; a closed diagram is its own closure.  The
+    ordering (the closure's legal one unless given), the encoded tables and
+    the chunk size depend on the diagram only.
     """
 
     def __init__(self, diagram: InfluenceDiagram, order: list[str] | None = None):
@@ -207,8 +208,11 @@ class PolicyEvaluator:
         self._order = resolve_order(self._closure, order)
         self._cpts = encoded(diagram, diagram.cpts, _floats)
         self._utilities = encoded(diagram, diagram.utilities, _floats)
-        largest = largest_bucket(self._closure, self._order)
-        self._chunk = max(1, _CHUNK_CELLS // largest)
+
+    @functools.cached_property
+    def _chunk(self) -> int:
+        """Policies per chunk; only a batch of more than one needs it."""
+        return max(1, _CHUNK_CELLS // largest_bucket(self._closure, self._order))
 
     def evaluate(self, policy: Policy) -> float:
         return self.evaluate_many([policy])[0]
@@ -218,9 +222,10 @@ class PolicyEvaluator:
         if not isinstance(policies, PolicyBatch):
             policies = _stack(self._diagram, policies)
         rules = {d: self._checked(policies, d) for d in self._diagram.decision_vars}
+        step = self._chunk if policies.size > 1 else 1
         values: list[float] = []
-        for start in range(0, policies.size, self._chunk):
-            stop = min(start + self._chunk, policies.size)
+        for start in range(0, policies.size, step):
+            stop = min(start + step, policies.size)
             chunk = {d: Factor(r.scope, r.table[start:stop]) for d, r in rules.items()}
             select = functools.partial(_select_step, chunk)
             total = np.zeros(stop - start)

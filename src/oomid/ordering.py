@@ -9,10 +9,12 @@ picks it, with ties broken by variable name (as strings) for determinism.
 The graph is one integer bitmask per variable, bit i standing for the i-th
 variable of ``diagram.variables``: the variable's neighbours.  Fill is
 counted with ``int.bit_count`` over masks, and ``_eliminate`` is the one
-graph update.  ``legal_ordering`` keeps each variable's fill and recounts
+graph update.  The min-fill walk keeps each variable's fill and recounts
 it only when an elimination can have changed it: eliminating u touches
-only u's neighbours and theirs.  ``induced_width`` and ``largest_bucket``
-read the neighbourhoods of one walk along a given ordering.
+only u's neighbours and theirs.  ``legal_ordering`` records the walk's
+result on the diagram, so each diagram object is walked once.
+``induced_width`` and ``largest_bucket`` read the neighbourhoods of one
+walk along a given ordering.
 """
 
 from __future__ import annotations
@@ -80,7 +82,18 @@ def _fill(adj: list[int], i: int) -> int:
 
 
 def legal_ordering(diagram: InfluenceDiagram) -> list[str]:
-    """Deterministic legal elimination ordering (first-eliminated first)."""
+    """Deterministic legal elimination ordering (first-eliminated first).
+
+    It depends on the graph only, so it is computed once per diagram and
+    recorded on it, as ``require_valid`` records validity; every call
+    returns a fresh list."""
+    if diagram._ordering is None:
+        object.__setattr__(diagram, "_ordering", tuple(_min_fill(diagram)))
+    return list(diagram._ordering)
+
+
+def _min_fill(diagram: InfluenceDiagram) -> list[str]:
+    """The min-fill walk of ``legal_ordering``, block by block."""
     names, index, adj = _graph(diagram)
     # (fill, name) as one integer: fill times n plus the name's rank
     n = len(names)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from oomid.diagram import (
 )
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import brute_force_oom, elim_oom_id
+from oomid.ordering import legal_ordering
 from oomid.sets import ZERO_SET, singleton
 from oomid.values import ZERO, OOMValue, Sign
 
@@ -390,7 +392,7 @@ def test_equal_values_shared():
             assert (a is b) == (a == b)
 
 
-@pytest.mark.parametrize(
+GENERATED = pytest.mark.parametrize(
     "params",
     [
         GeneratorParams(n_c=n - 5, n_d=5, utility_class=cls, seed=seed)
@@ -400,9 +402,25 @@ def test_equal_values_shared():
     + [GeneratorParams(n_c=20, n_d=5, k=3, utility_class="M", seed=7)],
     ids=lambda p: f"n{p.n_c + p.n_d}-k{p.k}-{p.utility_class}",
 )
+
+
+@GENERATED
 def test_converted_diagrams_valid(params):
     # convert records its output as valid without running validate; this
     # is the check that the record is true
     d = generate(params)
     for eps in (0.5, 0.05, 0.005):
         assert validate(convert(d, ConversionConfig(eps))) == []
+
+
+@GENERATED
+def test_converted_diagrams_keep_ordering(params):
+    # convert hands over the numeric diagram's recorded ordering; a copy
+    # of the converted diagram computes its own, which must equal it
+    d = generate(params)
+    assert convert(d, E01)._ordering is None
+    order = legal_ordering(d)
+    for eps in (0.5, 0.05, 0.005):
+        oom = convert(d, ConversionConfig(eps))
+        assert oom._ordering == tuple(order)
+        assert legal_ordering(replace(oom)) == order

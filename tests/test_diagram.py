@@ -4,6 +4,7 @@ from oomid.diagram import (
     CPT,
     DiagramError,
     InfluenceDiagram,
+    apply_nonforgetting,
     from_dict,
     load,
     save,
@@ -62,6 +63,15 @@ class TestWildcatterFixture:
         assert raw.information_sets["Drill"] == ("Seismic",)
         closed = wildcatter()
         assert closed.information_sets["Drill"] == ("Test", "Seismic")
+
+    def test_closed_diagram_is_its_own_closure(self):
+        closed = wildcatter()
+        assert apply_nonforgetting(closed) is closed
+        raw = wildcatter(nonforgetting=False)
+        closure = apply_nonforgetting(raw)
+        assert closure is not raw
+        assert closure.information_sets == closed.information_sets
+        assert apply_nonforgetting(closure) is closure
 
     def test_temporal_partition(self):
         tp = temporal_partition(wildcatter())

@@ -3,15 +3,22 @@
 The oracles are the set-based min-fill ordering, induced width, largest
 bucket and interaction graph that the bitset versions replaced: the pair
 loop that recounts every fill at every step.  Results must be equal,
-including every tie-break.
+including every tie-break.  ``TestRecordedOrdering`` checks the ordering
+that ``legal_ordering`` records on a diagram, and that the solvers walk
+each diagram's graph once.
 """
 
 import math
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oomid.diagram import from_dict, temporal_partition, wildcatter
+from oomid import exact, ordering
+from oomid.bench import run_experiment
+from oomid.diagram import DiagramError, from_dict, temporal_partition, wildcatter
+from oomid.exact import PolicyEvaluator, evaluate_policy, solve_exact
 from oomid.generator import GeneratorParams, generate
 from oomid.ordering import (
     induced_width,
@@ -158,3 +165,85 @@ def test_random_diagrams_match_oracles(case):
     permutation, data = case
     data["variables"] = [data["variables"][i] for i in permutation]
     assert_matches_oracles(from_dict(data))
+
+
+def counted_walks(monkeypatch) -> list:
+    """Patch the min-fill walk to record the id of each diagram it walks;
+    diagrams compare equal by content, so identity tells copies apart."""
+    walked = []
+    walk = ordering._min_fill
+
+    def counting(diagram):
+        walked.append(id(diagram))
+        return walk(diagram)
+
+    monkeypatch.setattr(ordering, "_min_fill", counting)
+    return walked
+
+
+class TestRecordedOrdering:
+    def test_fresh_list_each_call(self, monkeypatch):
+        walked = counted_walks(monkeypatch)
+        d = wildcatter()
+        first = legal_ordering(d)
+        second = legal_ordering(d)
+        assert first == second == ["Oil", "Drill", "Seismic", "Test"]
+        assert first is not second
+        first.reverse()
+        second.append("X")
+        assert legal_ordering(d) == ["Oil", "Drill", "Seismic", "Test"]
+        assert walked == [id(d)]
+
+    def test_replaced_copy_walks_its_own_graph(self, monkeypatch):
+        walked = counted_walks(monkeypatch)
+        d = wildcatter()
+        order = legal_ordering(d)
+        same = replace(d)
+        assert legal_ordering(same) == order
+        # Drill no longer observes Seismic, which joins Oil's block
+        changed = replace(d, information_sets={"Test": (), "Drill": ("Test",)})
+        assert legal_ordering(changed) == ["Seismic", "Oil", "Drill", "Test"]
+        assert walked == [id(d), id(same), id(changed)]
+
+    def test_illegal_order_rejected_after_record(self):
+        d = wildcatter()
+        solve_exact(d)
+        assert d._ordering == ("Oil", "Drill", "Seismic", "Test")
+        illegal = ["Test", "Seismic", "Drill", "Oil"]
+        with pytest.raises(DiagramError, match="not a legal elimination ordering"):
+            solve_exact(d, order=illegal)
+        with pytest.raises(DiagramError, match="not a legal elimination ordering"):
+            PolicyEvaluator(d, illegal)
+        assert legal_ordering(d) == ["Oil", "Drill", "Seismic", "Test"]
+
+    def test_solve_then_evaluate_walks_once(self, monkeypatch):
+        walked = counted_walks(monkeypatch)
+        d = generate(GeneratorParams(n_c=40, n_d=5, utility_class="P", seed=1))
+        solution = solve_exact(d)
+        assert evaluate_policy(d, solution.policy) == pytest.approx(solution.meu)
+        assert walked == [id(d)]
+
+    def test_experiment_walks_once_per_instance(self, monkeypatch):
+        walked = counted_walks(monkeypatch)
+        params = GeneratorParams(n_c=20, n_d=5, utility_class="M", seed=0)
+        results = run_experiment(params, [0.5, 0.05, 0.005], s=5, instances=2, seed=4)
+        assert len(results) == 6
+        assert len(walked) == len(set(walked)) == 2
+
+    def test_chunk_bound_only_for_batches(self, monkeypatch):
+        bounded = []
+        bound = exact.largest_bucket
+
+        def counting(diagram, order):
+            bounded.append(id(diagram))
+            return bound(diagram, order)
+
+        monkeypatch.setattr(exact, "largest_bucket", counting)
+        d = wildcatter()
+        policy = solve_exact(d).policy
+        evaluator = PolicyEvaluator(d)
+        evaluator.evaluate(policy)
+        evaluator.evaluate_many([policy])
+        assert bounded == []
+        evaluator.evaluate_many([policy, policy])
+        assert bounded == [id(d)]
