@@ -119,7 +119,7 @@ class Elimination:
     root_lambdas: list[np.ndarray]  # tables over no variable, in the order they arrived
     root_thetas: list[np.ndarray]
     rules: dict[str, Factor]
-    max_cells: int  # cells of the largest message scope
+    max_cells: int  # cells of the largest message scope, read off its trailing axes
 
 
 def encoded(
@@ -171,7 +171,7 @@ def eliminate(
         for kind, msg in enumerate((lam_msg, theta_msg)):
             if msg is None:
                 continue
-            cells = math.prod(diagram.domain_sizes(msg.scope))
+            cells = math.prod(msg.table.shape[msg.table.ndim - len(msg.scope) :])
             result.max_cells = max(result.max_cells, cells)
             if msg.scope:
                 place(msg, kind)

@@ -10,17 +10,29 @@ utility, keeps the first maximizing action in domain order, and asserts
 that the probability part is constant in the decision.
 
 ``PolicyEvaluator`` scores fixed policies with the same ``eliminate``:
-per utility, one sum-product over the CPTs and that utility along a legal
-ordering of the diagram's non-forgetting closure.  A chance step sums its variable
-out; a decision step selects each policy's action along the decision's
-axis where the solver takes the max.  Tables gain a leading batch axis,
-one entry per policy, only at the first decision bucket, so everything
-eliminated before it is computed once for the whole batch.
+per utility, one sum-product over that utility and the CPTs of its
+ancestors in the diagram's non-forgetting closure (along CPT parents and
+information sets), along the closure's legal ordering restricted to
+those ancestors.  Every other variable is barren for the utility: its
+CPT rows sum to one and a barren decision changes nothing, so summing
+them out would multiply the value by one.  A chance step sums its
+variable out; a decision step selects each policy's action along the
+decision's axis where the solver takes the max.  Tables gain a leading
+batch axis, one entry per policy, only at the first decision bucket, so
+everything eliminated before it is computed once for the whole batch.
 ``evaluate_many`` takes a ``PolicyBatch``, per decision an (s, cells)
-array of action indices, checked once per decision; a list of ``Policy``
-is stacked into one first.  ``evaluate`` and ``evaluate_policy`` are
-batches of one.  ``brute_force_meu`` enumerates every policy and scores
-each with ``policy_value``, an independent oracle for testing.
+array of action indices, checked once per decision, barren ones too; a
+list of ``Policy`` is stacked into one first.  ``evaluate`` and
+``evaluate_policy`` are batches of one.  ``brute_force_meu`` enumerates
+every policy and scores each with ``policy_value``, an independent
+oracle for testing.
+
+``solve_exact`` and ``oom_solve.elim_oom_id`` keep every variable.  In
+``solve_exact`` a barren variable's probability message is one only up to
+rounding, and dropping it would move MEU bits that tests pin.  In the
+order-of-magnitude algebra a CPT row's mass need not be of order 0: at
+eps = 0.5 each entry of the row (0.34, 0.33, 0.33) is of order 1, and so
+is their sum, so pruning would change qualitative results.
 """
 
 from __future__ import annotations
@@ -196,9 +208,20 @@ class PolicyEvaluator:
 
     A forgetting diagram is ordered and eliminated as its non-forgetting
     closure, which only adds observations: each decision still goes before
-    everything its rule reads; a closed diagram is its own closure.  The
-    ordering (the closure's legal one unless given), the encoded tables and
-    the chunk size depend on the diagram only.
+    everything its rule reads; a closed diagram is its own closure.  Each
+    utility is summed over its ancestors in the closure only, along CPT
+    parents and information sets.  No ancestor depends on the other
+    variables, so summed out children first, each barren chance variable's
+    CPT rows add up to one and each barren decision selects from a table of
+    ones: dropping them is exact up to those row sums' distance from one.  The
+    ancestors are eliminated along the closure's ordering (its legal one
+    unless given) restricted to them, which stays legal: the kept decisions
+    are a prefix of the decision order, and each one's information set is
+    kept.  The chunk size is bounded by the largest bucket of the closure's
+    whole ordering, which no ancestors' bucket exceeds: their graph is a
+    subgraph of the closure's, so eliminating it adds no other fill.  The
+    orderings, the encoded CPTs and the chunk size depend on the diagram
+    only.
     """
 
     def __init__(self, diagram: InfluenceDiagram, order: list[str] | None = None):
@@ -206,8 +229,21 @@ class PolicyEvaluator:
         self._diagram = diagram
         self._closure = apply_nonforgetting(diagram)
         self._order = resolve_order(self._closure, order)
-        self._cpts = encoded(diagram, diagram.cpts, _floats)
-        self._utilities = encoded(diagram, diagram.utilities, _floats)
+        parents = {cpt.child: cpt.parents for cpt in diagram.cpts}
+        parents.update(self._closure.information_sets)
+        kept = [_ancestors(u.scope, parents) for u in diagram.utilities]
+        cpts = [cpt for cpt in diagram.cpts if any(cpt.child in k for k in kept)]
+        lambdas = dict(zip((c.child for c in cpts), encoded(diagram, cpts, _floats)))
+        utilities = encoded(diagram, diagram.utilities, _floats)
+        # per utility: the ordering of its ancestors, their CPTs and the utility
+        self._parts = [
+            (
+                [v for v in self._order if v in k],
+                [f for child, f in lambdas.items() if child in k],
+                u,
+            )
+            for k, u in zip(kept, utilities)
+        ]
 
     @functools.cached_property
     def _chunk(self) -> int:
@@ -229,10 +265,8 @@ class PolicyEvaluator:
             chunk = {d: Factor(r.scope, r.table[start:stop]) for d, r in rules.items()}
             select = functools.partial(_select_step, chunk)
             total = np.zeros(stop - start)
-            for utility in self._utilities:
-                run = eliminate(
-                    self._closure, self._order, self._cpts, [utility], _sum_step, select
-                )
+            for order, lambdas, utility in self._parts:
+                run = eliminate(self._closure, order, lambdas, [utility], _sum_step, select)
                 value = run.root_thetas[0]
                 for lam in run.root_lambdas:
                     value = value * lam
@@ -259,6 +293,18 @@ class PolicyEvaluator:
         ):
             raise DiagramError(f"rule for {d} has an action outside 0..{k - 1}")
         return Factor(info, actions.reshape((batch.size,) + sizes))
+
+
+def _ancestors(scope: tuple[str, ...], parents: Mapping[str, tuple[str, ...]]) -> set[str]:
+    """``scope`` and every variable it reaches along ``parents``."""
+    seen: set[str] = set()
+    stack = list(scope)
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(parents[v])
+    return seen
 
 
 def evaluate_policy(diagram: InfluenceDiagram, policy: Policy) -> float:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -26,7 +27,7 @@ from oomid.exact import (
     policy_value,
     solve_exact,
 )
-from oomid.elimination import Factor, align, product
+from oomid.elimination import Factor, align, eliminate, product
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
 from oomid.ordering import is_legal_ordering, largest_bucket, legal_ordering
@@ -383,6 +384,89 @@ class TestEdgeCases:
             brute_force_meu(from_dict(data), guard=10**6)
 
 
+def barren_diagram(nonforgetting: bool):
+    """Decisions D1, D2, D3 in order; U1 over (B, D1) reaches A, B and D1,
+    U2 over (C, D2) also C and D2.  E, F, G and the decision D3 are barren
+    for both: no utility depends on them."""
+    rng = np.random.default_rng(7)
+    sizes = {"A": 2, "B": 3, "C": 2, "E": 2, "F": 3, "G": 2, "D1": 2, "D2": 3, "D3": 2}
+    parents = {
+        "A": [], "B": ["A"], "C": ["B", "D1"], "E": ["C", "D2"], "F": ["D2"],
+        "G": ["D3", "E"],
+    }
+
+    def cpt(child):
+        cells = math.prod(sizes[p] for p in parents[child])
+        rows = rng.uniform(0.1, 1.0, size=(cells, sizes[child]))
+        return (rows / rows.sum(axis=1, keepdims=True)).ravel().tolist()
+
+    data = {
+        "variables": [
+            {
+                "id": v,
+                "kind": "decision" if v.startswith("D") else "chance",
+                "domain": [str(i) for i in range(k)],
+            }
+            for v, k in sizes.items()
+        ],
+        "cpts": [
+            {"child": c, "parents": ps, "table": cpt(c)} for c, ps in parents.items()
+        ],
+        "utilities": [
+            {"scope": ["B", "D1"], "table": rng.normal(size=6).tolist()},
+            {"scope": ["C", "D2"], "table": rng.normal(size=6).tolist()},
+        ],
+        "decision_order": ["D1", "D2", "D3"],
+        "information_sets": {"D1": ["A"], "D2": ["C"], "D3": ["E"]},
+    }
+    return from_dict(data, nonforgetting=nonforgetting)
+
+
+class TestBarrenVariables:
+    ANCESTORS = [{"A", "B", "D1"}, {"A", "B", "C", "D1", "D2"}]
+
+    @pytest.mark.parametrize("nonforgetting", [True, False], ids=["closed", "forgetting"])
+    def test_each_utility_eliminates_its_ancestors_only(self, nonforgetting, monkeypatch):
+        d = barren_diagram(nonforgetting)
+        closure = apply_nonforgetting(d)
+        assert (d.information_sets == closure.information_sets) == nonforgetting
+        calls = []
+
+        def recorded(diagram, order, lambdas, thetas, *steps):
+            calls.append((list(order), lambdas, thetas))
+            return eliminate(diagram, order, lambdas, thetas, *steps)
+
+        monkeypatch.setattr(exact, "eliminate", recorded)
+        policies = random_policies(d, 12, seed=3)
+        values = PolicyEvaluator(d).evaluate_many(policies)
+        assert len(calls) == 2
+        for (order, lambdas, thetas), kept in zip(calls, self.ANCESTORS):
+            assert order == [v for v in legal_ordering(closure) if v in kept]
+            assert {f.scope[-1] for f in lambdas} == kept - set(d.decision_vars)
+            assert all(set(f.scope) <= kept for f in lambdas + thetas)
+        for policy, value in zip(policies, values):
+            expected = policy_value(d, {x: r.actions for x, r in policy.rules.items()})
+            assert abs(value - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("nonforgetting", [True, False], ids=["closed", "forgetting"])
+    @pytest.mark.parametrize("case", ["wrong scope", "action 2"])
+    def test_barren_decision_rule_still_checked(self, nonforgetting, case):
+        d = barren_diagram(nonforgetting)
+        good = random_policies(d, 2, seed=4)
+        info = d.information_sets["D3"]
+        rules = dict(good[1].rules)
+        if case == "wrong scope":
+            cells = len(rules["D3"].actions) // 2  # E is last and binary
+            rules["D3"] = PolicyRule("D3", info[:-1], (0,) * cells)
+        else:
+            rules["D3"] = PolicyRule("D3", info, (2,) + rules["D3"].actions[1:])
+        evaluator = PolicyEvaluator(d)
+        with pytest.raises(DiagramError, match="D3"):
+            evaluator.evaluate_many([good[0], Policy(rules=rules)])
+        with pytest.raises(DiagramError, match="D3"):
+            evaluator.evaluate(Policy(rules=rules))
+
+
 class TestRandomAgreement:
     @pytest.mark.parametrize("i", range(30))
     def test_matches_brute_force(self, i):
@@ -644,9 +728,25 @@ def test_exact_outputs_pinned():
 def test_evaluated_values_pinned():
     # the optimal policy's evaluated value, which depends on the evaluator's
     # elimination order and so may move in the last bits when that changes
+    # (summing each utility over its ancestors only moved them by at most
+    # 204 ulps, median 1)
     digest = hashlib.sha256()
     for d in pinned_diagrams():
         digest.update(evaluate_policy(d, solve_exact(d).policy).hex().encode() + b"\n")
     assert digest.hexdigest() == (
-        "9facd9fa12f12cb6eff058d8b22d2635de737f5bab8d024a609734bd3024e209"
+        "fcfa8dcb4b0cda7594f750ce9745ff465ed085c4e3b3c026307b4f710cd319a7"
     )
+
+
+def test_optimal_policy_evaluates_to_meu():
+    # the evaluator and the solver eliminate different variables in
+    # different orders, yet must agree on the optimal policy's value
+    generated = [
+        generate(GeneratorParams(n_c=n - 5, n_d=5, utility_class=c, seed=n))
+        for n in (25, 35, 45)
+        for c in "PM"
+    ]
+    for d in list(pinned_diagrams()) + generated:
+        sol = solve_exact(d)
+        value = evaluate_policy(d, sol.policy)
+        assert abs(value - sol.meu) <= 1e-12 * abs(sol.meu)
