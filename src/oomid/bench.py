@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .convert import ConversionConfig, convert
+from .diagram import InfluenceDiagram
 from .exact import PolicyEvaluator, solve_exact
 from .generator import GeneratorParams, generate
 from .oom_solve import elim_oom_id
@@ -55,6 +56,26 @@ def sample_errors(
     return v_med, v_max, abs((v - v_med) / v), abs((v - v_max) / v)
 
 
+def score_epsilon(
+    diagram: InfluenceDiagram,
+    evaluator: PolicyEvaluator,
+    v: float,
+    eps: float,
+    s: int,
+    seed: int,
+) -> tuple[list[float], tuple[float, float, float, float], int, bool]:
+    """One epsilon of an experiment: quantize ``diagram`` at ``eps``, solve
+    it qualitatively, sample ``s`` policies of its optimal set with
+    ``seed`` and score them with ``evaluator``.  Returns the sorted sampled
+    utilities, their ``sample_errors`` against the MEU ``v``, the size of
+    the policy set and whether the draw was with replacement."""
+    solution = elim_oom_id(convert(diagram, ConversionConfig(eps)))
+    count = solution.policies.count()
+    policies, replaced = solution.policies.sample(s, seed=seed)
+    utilities = sorted(evaluator.evaluate_many(policies))
+    return utilities, sample_errors(v, utilities), count, replaced
+
+
 def run_experiment(
     params: GeneratorParams,
     epsilons: Sequence[float],
@@ -72,14 +93,9 @@ def run_experiment(
         v = solve_exact(diagram).meu
         evaluator = PolicyEvaluator(diagram)
         for j, eps in enumerate(epsilons):
-            oom = convert(diagram, ConversionConfig(eps))
-            solution = elim_oom_id(oom)
-            count = solution.policies.count()
-            policies, replaced = solution.policies.sample(
-                s, seed=instance_seed * 31 + j
+            utilities, errors, count, replaced = score_epsilon(
+                diagram, evaluator, v, eps, s, seed=instance_seed * 31 + j
             )
-            utilities = sorted(evaluator.evaluate_many(policies))
-            v_med, v_max, eta_med, eta_max = sample_errors(v, utilities)
             flags: list[str] = []
             if replaced:
                 flags.append("sampled_with_replacement")
@@ -87,19 +103,11 @@ def run_experiment(
                 flags.append("absolute_error")
             results.append(
                 ExperimentResult(
-                    instance_id=i,
-                    n=n,
-                    utility_class=params.utility_class,
-                    epsilon=eps,
-                    v=v,
-                    v_med=v_med,
-                    v_max=v_max,
-                    eta_med=eta_med,
-                    eta_max=eta_max,
+                    i, n, params.utility_class, eps, v, *errors,
                     policy_count=count,
                     flags=tuple(flags),
                     seed=instance_seed,
-                    sample_count=len(policies),
+                    sample_count=len(utilities),
                 )
             )
     return results
@@ -161,42 +169,28 @@ RESULT_COLUMNS = [
 ]
 
 
-def write_results_csv(results: Iterable[ExperimentResult], path: str | Path) -> None:
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for r in results:
-            writer.writerow(
-                [
-                    r.instance_id,
-                    r.n,
-                    r.utility_class,
-                    f"{r.epsilon:g}",
-                    f"{r.v:.6f}",
-                    f"{r.v_med:.6f}",
-                    f"{r.v_max:.6f}",
-                    f"{r.eta_med:.6f}",
-                    f"{r.eta_max:.6f}",
-                    r.policy_count,
-                    ";".join(r.flags),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_results_csv(results: Iterable[ExperimentResult], path: str | Path) -> None:
+    rows = (
+        [r.instance_id, r.n, r.utility_class, f"{r.epsilon:g}",
+         *(f"{x:.6f}" for x in (r.v, r.v_med, r.v_max, r.eta_med, r.eta_max)),
+         r.policy_count, ";".join(r.flags)]
+        for r in results
+    )
+    _write_csv(path, RESULT_COLUMNS, rows)
 
 
 def write_summary_csv(rows: Iterable[SummaryRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "class", "epsilon", "metric", "p25", "p50", "p75", "instances"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r.n,
-                    r.utility_class,
-                    f"{r.epsilon:g}",
-                    r.metric,
-                    f"{r.p25:.6f}",
-                    f"{r.p50:.6f}",
-                    f"{r.p75:.6f}",
-                    r.instances,
-                ]
-            )
+    header = ["n", "class", "epsilon", "metric", "p25", "p50", "p75", "instances"]
+    cells = (
+        [r.n, r.utility_class, f"{r.epsilon:g}", r.metric,
+         *(f"{x:.6f}" for x in (r.p25, r.p50, r.p75)), r.instances]
+        for r in rows
+    )
+    _write_csv(path, header, cells)

@@ -12,7 +12,7 @@ import sys
 
 from .bench import (
     run_experiment,
-    sample_errors,
+    score_epsilon,
     summarize,
     write_results_csv,
     write_summary_csv,
@@ -23,7 +23,6 @@ from .diagram import (
     InfluenceDiagram,
     OOMInfluenceDiagram,
     load,
-    require_valid,
     save,
     validate,
 )
@@ -105,19 +104,14 @@ def _cmd_solve_oom(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    diagram = require_valid(load(args.diagram), qualitative=False)
-    v = solve_exact(diagram).meu
-    oom = convert(diagram, ConversionConfig(args.epsilon))
-    solution = elim_oom_id(oom)
-    policies, replaced = solution.policies.sample(args.samples, seed=args.seed)
-    utilities = sorted(PolicyEvaluator(diagram).evaluate_many(policies))
-    v_med, v_max, eta_med, eta_max = sample_errors(v, utilities)
-    print(f"v = {v:.6f}")
-    print(f"v_med = {v_med:.6f}")
-    print(f"v_max = {v_max:.6f}")
-    print(f"eta_med = {eta_med:.6f}")
-    print(f"eta_max = {eta_max:.6f}")
-    print(f"policies = {solution.policies.count()}")
+    diagram = load(args.diagram)
+    v = solve_exact(diagram).meu  # checks the diagram first
+    utilities, errors, count, replaced = score_epsilon(
+        diagram, PolicyEvaluator(diagram), v, args.epsilon, args.samples, args.seed
+    )
+    for name, x in zip(("v", "v_med", "v_max", "eta_med", "eta_max"), (v, *errors)):
+        print(f"{name} = {x:.6f}")
+    print(f"policies = {count}")
     if replaced:
         print("note: sampled with replacement (policy set smaller than sample size)")
     print("sampled utilities: " + " ".join(f"{u:.6f}" for u in utilities))
@@ -134,22 +128,10 @@ def _cmd_bench(args) -> int:
     results = []
     for n in sizes:
         params = GeneratorParams(
-            n_c=n - 5,
-            n_d=5,
-            k=2,
-            p=2,
-            r=5,
-            a=5,
-            utility_class=args.utility_class,
+            n_c=n - 5, n_d=5, k=2, p=2, r=5, a=5, utility_class=args.utility_class
         )
         results.extend(
-            run_experiment(
-                params,
-                epsilons,
-                s=args.samples,
-                instances=args.instances,
-                seed=args.seed,
-            )
+            run_experiment(params, epsilons, args.samples, args.instances, seed=args.seed)
         )
     write_results_csv(results, args.out)
     print(f"wrote {args.out} ({len(results)} rows)")

@@ -29,6 +29,10 @@ from .sets import OOMSet, parse_set
 from .values import OOMValue, parse_value
 
 
+# How far from 1 the entries of a numeric CPT row may sum.
+ROW_TOLERANCE = 1e-9
+
+
 class DiagramError(ValueError):
     """Structural problem that prevents using a diagram."""
 
@@ -89,9 +93,6 @@ class InfluenceDiagram:
         set_("_index", {v.id: v for v in self.variables})
         set_("chance_vars", tuple(v.id for v in self.variables if v.kind is Kind.CHANCE))
         set_("decision_vars", tuple(v.id for v in self.variables if v.kind is Kind.DECISION))
-
-    def variable(self, var_id: str) -> Variable:
-        return self._index[var_id]
 
     def domain(self, var_id: str) -> tuple[str, ...]:
         return self._index[var_id].domain
@@ -257,7 +258,7 @@ def _numeric_cpt_problem(table: tuple, k: int) -> str | None:
     except TypeError:
         return "non-numeric entries"
     for start in range(0, len(table), k):
-        if abs(sum(table[start : start + k]) - 1.0) > 1e-9:
+        if abs(sum(table[start : start + k]) - 1.0) > ROW_TOLERANCE:
             return "rows do not sum to 1"
     return None
 
@@ -325,55 +326,29 @@ def _graph_violations(diagram: InfluenceDiagram) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class TemporalPartition:
-    """Alternating structure: initial observations, then per decision the
-    chance variables revealed after it (the last block is never observed)."""
+def temporal_partition(diagram: InfluenceDiagram) -> list[tuple[str, ...]]:
+    """The elimination blocks, last-observed first: I_m, D_m, ..., D_1, I_0.
 
-    initial: tuple[str, ...]
-    stages: tuple[tuple[str, tuple[str, ...]], ...]  # (decision, revealed after)
-
-    def blocks(self) -> list[tuple[str, ...]]:
-        """Elimination blocks, last-observed first: I_m, D_m, ..., D_1, I_0."""
-        out: list[tuple[str, ...]] = []
-        for d, revealed in reversed(self.stages):
-            out.append(revealed)
-            out.append((d,))
-        out.append(self.initial)
-        return out
-
-
-def temporal_partition(diagram: InfluenceDiagram) -> TemporalPartition:
-    """Partition the chance variables by when they become observed.
-
-    Requires closed (non-forgetting) information sets, so observation sets
-    grow along the decision order.
+    I_0 holds the chance variables observed at the first decision D_1, I_k
+    those revealed after D_k, and I_m the never-observed ones, each sorted
+    by name; a diagram without decisions is one block.  Requires closed
+    (non-forgetting) information sets, so observation sets grow along the
+    decision order.
     """
     chance = set(diagram.chance_vars)
-    observed_so_far: set[str] = set()
-    initial: tuple[str, ...] = ()
-    stages: list[tuple[str, tuple[str, ...]]] = []
-    prev: str | None = None
+    observed: set[str] = set()
+    blocks: list[tuple[str, ...]] = []
     for d in diagram.decision_order:
         info = set(diagram.information_sets.get(d, ()))
-        new = sorted((info - observed_so_far) & chance)
-        missing = (observed_so_far - info) & chance
+        missing = (observed - info) & chance
         if missing:
             raise DiagramError(
                 f"information sets are not non-forgetting at {d}: missing {sorted(missing)}"
             )
-        if prev is None:
-            initial = tuple(new)
-        else:
-            stages.append((prev, tuple(new)))
-        observed_so_far |= info | set(new)
-        prev = d
-    tail = tuple(sorted(chance - observed_so_far))
-    if prev is None:
-        # no decisions: a single initial block holds everything
-        return TemporalPartition(initial=tail, stages=())
-    stages.append((prev, tail))
-    return TemporalPartition(initial=initial, stages=tuple(stages))
+        blocks += [tuple(sorted((info - observed) & chance)), (d,)]
+        observed |= info
+    blocks.append(tuple(sorted(chance - observed)))
+    return blocks[::-1]
 
 
 @dataclass(frozen=True)
@@ -384,26 +359,10 @@ class PolicyRule:
     scope: tuple[str, ...]
     actions: tuple[int, ...]  # row-major over scope, values index the domain
 
-    def action_index(self, sizes: tuple[int, ...], config: tuple[int, ...]) -> int:
-        idx = 0
-        for size, value in zip(sizes, config):
-            idx = idx * size + value
-        return self.actions[idx]
-
 
 @dataclass(frozen=True)
 class Policy:
     rules: Mapping[str, PolicyRule]
-
-    def action_for(
-        self, diagram: InfluenceDiagram, decision: str, assignment: Mapping[str, str]
-    ) -> str:
-        rule = self.rules[decision]
-        sizes = diagram.domain_sizes(rule.scope)
-        config = tuple(
-            diagram.domain(v).index(assignment[v]) for v in rule.scope
-        )
-        return diagram.domain(decision)[rule.action_index(sizes, config)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -188,7 +188,8 @@ def expand_rule(
     flattened row-major into the last one."""
     info = tuple(diagram.information_sets.get(decision, ()))
     extra = [v for v in rule.scope if v not in info]
-    assert not extra, f"decision {decision}: rule depends on unobserved {extra}"
+    if extra:  # a forgetting diagram: an earlier decision is not observed
+        raise DiagramError(f"decision {decision}: rule depends on unobserved {extra}")
     table = align(rule, info)
     lead = table.shape[: table.ndim - len(info)]
     full = np.broadcast_to(table, lead + diagram.domain_sizes(info))

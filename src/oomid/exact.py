@@ -6,26 +6,22 @@ with ``fold`` and reduce them with ``reduce_out``.  The chance step
 marginalizes the bucket variable out of the probability product and
 renormalizes the utility by that marginal (zero-probability
 configurations contribute zero).  The decision step maximizes the
-utility, keeps the first maximizing action in domain order, and asserts
-that the probability part is constant in the decision.
+utility, keeps the first maximizing action in domain order, and checks
+that the probability part is constant in the decision, within what the
+CPT rows' tolerance allows.
 
-``PolicyEvaluator`` scores fixed policies with the same ``eliminate``:
-per utility, one sum-product over that utility and the CPTs of its
-ancestors in the diagram's non-forgetting closure (along CPT parents and
-information sets), along the closure's legal ordering restricted to
-those ancestors.  Every other variable is barren for the utility: its
-CPT rows sum to one and a barren decision changes nothing, so summing
-them out would multiply the value by one.  A chance step sums its
-variable out; a decision step selects each policy's action along the
-decision's axis where the solver takes the max.  Tables gain a leading
-batch axis, one entry per policy, only at the first decision bucket, so
-everything eliminated before it is computed once for the whole batch.
-``evaluate_many`` takes a ``PolicyBatch``, per decision an (s, cells)
-array of action indices, checked once per decision, barren ones too; a
-list of ``Policy`` is stacked into one first.  ``evaluate`` and
-``evaluate_policy`` are batches of one.  ``brute_force_meu`` enumerates
-every policy and scores each with ``policy_value``, an independent
-oracle for testing.
+``PolicyEvaluator`` scores fixed policies with the same ``eliminate``,
+per utility over that utility's ancestors only (see the class).  A
+chance step sums its variable out; a decision step selects each policy's
+action along the decision's axis where the solver takes the max.  Tables
+gain a leading batch axis, one entry per policy, only at the first
+decision bucket, so everything eliminated before it is computed once for
+the whole batch.  ``evaluate_many`` takes a ``PolicyBatch``, per decision
+an (s, cells) array of action indices, checked once per decision, barren
+ones too; a list of ``Policy`` is stacked into one first.  ``evaluate``
+and ``evaluate_policy`` are batches of one.  ``brute_force_meu``
+enumerates every policy and scores each with ``policy_value``, an
+independent oracle for testing.
 
 ``solve_exact`` and ``oom_solve.elim_oom_id`` keep every variable.  In
 ``solve_exact`` a barren variable's probability message is one only up to
@@ -46,6 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .diagram import (
+    ROW_TOLERANCE,
     DiagramError,
     GuardExceeded,
     InfluenceDiagram,
@@ -90,8 +87,10 @@ def solve_exact(
         _chance_step,
         _decision_step,
     )
+    # exactly normalized rows give root masses of 1 (see _mass_tolerance),
+    # so only a solver fault fails this
     for lam in run.root_lambdas:
-        assert np.isclose(float(lam), 1.0), (
+        assert abs(float(lam) - 1.0) <= _mass_tolerance(diagram), (
             f"final probability mass is {float(lam)}, expected 1"
         )
     meu = 0.0
@@ -108,7 +107,23 @@ def _floats(entries: tuple) -> np.ndarray:
     return np.asarray(entries, dtype=float)
 
 
+def _mass_tolerance(diagram: InfluenceDiagram) -> float:
+    """How far apart, relative to the larger of them and 1, two probability
+    messages may be that exactly normalized CPT rows would make equal.
+
+    A message is a sum (over a decision, a max) of products holding each of
+    at most K = ``len(diagram.cpts)`` CPTs once: monotone and homogeneous of
+    degree at most K in their entries.  Rows within ``ROW_TOLERANCE`` t of
+    one are normalized rows scaled by factors in [1 - t, 1 + t], so the
+    message is the normalized one scaled by a factor in [(1 - t)^K,
+    (1 + t)^K].  The last t covers rounding."""
+    t = ROW_TOLERANCE
+    return ((1 + t) / (1 - t)) ** len(diagram.cpts) - 1 + t
+
+
 def _chance_step(diagram, order_key, y, lambdas, thetas):
+    # y's CPT sits in the bucket of its earliest variable, and every bucket
+    # with a probability factor sends one on, so only a solver fault fails this
     assert lambdas, f"chance bucket {y} has no probability component"
     lam = fold(lambdas, order_key)
     lam_msg = reduce_out(lam, y, np.ndarray.sum)
@@ -129,14 +144,18 @@ def _decision_step(diagram, order_key, y, lambdas, thetas):
     # below), so the utility message keeps its conditional-expectation
     # meaning only if that constant is NOT folded in: the probability
     # message is re-emitted and would otherwise be counted twice downstream.
+    # With exactly normalized rows it is constant up to rounding, so on a
+    # valid diagram the spread stays within _mass_tolerance.
     lam_msg = None
     if lambdas:
         lam = fold(lambdas, order_key)
         lam_msg = reduce_out(lam, y, np.ndarray.max)
         spread = lam_msg.table - reduce_out(lam, y, np.ndarray.min).table
-        assert np.all(
-            spread <= 1e-9 * np.maximum(1.0, np.abs(lam.table).max())
-        ), f"probability component in decision bucket {y} varies with {y}"
+        bound = _mass_tolerance(diagram) * max(1.0, np.abs(lam.table).max())
+        if not np.all(spread <= bound):
+            raise DiagramError(
+                f"probability component in decision bucket {y} varies with {y}"
+            )
     if not thetas:
         # nothing downstream distinguishes the actions
         return lam_msg, None, Factor((), np.zeros((), dtype=int))

@@ -34,6 +34,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .diagram import (
+    DiagramError,
     GuardExceeded,
     OOMInfluenceDiagram,
     PolicyBatch,
@@ -90,7 +91,8 @@ class PolicySet:
         # (cell, action) masks, and an empty one for a set without decisions
         masks = [self.masks[d].T for d in self.decisions] + [np.zeros((0, 1), dtype=bool)]
         radix = np.concatenate([m.sum(1) for m in masks])
-        assert radix.all(), "empty action set in a cell"
+        if not radix.all():
+            raise DiagramError("empty action set in a cell")
         # a digit of radix r takes bit_length(r - 1) bits: cutting the running
         # total every ``span`` bits puts at most span - 1 + max(bits) in a run
         bits = np.frexp(radix - 1)[1]
@@ -335,6 +337,8 @@ def _utility(thetas, lam, order_key) -> Factor:
 
 
 def _chance_step(diagram, order_key, y, lambdas, thetas):
+    # as in the exact solver, only a solver fault leaves a chance bucket
+    # without a probability factor
     assert lambdas, f"chance bucket {y} has no probability component"
     lam = fold(lambdas, order_key, np.add)
     lam_msg = reduce_out(lam, y, np.ndarray.min)  # a sum of probabilities

@@ -64,7 +64,11 @@ def _graph(diagram: InfluenceDiagram) -> tuple[list[str], dict[str, int], list[i
 
 
 def interaction_graph(diagram: InfluenceDiagram) -> dict[str, set[str]]:
-    """Undirected graph connecting every pair of variables sharing a factor."""
+    """Undirected graph connecting every pair of variables sharing a factor.
+
+    Kept as documented API: the readable view of the bitmask graph that
+    the orderings walk, which the ordering tests compare with an
+    independent oracle."""
     names, _, adj = _graph(diagram)
     return {v: {names[j] for j in _bits(adj[i])} for i, v in enumerate(names)}
 
@@ -103,7 +107,7 @@ def _min_fill(diagram: InfluenceDiagram) -> list[str]:
     key = [0] * n
     stale = (1 << n) - 1  # variables whose key must be recounted
     order: list[str] = []
-    for block in temporal_partition(diagram).blocks():
+    for block in temporal_partition(diagram):
         remaining = [index[v] for v in block]
         while remaining:
             for i in remaining:
@@ -133,7 +137,7 @@ def is_legal_ordering(diagram: InfluenceDiagram, order: list[str]) -> bool:
         return False
     position = {v: i for i, v in enumerate(reversed(order))}
     upper = -1
-    for block in reversed(temporal_partition(diagram).blocks()):
+    for block in reversed(temporal_partition(diagram)):
         if not block:
             continue
         lo = min(position[v] for v in block)

@@ -40,10 +40,6 @@ class OOMSet:
                 return
         raise ValueError(f"not in canonical form: {els}")
 
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.elements) == 1
-
     def __iter__(self):
         return iter(self.elements)
 
@@ -125,13 +121,9 @@ def sum_sets(*sets: OOMSet) -> OOMSet:
     """
     if not sets:
         raise ValueError("sum_sets needs at least one set")
-    lo = hi = None
-    for s in sets:
-        a = s.elements[0]
-        b = s.elements[-1]
-        lo = a if lo is None else add(lo, a)
-        hi = b if hi is None else add(hi, b)
-    assert lo is not None and hi is not None
+    lo, hi = sets[0].elements[0], sets[0].elements[-1]
+    for s in sets[1:]:
+        lo, hi = add(lo, s.elements[0]), add(hi, s.elements[-1])
     return canonicalize((lo, hi))
 
 

@@ -77,10 +77,6 @@ class OOMValue:
         """True for finite PLUS-signed values."""
         return self.sign is Sign.PLUS
 
-    @property
-    def is_plusminus(self) -> bool:
-        return self.sign is Sign.PLUSMINUS
-
     def __str__(self) -> str:
         order = "inf" if self.order == INF else str(self.order)
         return f"({self.sign.value},{order})"

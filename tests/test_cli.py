@@ -1,5 +1,9 @@
 import copy
 import json
+import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oomid
 from oomid.cli import main
 from oomid.convert import ConversionConfig, convert
-from oomid.diagram import save, to_dict, wildcatter
+from oomid.diagram import ROW_TOLERANCE, save, to_dict, wildcatter
+from oomid.generator import GeneratorParams, generate
 
 NUMERIC_DOC = to_dict(wildcatter(nonforgetting=False))
 OOM_DOC = to_dict(convert(wildcatter(), ConversionConfig(0.1)))
@@ -193,6 +199,117 @@ def test_mutated_files_exit_0_or_2(case):
         Path(path).write_text(json.dumps(doc))
         for argv in (["validate", path], ["solve-exact", path], solve + [path]):
             assert main(argv) in (0, 2), argv
+
+
+def _seismic_rows_shifted(shift):
+    """The open-information wildcatter with the first entry of each Seismic
+    row raised by ``shift`` where Test = yes and lowered where Test = no."""
+    doc = copy.deepcopy(NUMERIC_DOC)
+    table = _cpt(doc, "Seismic")["table"]  # rows over (Oil, Test)
+    for row in range(6):
+        table[3 * row] += shift if row % 2 == 0 else -shift
+    return doc
+
+
+# (case, document, exit code of every command): within the row tolerance,
+# Seismic rows moved in opposite directions make the probability product of
+# the Test bucket vary with Test by more than one row's tolerance; past it,
+# every command exits 2
+ROW_SHIFT_CASES = [
+    ("within tolerance", _seismic_rows_shifted(0.9 * ROW_TOLERANCE), 0),
+    ("beyond tolerance", _seismic_rows_shifted(1.1 * ROW_TOLERANCE), 2),
+]
+COMMANDS = [
+    ["validate"],
+    ["solve-exact"],
+    ["compare", "--epsilon", "0.1", "--samples", "3"],
+    ["solve-oom", "--epsilon", "0.1"],
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "doc, code", [c[1:] for c in ROW_SHIFT_CASES], ids=[c[0] for c in ROW_SHIFT_CASES]
+)
+def test_rows_near_tolerance(doc, code, command, tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    assert main(command[:1] + [str(path)] + command[1:]) == code
+
+
+def test_rows_near_tolerance_with_asserts_stripped(tmp_path):
+    # python -O strips asserts, so a guard against input left as one fails here
+    paths = [str(Path(oomid.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    runs = []
+    for case, doc, code in ROW_SHIFT_CASES:
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(doc))
+        # past the tolerance one command shows the rejection
+        for command in COMMANDS if code == 0 else COMMANDS[1:2]:
+            argv = [sys.executable, "-O", "-m", "oomid.cli", command[0], str(path), *command[1:]]
+            proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            runs.append((argv, code, proc))
+    for argv, code, proc in runs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == code, (argv, err.decode())
+
+
+def _utility_ancestors(doc) -> set[str]:
+    """The utilities' scopes and every variable they reach along CPT parents
+    and information sets."""
+    parents = {c["child"]: c["parents"] for c in doc["cpts"]}
+    parents.update(doc["information_sets"])
+    seen: set[str] = set()
+    stack = [v for u in doc["utilities"] for v in u["scope"]]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(parents.get(v, ()))
+    return seen
+
+
+NEAR_TOLERANCE_BASES = [
+    NUMERIC_DOC,
+    to_dict(generate(GeneratorParams(n_c=7, n_d=3, k=3, p=2, r=3, a=3, seed=5))),
+]
+SHIFTS = st.one_of(
+    st.sampled_from([-ROW_TOLERANCE, ROW_TOLERANCE]),
+    st.floats(-ROW_TOLERANCE, ROW_TOLERANCE),
+)
+
+
+@st.composite
+def near_tolerance_documents(draw):
+    """A numeric document with one entry of each CPT row of some utility
+    ancestors moved by up to the validator's row tolerance: up where one
+    parent's value is even, down where it is odd, or up in every row."""
+    doc = copy.deepcopy(draw(st.sampled_from(NEAR_TOLERANCE_BASES)))
+    sizes = {v["id"]: len(v["domain"]) for v in doc["variables"]}
+    kept = _utility_ancestors(doc)
+    for cpt in doc["cpts"]:
+        if cpt["child"] not in kept or not draw(st.booleans()):
+            continue
+        k, parents = sizes[cpt["child"]], [sizes[p] for p in cpt["parents"]]
+        j = draw(st.integers(0, len(parents)))  # len(parents): every row up
+        stride = math.prod(parents[j + 1 :])
+        shift, entry = draw(SHIFTS), draw(st.integers(0, k - 1))
+        for row in range(len(cpt["table"]) // k):
+            odd = j < len(parents) and row // stride % parents[j] % 2
+            cpt["table"][row * k + entry] += -shift if odd else shift
+    return doc
+
+
+@settings(max_examples=80)
+@given(near_tolerance_documents())
+def test_rows_within_tolerance_solve(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "d.json")
+        Path(path).write_text(json.dumps(doc))
+        if main(["validate", path]) == 0:
+            for command in COMMANDS[1:]:
+                assert main(command[:1] + [path] + command[1:]) == 0, command
 
 
 class TestSolveExact:

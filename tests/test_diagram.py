@@ -74,9 +74,9 @@ class TestWildcatterFixture:
         assert apply_nonforgetting(closure) is closure
 
     def test_temporal_partition(self):
-        tp = temporal_partition(wildcatter())
-        assert tp.initial == ()
-        assert tp.stages == (("Test", ("Seismic",)), ("Drill", ("Oil",)))
+        assert temporal_partition(wildcatter()) == [
+            ("Oil",), ("Drill",), ("Seismic",), ("Test",), ()
+        ]
 
     def test_round_trip(self, tmp_path):
         d = wildcatter(nonforgetting=False)
@@ -209,9 +209,7 @@ class TestTemporalPartition:
             "decision_order": [],
             "information_sets": {},
         }
-        tp = temporal_partition(from_dict(data))
-        assert tp.initial == ("X",)
-        assert tp.stages == ()
+        assert temporal_partition(from_dict(data)) == [("X",)]
 
     def test_all_chance_observed_first(self):
         data = {
@@ -224,9 +222,7 @@ class TestTemporalPartition:
             "decision_order": ["D"],
             "information_sets": {"D": ["X"]},
         }
-        tp = temporal_partition(from_dict(data))
-        assert tp.initial == ("X",)
-        assert tp.stages == (("D", ()),)
+        assert temporal_partition(from_dict(data)) == [(), ("D",), ("X",)]
 
     def test_forgetting_information_sets_rejected(self):
         data = {

@@ -17,6 +17,7 @@ from oomid.diagram import (
     PolicyRule,
     apply_nonforgetting,
     from_dict,
+    mark_valid,
     to_dict,
     wildcatter,
 )
@@ -27,6 +28,7 @@ from oomid.exact import (
     policy_value,
     solve_exact,
 )
+from oomid.convert import ConversionConfig, convert
 from oomid.elimination import Factor, align, eliminate, product
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
@@ -135,14 +137,16 @@ class TestWildcatter:
         assert solve_exact(wildcatter()).meu == pytest.approx(42.75, abs=1e-9)
 
     def test_policy_is_test_then_drill_unless_diffuse(self):
-        sol = solve_exact(wildcatter())
         d = wildcatter()
-        assert sol.policy.action_for(d, "Test", {}) == "yes"
+        rules = solve_exact(d).policy.rules
+        assert d.domain("Test")[rules["Test"].actions[0]] == "yes"
+        drill = rules["Drill"]
+        assert drill.scope == ("Test", "Seismic")
+        seismic_values = d.domain("Seismic")
+        row = d.domain("Test").index("yes") * len(seismic_values)
         for seismic, expected in [("closed", "yes"), ("open", "yes"), ("diffuse", "no")]:
-            assert (
-                sol.policy.action_for(d, "Drill", {"Test": "yes", "Seismic": seismic})
-                == expected
-            )
+            action = drill.actions[row + seismic_values.index(seismic)]
+            assert d.domain("Drill")[action] == expected
 
     def test_known_policies(self):
         d = wildcatter()
@@ -349,6 +353,42 @@ class TestEdgeCases:
             with pytest.raises(DiagramError, match="rows do not sum to 1"):
                 PolicyEvaluator(d)
         assert len(calls) == 4
+
+    def test_rule_over_forgotten_decision_rejected(self):
+        # D2 forgets D1, but the utility couples them: D2's best action
+        # depends on a decision it does not observe
+        data = {
+            "variables": [
+                {"id": "D1", "kind": "decision", "domain": ["a", "b"]},
+                {"id": "D2", "kind": "decision", "domain": ["a", "b"]},
+            ],
+            "cpts": [],
+            "utilities": [{"scope": ["D1", "D2"], "table": [1, 0, 0, 2]}],
+            "decision_order": ["D1", "D2"],
+            "information_sets": {"D1": [], "D2": []},
+        }
+        d = from_dict(data, nonforgetting=False)
+        with pytest.raises(DiagramError, match=r"D2: rule depends on unobserved \['D1'\]"):
+            solve_exact(d)
+        with pytest.raises(DiagramError, match="unobserved"):
+            elim_oom_id(convert(d, ConversionConfig(0.1)))
+        assert solve_exact(from_dict(data)).meu == 2.0
+
+    def test_mass_varying_with_decision_rejected(self):
+        # a row summing to 1.1, let past validation, makes the probability
+        # product of D's bucket depend on D
+        data = {
+            "variables": [
+                {"id": "X", "kind": "chance", "domain": ["a", "b"]},
+                {"id": "D", "kind": "decision", "domain": ["l", "r"]},
+            ],
+            "cpts": [{"child": "X", "parents": ["D"], "table": [0.6, 0.5, 0.5, 0.5]}],
+            "utilities": [{"scope": ["D"], "table": [1, 0]}],
+            "decision_order": ["D"],
+            "information_sets": {"D": []},
+        }
+        with pytest.raises(DiagramError, match="decision bucket D varies with D"):
+            solve_exact(mark_valid(from_dict(data)))
 
     def test_evidence_not_solvable(self):
         data = {

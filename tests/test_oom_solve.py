@@ -342,7 +342,7 @@ class TestLimitSemantics:
             assert meu == 0.0
             return
         exact_order = math.log(abs(meu)) / math.log(EPS) if meu else math.inf
-        if got.is_singleton and lo.sign is not Sign.PLUSMINUS:
+        if len(got.elements) == 1 and lo.sign is not Sign.PLUSMINUS:
             # a signed singleton fixes the sign and the order
             assert abs(exact_order - lo.order) < 0.5
             assert (meu > 0) == (lo.sign is Sign.PLUS)
@@ -428,7 +428,7 @@ def block_shuffle(d, order: list[str], rng: random.Random, window: int = 5) -> l
     """``order`` with its variables shuffled inside each run of ``window``
     consecutive variables of one temporal block: a legal ordering whose
     width stays near the min-fill ordering's."""
-    block = {v: i for i, b in enumerate(temporal_partition(d).blocks()) for v in b}
+    block = {v: i for i, b in enumerate(temporal_partition(d)) for v in b}
     out: list[str] = []
     run: list[str] = []
     for v in order:
@@ -608,6 +608,11 @@ def test_decoder_matches_divmod_reference(make):
         {d: p.rules[d].actions for d in ps.decisions} for p in ps._batch(indices)
     ]
     assert decoded == [reference_decode(ps, i) for i in indices]
+
+
+def test_empty_action_set_rejected():
+    with pytest.raises(DiagramError, match="empty action set"):
+        PolicySet(("D",), {"D": ()}, {"D": np.array([[True, False], [True, False]])})
 
 
 def test_runs_fit_int64():

@@ -66,7 +66,7 @@ def oracle_eliminate_node(adj, v):
 def oracle_legal_ordering(diagram):
     adj = oracle_interaction_graph(diagram)
     order = []
-    for block in temporal_partition(diagram).blocks():
+    for block in temporal_partition(diagram):
         remaining = list(block)
         while remaining:
             best = min(remaining, key=lambda v: (oracle_fill_count(adj, v), v))

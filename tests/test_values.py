@@ -51,8 +51,8 @@ class TestConstruction:
         assert v("+", 3).is_positive
         assert not v("-", 3).is_positive
         assert not ZERO.is_positive
-        assert v("+-", 2).is_plusminus
-        assert ZERO.is_plusminus
+        assert v("+-", 2).sign is Sign.PLUSMINUS
+        assert ZERO.sign is Sign.PLUSMINUS
 
 
 class TestMul:
