@@ -326,31 +326,6 @@ def _graph_violations(diagram: InfluenceDiagram) -> list[str]:
     return out
 
 
-def temporal_partition(diagram: InfluenceDiagram) -> list[tuple[str, ...]]:
-    """The elimination blocks, last-observed first: I_m, D_m, ..., D_1, I_0.
-
-    I_0 holds the chance variables observed at the first decision D_1, I_k
-    those revealed after D_k, and I_m the never-observed ones, each sorted
-    by name; a diagram without decisions is one block.  Requires closed
-    (non-forgetting) information sets, so observation sets grow along the
-    decision order.
-    """
-    chance = set(diagram.chance_vars)
-    observed: set[str] = set()
-    blocks: list[tuple[str, ...]] = []
-    for d in diagram.decision_order:
-        info = set(diagram.information_sets.get(d, ()))
-        missing = (observed - info) & chance
-        if missing:
-            raise DiagramError(
-                f"information sets are not non-forgetting at {d}: missing {sorted(missing)}"
-            )
-        blocks += [tuple(sorted((info - observed) & chance)), (d,)]
-        observed |= info
-    blocks.append(tuple(sorted(chance - observed)))
-    return blocks[::-1]
-
-
 @dataclass(frozen=True)
 class PolicyRule:
     """Decision rule: an action index for every parent configuration."""

@@ -9,10 +9,10 @@ qualitative one, probability orders and utility sets encoded as
 ``oom_solve`` describes.  ``encoded`` turns CPTs or utilities into factors
 with a solver's encoder.  ``eliminate`` puts each probability factor
 (lambda) and utility factor (theta) into the bucket of its earliest
-variable in a legal ordering, runs the algebra's chance or decision step on
-each bucket in turn, and puts each message into a later bucket the same
-way; messages over no variable are the root results.  Only the two steps
-and the encoders know the algebra.
+variable in the ordering it is handed (``ordering`` checks legality), runs
+the algebra's chance or decision step on each bucket in turn, and puts each
+message into a later bucket the same way; messages over no variable are the
+root results.  Only the two steps and the encoders know the algebra.
 
 ``product`` is the one contraction kernel: it aligns tables over a scope
 and folds them left to right, by multiplication unless told otherwise;
@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diagram import DiagramError, InfluenceDiagram
-from .ordering import is_legal_ordering, legal_ordering
 
 
 @dataclass
@@ -105,15 +104,6 @@ def reduce_out(f: Factor, y: str, reduce: Callable) -> Factor:
     return Factor(f.scope[:i] + f.scope[i + 1 :], reduce(f.table, i - len(f.scope)))
 
 
-def resolve_order(diagram: InfluenceDiagram, order: list[str] | None) -> list[str]:
-    """``order`` if it is legal, the default legal ordering if it is None."""
-    if order is None:
-        return legal_ordering(diagram)
-    if not is_legal_ordering(diagram, order):
-        raise DiagramError(f"not a legal elimination ordering: {order}")
-    return order
-
-
 @dataclass
 class Elimination:
     root_lambdas: list[np.ndarray]  # tables over no variable, in the order they arrived
@@ -139,7 +129,7 @@ def eliminate(
     decision_step: Callable[..., tuple],
 ) -> Elimination:
     """Run the buckets of the probability (``lambdas``) and utility
-    (``thetas``) factors along the legal ordering ``order``.
+    (``thetas``) factors along ``order``, which the caller checked.
 
     Both steps get ``(diagram, order_key, variable, lambdas, thetas)``.  The
     chance step returns the lambda and the theta message, the decision step

@@ -63,9 +63,8 @@ from .elimination import (
     ordered,
     product,
     reduce_out,
-    resolve_order,
 )
-from .ordering import largest_bucket
+from .ordering import largest_bucket, resolve_order
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,8 @@ from .elimination import (
     factor,
     fold,
     reduce_out,
-    resolve_order,
 )
+from .ordering import resolve_order
 from .sets import OOMSet, ZERO_SET, max_sets, scale, set_dominates, sum_sets
 from .values import INF, ZERO, OOMValue, Sign, add, dominates, inverse, mul
 

@@ -1,10 +1,11 @@
-"""Legal elimination orderings and the min-fill heuristic.
+"""Elimination orderings: the temporal blocks, legality and min-fill.
 
-An elimination ordering is legal when its reverse extends the temporal
-order: the never-observed chance variables go first, then the last
+An ordering is legal when it eliminates the blocks of ``temporal_partition``
+last-observed first: the never-observed chance variables, then the last
 decision, then the variables observed just before it, and so on.  Only the
 order *within* a chance block is free; min-fill over the interaction graph
 picks it, with ties broken by variable name (as strings) for determinism.
+``resolve_order`` hands the solvers a caller's checked ordering or this one.
 
 The graph is one integer bitmask per variable, bit i standing for the i-th
 variable of ``diagram.variables``: the variable's neighbours.  Fill is
@@ -21,7 +22,32 @@ from __future__ import annotations
 
 import math
 
-from .diagram import DiagramError, InfluenceDiagram, temporal_partition
+from .diagram import DiagramError, InfluenceDiagram
+
+
+def temporal_partition(diagram: InfluenceDiagram) -> list[tuple[str, ...]]:
+    """The elimination blocks, last-observed first: I_m, D_m, ..., D_1, I_0.
+
+    I_0 holds the chance variables observed at the first decision D_1, I_k
+    those revealed after D_k, and I_m the never-observed ones, each sorted
+    by name; a diagram without decisions is one block.  Requires closed
+    (non-forgetting) information sets, so observation sets grow along the
+    decision order.
+    """
+    chance = set(diagram.chance_vars)
+    observed: set[str] = set()
+    blocks: list[tuple[str, ...]] = []
+    for d in diagram.decision_order:
+        info = set(diagram.information_sets.get(d, ()))
+        missing = (observed - info) & chance
+        if missing:
+            raise DiagramError(
+                f"information sets are not non-forgetting at {d}: missing {sorted(missing)}"
+            )
+        blocks += [tuple(sorted((info - observed) & chance)), (d,)]
+        observed |= info
+    blocks.append(tuple(sorted(chance - observed)))
+    return blocks[::-1]
 
 
 def _bits(mask: int) -> list[int]:
@@ -132,20 +158,21 @@ def _min_fill(diagram: InfluenceDiagram) -> list[str]:
 
 
 def is_legal_ordering(diagram: InfluenceDiagram, order: list[str]) -> bool:
-    """True iff the reverse of ``order`` extends the temporal order."""
+    """True iff ``order`` is a permutation of the variables along which
+    their blocks' positions in ``temporal_partition`` never decrease."""
     if sorted(order) != sorted(v.id for v in diagram.variables):
         return False
-    position = {v: i for i, v in enumerate(reversed(order))}
-    upper = -1
-    for block in reversed(temporal_partition(diagram)):
-        if not block:
-            continue
-        lo = min(position[v] for v in block)
-        hi = max(position[v] for v in block)
-        if lo <= upper:
-            return False
-        upper = hi
-    return True
+    rank = {v: k for k, block in enumerate(temporal_partition(diagram)) for v in block}
+    return all(rank[a] <= rank[b] for a, b in zip(order, order[1:]))
+
+
+def resolve_order(diagram: InfluenceDiagram, order: list[str] | None) -> list[str]:
+    """``order`` if it is legal, the default legal ordering if it is None."""
+    if order is None:
+        return legal_ordering(diagram)
+    if not is_legal_ordering(diagram, order):
+        raise DiagramError(f"not a legal elimination ordering: {order}")
+    return order
 
 
 def _neighbourhoods(

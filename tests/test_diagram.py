@@ -8,7 +8,6 @@ from oomid.diagram import (
     from_dict,
     load,
     save,
-    temporal_partition,
     validate,
     wildcatter,
 )
@@ -17,6 +16,7 @@ from oomid.ordering import (
     interaction_graph,
     is_legal_ordering,
     legal_ordering,
+    temporal_partition,
 )
 
 

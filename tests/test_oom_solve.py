@@ -17,13 +17,17 @@ from oomid.diagram import (
     from_dict,
     load,
     save,
-    temporal_partition,
     wildcatter,
 )
 from oomid.exact import PolicyEvaluator, evaluate_policy, solve_exact
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import PolicySet, brute_force_oom, elim_oom_id
-from oomid.ordering import induced_width, is_legal_ordering, legal_ordering
+from oomid.ordering import (
+    induced_width,
+    is_legal_ordering,
+    legal_ordering,
+    temporal_partition,
+)
 from oomid.sets import ZERO_SET, canonicalize, equiv, singleton
 from oomid.values import ZERO, OOMValue, Sign, add, mul
 

@@ -9,6 +9,7 @@ each diagram's graph once.
 """
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -17,14 +18,16 @@ from hypothesis import strategies as st
 
 from oomid import exact, ordering
 from oomid.bench import run_experiment
-from oomid.diagram import DiagramError, from_dict, temporal_partition, wildcatter
+from oomid.diagram import DiagramError, from_dict, wildcatter
 from oomid.exact import PolicyEvaluator, evaluate_policy, solve_exact
 from oomid.generator import GeneratorParams, generate
 from oomid.ordering import (
     induced_width,
     interaction_graph,
+    is_legal_ordering,
     largest_bucket,
     legal_ordering,
+    temporal_partition,
 )
 
 
@@ -165,6 +168,69 @@ def test_random_diagrams_match_oracles(case):
     permutation, data = case
     data["variables"] = [data["variables"][i] for i in permutation]
     assert_matches_oracles(from_dict(data))
+
+
+def oracle_is_legal_ordering(diagram, order):
+    """The position-interval walk that the block-rank check replaced: in
+    the reversed ordering, each non-empty block lies wholly after the one
+    before it."""
+    if sorted(order) != sorted(v.id for v in diagram.variables):
+        return False
+    position = {v: i for i, v in enumerate(reversed(order))}
+    upper = -1
+    for block in reversed(temporal_partition(diagram)):
+        if not block:
+            continue
+        lo = min(position[v] for v in block)
+        hi = max(position[v] for v in block)
+        if lo <= upper:
+            return False
+        upper = hi
+    return True
+
+
+def legality(check, diagram, order):
+    """``check``'s answer, or the message of the ``DiagramError`` it raised."""
+    try:
+        return check(diagram, order)
+    except DiagramError as exc:
+        return f"DiagramError: {exc}"
+
+
+def candidate_orders(diagram, rng):
+    """A base ordering (the legal one, or the variables as listed when a
+    forgotten observation leaves none) and its variants: shuffled whole and
+    within blocks, each adjacent pair swapped, truncated and duplicated."""
+    try:
+        base = legal_ordering(diagram)
+        blocks = temporal_partition(diagram)
+    except DiagramError:
+        base, blocks = [v.id for v in diagram.variables], []
+    orders = [base, base[:-1], base + base[:1], base[:-1] + base[:1], base[1:] + base[1:2]]
+    for _ in range(4):
+        orders.append(rng.sample(base, len(base)))
+        orders.append([v for block in blocks for v in rng.sample(block, len(block))])
+    for i in range(len(base) - 1):
+        orders.append(base[:i] + [base[i + 1], base[i]] + base[i + 2 :])
+    return orders
+
+
+def test_block_rank_matches_interval_oracle():
+    rng = random.Random(11)
+    outcomes = set()
+    diagrams = [wildcatter(), wildcatter(nonforgetting=False)]
+    for i in range(40):
+        n_c = 4 + i % 7
+        params = GeneratorParams(
+            n_c=n_c, n_d=1 + i % 3, k=2, p=i % 3, r=min(3, n_c), a=1 + i % 3, seed=i
+        )
+        diagrams.append(generate(params, nonforgetting=i % 2 == 0))
+    for d in diagrams:
+        for order in candidate_orders(d, rng):
+            got = legality(is_legal_ordering, d, order)
+            assert got == legality(oracle_is_legal_ordering, d, order), order
+            outcomes.add(got if isinstance(got, bool) else "error")
+    assert outcomes == {True, False, "error"}
 
 
 def counted_walks(monkeypatch) -> list:
