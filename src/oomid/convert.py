@@ -14,9 +14,11 @@ by every entry that quantizes to it; both types are frozen.
 
 The converted diagram keeps the numeric diagram's variables, scopes,
 decision order and information sets, so ``convert`` records it as valid
-(see ``diagram.mark_valid``) instead of validating it again, and hands it
-the numeric diagram's recorded elimination ordering, if any (see
+(see ``diagram.mark_valid``) instead of validating it again, once its
+orders are within ``diagram.order_limit``.  It hands the result the
+numeric diagram's recorded elimination ordering, if any (see
 ``ordering.legal_ordering``): the graph, and so the ordering, is the same.
+An entry that cannot be quantized raises ``DiagramError``.
 """
 
 from __future__ import annotations
@@ -30,10 +32,12 @@ import numpy as np
 
 from .diagram import (
     CPT,
+    DiagramError,
     InfluenceDiagram,
     OOMInfluenceDiagram,
     UtilityFunction,
     mark_valid,
+    order_limit,
     require_valid,
 )
 from .sets import OOMSet, ZERO_SET, singleton
@@ -57,8 +61,10 @@ def _power(eps: float, k: int) -> float:
         return math.inf
 
 
-def _bracket_exponents(x: np.ndarray, eps: float) -> np.ndarray:
-    """The integer k with ``eps**(k+1) < x <= eps**k`` for each positive x.
+def _bracket_exponents(x: np.ndarray, eps: float, limit: float) -> np.ndarray:
+    """The integer k with ``eps**(k+1) < x <= eps**k`` for each positive
+    finite x, and ``DiagramError`` if an x has none or a k exceeds ``limit``
+    in magnitude.
 
     A logarithm guesses ``g``; ``np.log`` can land one further off than
     ``math.log`` at an exact power of ``eps``, so the powers ``eps**(g-2)``
@@ -70,8 +76,6 @@ def _bracket_exponents(x: np.ndarray, eps: float) -> np.ndarray:
     if not len(x):
         return np.zeros(0, dtype=np.int64)
     guesses = set(np.floor(np.log(x) / math.log(eps)).tolist())
-    if not all(map(math.isfinite, guesses)):  # x holds inf
-        raise ArithmeticError(f"no bracket found for inf at epsilon={eps}")
     window = sorted({int(g) + j for g in guesses for j in range(-2, 4)}, reverse=True)
     # between the sentinels 0.0 and inf, each two exponents away from its
     # neighbour so that neither edges a bracket
@@ -84,8 +88,11 @@ def _bracket_exponents(x: np.ndarray, eps: float) -> np.ndarray:
     at = np.searchsorted(powers, x)
     found = np.array(upper)[at]
     if not found.all():
-        raise ArithmeticError(f"no bracket found for {x[~found][0]} at epsilon={eps}")
-    return np.array(exponents)[at]
+        raise DiagramError(f"cannot quantize {x[~found][0]} at epsilon={eps}: no bracket")
+    k = np.array(exponents)[at]
+    if np.abs(k).max() > limit:
+        raise DiagramError(f"order {np.abs(k).max()} at epsilon={eps} exceeds +-{limit}")
+    return k
 
 
 def _shared(keys: list[int], make: Callable[[int], object]) -> list:
@@ -94,18 +101,18 @@ def _shared(keys: list[int], make: Callable[[int], object]) -> list:
     return list(map(made.__getitem__, keys))
 
 
-def _probabilities(p: np.ndarray, eps: float) -> list[OOMValue]:
+def _probabilities(p: np.ndarray, eps: float, limit: float) -> list[OOMValue]:
     """Each probability in [0, 1] quantized; zero is the zero element."""
     keys = np.full(p.shape, -1, dtype=np.int64)  # orders are >= 0
     positive = p > 0.0
-    keys[positive] = _bracket_exponents(p[positive], eps)
+    keys[positive] = _bracket_exponents(p[positive], eps, limit)
     return _shared(keys.tolist(), lambda k: ZERO if k < 0 else OOMValue(Sign.PLUS, k))
 
 
 _UTILITY_SIGNS = (Sign.PLUS, Sign.MINUS)
 
 
-def _utilities(u: np.ndarray, eps: float) -> list[OOMSet]:
+def _utilities(u: np.ndarray, eps: float, limit: float) -> list[OOMSet]:
     """Each finite utility quantized, as a singleton set.
 
     The bracket of ``|u|`` is evaluated as the probability-style bracket on
@@ -117,7 +124,10 @@ def _utilities(u: np.ndarray, eps: float) -> list[OOMSet]:
     nonzero = u != 0.0
     with np.errstate(over="ignore"):
         inverse = 1.0 / np.abs(u[nonzero])
-    keys[nonzero] = -3 * _bracket_exponents(inverse, eps) + (u[nonzero] < 0)
+    tiny = np.isinf(inverse)
+    if tiny.any():
+        raise DiagramError(f"cannot quantize {u[nonzero][tiny][0]}: 1/|u| overflows")
+    keys[nonzero] = -3 * _bracket_exponents(inverse, eps, limit) + (u[nonzero] < 0)
 
     def make(key: int) -> OOMSet:
         order, s = divmod(key, 3)
@@ -130,14 +140,14 @@ def spohn_prob(p: float, cfg: ConversionConfig) -> OOMValue:
     """Probability quantization; zero maps to the zero element."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")
-    return _probabilities(np.array([p], dtype=float), cfg.epsilon)[0]
+    return _probabilities(np.array([p], dtype=float), cfg.epsilon, math.inf)[0]
 
 
 def spohn_util(u: float, cfg: ConversionConfig) -> OOMSet:
     """Utility quantization; the sign carries over, zero maps to zero."""
     if not math.isfinite(u):
         raise ValueError(f"utility must be finite: {u}")
-    return _utilities(np.array([u], dtype=float), cfg.epsilon)[0]
+    return _utilities(np.array([u], dtype=float), cfg.epsilon, math.inf)[0]
 
 
 def _split(entries: list, functions: tuple) -> list[tuple]:
@@ -155,9 +165,9 @@ def _flat(functions: tuple) -> np.ndarray:
 def convert(diagram: InfluenceDiagram, cfg: ConversionConfig) -> OOMInfluenceDiagram:
     """Entry-wise quantization; the graph structure carries over unchanged."""
     require_valid(diagram, qualitative=False)
-    eps = cfg.epsilon
-    probabilities = _split(_probabilities(_flat(diagram.cpts), eps), diagram.cpts)
-    utilities = _split(_utilities(_flat(diagram.utilities), eps), diagram.utilities)
+    eps, limit = cfg.epsilon, order_limit(diagram)
+    probabilities = _split(_probabilities(_flat(diagram.cpts), eps, limit), diagram.cpts)
+    utilities = _split(_utilities(_flat(diagram.utilities), eps, limit), diagram.utilities)
     oom = OOMInfluenceDiagram(
         variables=diagram.variables,
         cpts=tuple(

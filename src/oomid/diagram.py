@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -146,8 +147,11 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
     chance = set(diagram.chance_vars)
     decisions = set(diagram.decision_vars)
     qualitative = isinstance(diagram, OOMInfluenceDiagram)
-    cpt_problem = _oom_cpt_problem if qualitative else _numeric_cpt_problem
-    utility_problem = _oom_utility_problem if qualitative else _numeric_utility_problem
+    if qualitative:
+        cpt_problem = partial(_oom_cpt_problem, limit=order_limit(diagram))
+        utility_problem = partial(_oom_utility_problem, limit=order_limit(diagram))
+    else:
+        cpt_problem, utility_problem = _numeric_cpt_problem, _numeric_utility_problem
 
     seen_children = set()
     for cpt in diagram.cpts:
@@ -192,6 +196,12 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
         problem = utility_problem(u.table)
         if problem:
             out.append(f"{name}: {problem}")
+    if not qualitative and not out:
+        # every message is a probability-weighted sum of sums of one entry
+        # per utility; the factor 2 covers rows that sum to 1 only within
+        # ROW_TOLERANCE
+        if sum(max(map(abs, u.table)) for u in diagram.utilities) > sys.float_info.max / 2:
+            out.append("utilities: largest magnitudes sum above half the largest float")
 
     order = diagram.decision_order
     if set(order) != decisions or len(order) != len(decisions):
@@ -244,11 +254,19 @@ def mark_valid(diagram: InfluenceDiagram) -> InfluenceDiagram:
     every structural and graph check passes as before.  Each probability
     becomes zero or ``(+,k)``; a numeric row sums to 1, so it has a
     positive entry, which becomes non-zero.  Each utility becomes an
-    ``OOMSet``.  ``test_convert`` checks ``validate`` on converted
-    diagrams to keep this argument honest.
+    ``OOMSet``.  ``convert`` checks the bound of ``order_limit`` itself.
+    ``test_convert`` checks ``validate`` on converted diagrams to keep this
+    argument honest.
     """
     object.__setattr__(diagram, "_valid", True)
     return diagram
+
+
+def order_limit(diagram: InfluenceDiagram) -> int:
+    """The largest order magnitude a qualitative table may hold.  The solver
+    adds at most one order per CPT and one utility order in float64, so
+    within this bound every such sum stays below 2**53 and exact."""
+    return (2**53 - 1) // (len(diagram.cpts) + 1)
 
 
 def _numeric_cpt_problem(table: tuple, k: int) -> str | None:
@@ -270,19 +288,25 @@ def _numeric_utility_problem(table: tuple) -> str | None:
         return "non-numeric entries"
 
 
-def _oom_cpt_problem(table: tuple, k: int) -> str | None:
+def _oom_cpt_problem(table: tuple, k: int, limit: int) -> str | None:
     if not all(isinstance(x, OOMValue) and (x.is_positive or x.is_zero) for x in table):
         return "entries must be positive or zero order-of-magnitude values"
     for start in range(0, len(table), k):
         if all(x.is_zero for x in table[start : start + k]):
             return f"row {start // k} has no non-zero entry"
+    return _order_problem((x.order for x in table), limit)
+
+
+def _oom_utility_problem(table: tuple, limit: int) -> str | None:
+    if not all(isinstance(x, OOMSet) for x in table):
+        return "entries must be order-of-magnitude sets"
+    return _order_problem((e.order for x in table for e in x.elements), limit)
+
+
+def _order_problem(orders: Iterable, limit: int) -> str | None:
+    if any(limit < abs(k) < math.inf for k in orders):
+        return f"orders must lie within +-{limit}, where float64 sums stay exact"
     return None
-
-
-def _oom_utility_problem(table: tuple) -> str | None:
-    if all(isinstance(x, OOMSet) for x in table):
-        return None
-    return "entries must be order-of-magnitude sets"
 
 
 def _graph_violations(diagram: InfluenceDiagram) -> list[str]:

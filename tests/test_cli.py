@@ -79,43 +79,96 @@ def _cpt(doc, child):
     return next(c for c in doc["cpts"] if c["child"] == child)
 
 
-# (case, document, subcommand, fragment of the one-line error message)
+# (case, document, command line around the file, fragment of the one-line
+# error message)
 MALFORMED = [
     ("unknown cpt parent",
      _edited(OOM_DOC, lambda d: _cpt(d, "Seismic")["parents"].append("Nope")),
-     "solve-oom", "bad parent list"),
+     ["solve-oom"], "bad parent list"),
     ("unknown utility scope variable",
      _edited(OOM_DOC, lambda d: d["utilities"][1].update(scope=["Oil", "Nope"])),
-     "solve-oom", "bad scope"),
+     ["solve-oom"], "bad scope"),
     ("empty information sets",
      _edited(OOM_DOC, lambda d: d.update(information_sets={})),
-     "solve-oom", "missing information set"),
+     ["solve-oom"], "missing information set"),
     ("missing cpt",
      _edited(OOM_DOC, lambda d: d["cpts"].remove(_cpt(d, "Oil"))),
-     "solve-oom", "missing cpt"),
+     ["solve-oom"], "missing cpt"),
     ("duplicated cpt",
      _edited(OOM_DOC, lambda d: d["cpts"].append(_cpt(d, "Oil"))),
-     "solve-oom", "duplicate"),
+     ["solve-oom"], "duplicate"),
     ("duplicated variable",
      _edited(OOM_DOC, lambda d: d["variables"].append(d["variables"][1])),
-     "solve-oom", "duplicate variable ids"),
+     ["solve-oom"], "duplicate variable ids"),
     ("directed cycle",
      _edited(OOM_DOC, lambda d: _cpt(d, "Oil").update(
          parents=["Seismic"], table=["(+,0)"] * 9)),
-     "solve-oom", "cycle"),
+     ["solve-oom"], "cycle"),
     ("all-zero cpt row",
      _edited(OOM_DOC, lambda d: _cpt(d, "Oil").update(table=["(+-,inf)"] * 3)),
-     "solve-oom", "no non-zero entry"),
+     ["solve-oom"], "no non-zero entry"),
     ("qualitative evidence",
      _edited(OOM_DOC, lambda d: d.update(evidence={"Oil": "dry"})),
-     "solve-oom", "evidence"),
+     ["solve-oom"], "evidence"),
     ("numeric empty information sets",
      _edited(NUMERIC_DOC, lambda d: d.update(information_sets={})),
-     "solve-exact", "missing information set"),
+     ["solve-exact"], "missing information set"),
     ("numeric evidence",
      _edited(NUMERIC_DOC, lambda d: d.update(evidence={"Oil": "dry"})),
-     "validate", "evidence"),
+     ["validate"], "evidence"),
 ]
+
+HUGE = "9" * 400  # an order no float64 holds
+SUBNORMAL_UTILITY = _edited(
+    NUMERIC_DOC, lambda d: d["utilities"][0].update(table=[-1e-310, 0.0])
+)
+OVERFLOWING_UTILITIES = _edited(
+    NUMERIC_DOC, lambda d: [u.update(table=[1.7e308] * len(u["table"])) for u in d["utilities"]]
+)
+# inputs that pass the diagram checks or the epsilon range check but that no
+# float64 computation can take
+INPUT_FAULTS = [
+    ("huge qualitative cpt order",
+     _edited(OOM_DOC, lambda d: _cpt(d, "Oil").update(table=[f"(+,{HUGE})", "(+,0)", "(+,0)"])),
+     ["solve-oom"], "orders must lie within"),
+    ("huge qualitative utility order",
+     _edited(OOM_DOC, lambda d: d["utilities"][0].update(table=[f"{{(+,-{HUGE})}}"] * 2)),
+     ["solve-oom"], "orders must lie within"),
+    ("subnormal utility to solve-oom",
+     SUBNORMAL_UTILITY, ["solve-oom", "--epsilon", "0.1"], "1/|u| overflows"),
+    ("subnormal utility to compare",
+     SUBNORMAL_UTILITY, ["compare", "--epsilon", "0.1"], "1/|u| overflows"),
+    ("subnormal utility to convert",
+     SUBNORMAL_UTILITY, ["convert", "--epsilon", "0.1", "--out", os.devnull], "1/|u| overflows"),
+    ("epsilon next to 1",
+     lambda: NUMERIC_DOC, ["solve-oom", "--epsilon", "0.9999999999999999"], "no bracket"),
+    ("converted order beyond float64",
+     _edited(NUMERIC_DOC, lambda d: _cpt(d, "Oil").update(table=[1e-50, 0.3, 0.7])),
+     ["convert", "--epsilon", repr(1 - 2.0**-46), "--out", os.devnull], "exceeds"),
+    ("utilities summing past the largest float to solve-exact",
+     OVERFLOWING_UTILITIES, ["solve-exact"], "half the largest float"),
+    ("utilities summing past the largest float to compare",
+     OVERFLOWING_UTILITIES, ["compare", "--epsilon", "0.1"], "half the largest float"),
+]
+MALFORMED += INPUT_FAULTS
+
+
+def _run_argv(command, path):
+    return command[:1] + [str(path)] + command[1:]
+
+
+# runs ``main`` on each command line of the JSON list in argv[1] and prints
+# the exit codes with what went to stderr, as JSON
+RUN_EACH = """
+import contextlib, io, json, sys
+from oomid.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        results.append([main(argv), err.getvalue()])
+print(json.dumps(results))
+"""
 
 
 class TestMalformedInput:
@@ -127,11 +180,24 @@ class TestMalformedInput:
     def test_exit_2_with_one_line_error(self, build, command, fragment, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(build()))
-        assert main([command, str(path)]) == 2
+        assert main(_run_argv(command, path)) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
         assert fragment in err
+
+    def test_input_faults_with_asserts_stripped(self, tmp_path):
+        # python -O strips asserts, so a guard left as one fails here
+        argvs = []
+        for i, (_, build, command, _) in enumerate(INPUT_FAULTS):
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps(build()))
+            argvs.append(_run_argv(command, path))
+        argv = [sys.executable, "-O", "-c", RUN_EACH, json.dumps(argvs)]
+        proc = subprocess.run(argv, env=_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for (case, _, _, fragment), (code, err) in zip(INPUT_FAULTS, json.loads(proc.stdout)):
+            assert code == 2 and fragment in err, (case, err)
 
     def test_qualitative_file_to_numeric_solver(self, tmp_path, capsys):
         path = tmp_path / "w_oom.json"
@@ -237,10 +303,15 @@ def test_rows_near_tolerance(doc, code, command, tmp_path):
     assert main(command[:1] + [str(path)] + command[1:]) == code
 
 
+def _env():
+    """The environment with this checkout's ``oomid`` first on the path."""
+    paths = [str(Path(oomid.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def test_rows_near_tolerance_with_asserts_stripped(tmp_path):
     # python -O strips asserts, so a guard against input left as one fails here
-    paths = [str(Path(oomid.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = _env()
     runs = []
     for case, doc, code in ROW_SHIFT_CASES:
         path = tmp_path / f"{case}.json"

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from oomid.convert import ConversionConfig, convert, spohn_prob, spohn_util
 from oomid.diagram import (
     CPT,
+    DiagramError,
     InfluenceDiagram,
     Kind,
     UtilityFunction,
     Variable,
     from_dict,
     load,
+    order_limit,
     save,
     to_dict,
     validate,
@@ -234,7 +236,7 @@ def brackets(x: float, k: int, eps: float) -> bool:
 
 
 def agrees_with_oracle(got, oracle, x: float, eps: float, bracketed) -> bool:
-    """``got`` (a value, a set, or the ``ArithmeticError`` raised) is the
+    """``got`` (a value, a set, or the ``DiagramError`` raised) is the
     oracle's answer.  Where the oracle raises, the array path may still
     find the bracket: the loop overflows when ``eps**k`` for a neighbouring
     candidate leaves the float range, which happens only for ``x`` near the
@@ -242,7 +244,7 @@ def agrees_with_oracle(got, oracle, x: float, eps: float, bracketed) -> bool:
     try:
         expected = oracle(x, eps)
     except ArithmeticError:
-        return isinstance(got, ArithmeticError) or bracketed(got)
+        return isinstance(got, DiagramError) or bracketed(got)
     return got == expected
 
 
@@ -285,7 +287,7 @@ def utilities(eps: float) -> st.SearchStrategy:
 def quantized(fn, x, cfg):
     try:
         return fn(x, cfg)
-    except ArithmeticError as exc:
+    except DiagramError as exc:
         return exc
 
 
@@ -328,9 +330,10 @@ def test_convert_matches_scalar_oracle(data):
         assert agrees_with_oracle(
             got, oracle_util, u, eps, lambda s: brackets(1.0 / abs(u), -s.elements[0].order, eps)
         ), (u, eps, got)
-    # the whole diagram in one pass: the same entries, or the same failure
-    if any(isinstance(x, ArithmeticError) for x in got_probs + got_utils):
-        with pytest.raises(ArithmeticError):
+    # the whole diagram in one pass: the same entries, or the same failure;
+    # a utility above half the largest float fails validation
+    if validate(d) or any(isinstance(x, DiagramError) for x in got_probs + got_utils):
+        with pytest.raises(DiagramError):
             convert(d, cfg)
         return
     o = convert(d, cfg)
@@ -351,14 +354,28 @@ def test_exact_powers_and_neighbours(eps):
 
 def test_no_bracket_raises():
     # 1/|u| overflows to inf for the smallest subnormal utilities
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(DiagramError, match=r"1/\|u\| overflows"):
         spohn_util(5e-324, E01)
     # near 1, eps**k rounds to the same subnormal over a long run of k, so
     # the bracket lies far from the logarithm's guess
     for p in (5e-324, 1e-323, 1e-322):
-        for quantize in (oracle_prob, lambda p, eps: spohn_prob(p, ConversionConfig(eps))):
-            with pytest.raises(ArithmeticError):
-                quantize(p, 0.999)
+        with pytest.raises(ArithmeticError):
+            oracle_prob(p, 0.999)
+        with pytest.raises(DiagramError, match="no bracket"):
+            spohn_prob(p, ConversionConfig(0.999))
+
+
+def test_orders_beyond_the_float64_bound_rejected():
+    # at eps = 1 - 2**-46, 1e-3 is of order 4.9e14 and 1e-50 of order 8.1e15;
+    # three CPTs allow (2**53 - 1) // 4, about 2.3e15
+    cfg = ConversionConfig(1 - 2.0**-46)
+    within, beyond = numeric_diagram([1e-3], [1.0]), numeric_diagram([1e-50], [1.0])
+    assert order_limit(within) == (2**53 - 1) // 4
+    assert validate(convert(within, cfg)) == []
+    with pytest.raises(DiagramError, match="exceeds"):
+        convert(beyond, cfg)
+    # one entry alone has no sums to keep exact
+    assert spohn_prob(1e-50, cfg).order == 8101501067809976
 
 
 def test_bracket_found_where_the_loop_overflowed():
