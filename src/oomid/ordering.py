@@ -30,9 +30,17 @@ def temporal_partition(diagram: InfluenceDiagram) -> list[tuple[str, ...]]:
 
     I_0 holds the chance variables observed at the first decision D_1, I_k
     those revealed after D_k, and I_m the never-observed ones, each sorted
-    by name; a diagram without decisions is one block.  Requires closed
-    (non-forgetting) information sets, so observation sets grow along the
-    decision order.
+    by name; a diagram without decisions is one block.  Requires chance
+    observations to be remembered, so observation sets grow along the
+    decision order; a ``DiagramError`` names any that a later decision
+    forgets.
+
+    Forgetting diagrams, by contract: the solvers reject a forgotten chance
+    observation here, before eliminating; they reject a rule over a
+    forgotten decision after eliminating, in ``elimination.expand_rule``,
+    since a rule's scope is known only once its bucket is built; and
+    ``exact.PolicyEvaluator`` scores any policy of a forgetting diagram
+    through its non-forgetting closure.
     """
     chance = set(diagram.chance_vars)
     observed: set[str] = set()

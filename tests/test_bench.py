@@ -1,19 +1,22 @@
 import hashlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from oomid import bench
 from oomid.bench import (
     ExperimentResult,
     _nearest_rank,
     run_experiment,
+    sample_errors,
     summarize,
     write_results_csv,
     write_summary_csv,
 )
 from oomid.convert import ConversionConfig, convert
-from oomid.diagram import wildcatter
+from oomid.diagram import UtilityFunction, wildcatter
 from oomid.exact import PolicyEvaluator, solve_exact
 from oomid.generator import GeneratorParams
 from oomid.oom_solve import elim_oom_id
@@ -86,6 +89,11 @@ class TestStatistics:
         assert _nearest_rank([1.0, 2.0, 3.0], 50) == 2.0
         assert _nearest_rank([1.0, 2.0, 3.0, 4.0], 50) == 2.0
 
+    def test_errors_relative_unless_meu_is_zero(self):
+        assert sample_errors(2.0, [1.0, 3.0]) == (1.0, 3.0, 0.5, 0.5)
+        assert sample_errors(-2.0, [-3.0, -1.0]) == (-3.0, -1.0, 0.5, 0.5)
+        assert sample_errors(0.0, [-2.0, 1.0, 3.0]) == (1.0, 3.0, 1.0, 3.0)
+
     def test_nearest_rank(self):
         values = sorted([0.1, 0.2, 0.3, 0.4])
         assert _nearest_rank(values, 25) == 0.1
@@ -149,6 +157,21 @@ class TestCsv:
         s_lines = summary.read_text().strip().splitlines()
         assert s_lines[0] == "n,class,epsilon,metric,p25,p50,p75,instances"
         assert len(s_lines) == 3
+
+    def test_flags_column(self, tmp_path, monkeypatch):
+        # all-zero utilities: the MEU is 0, so errors are absolute, and every
+        # action ties, so the 2 * 2**6 wildcatter policies are fewer than
+        # the 200 samples
+        w = wildcatter()
+        zero = tuple(UtilityFunction(u.scope, (0.0,) * len(u.table)) for u in w.utilities)
+        monkeypatch.setattr(bench, "generate", lambda params: replace(w, utilities=zero))
+        results = run_experiment(quick_params(), epsilons=[0.1], s=200, instances=1)
+        assert results[0].policy_count == 128
+        assert results[0].flags == ("sampled_with_replacement", "absolute_error")
+        out = tmp_path / "results.csv"
+        write_results_csv(results, out)
+        row = out.read_text().strip().splitlines()[1]
+        assert row.endswith(",128,sampled_with_replacement;absolute_error")
 
     def test_deterministic_bytes(self, tmp_path):
         results = run_experiment(

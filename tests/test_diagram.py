@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import pytest
 
+from oomid.convert import ConversionConfig, convert
 from oomid.diagram import (
     CPT,
     DiagramError,
     InfluenceDiagram,
+    UtilityFunction,
     apply_nonforgetting,
     from_dict,
     load,
+    order_limit,
     save,
     validate,
     wildcatter,
@@ -18,11 +23,13 @@ from oomid.ordering import (
     legal_ordering,
     temporal_partition,
 )
+from oomid.sets import ZERO_SET, singleton
+from oomid.values import OOMValue, Sign
 
 
-def tiny_chain(nonforgetting=True):
-    """X -> D -> Y with a utility on (D, Y)."""
-    data = {
+def tiny_chain_doc():
+    """X -> D -> Y with a utility on (D, Y); D observes X."""
+    return {
         "variables": [
             {"id": "X", "kind": "chance", "domain": ["a", "b"]},
             {"id": "D", "kind": "decision", "domain": ["l", "r"]},
@@ -36,7 +43,16 @@ def tiny_chain(nonforgetting=True):
         "decision_order": ["D"],
         "information_sets": {"D": ["X"]},
     }
-    return from_dict(data, nonforgetting=nonforgetting)
+
+
+def tiny_chain(nonforgetting=True):
+    return from_dict(tiny_chain_doc(), nonforgetting=nonforgetting)
+
+
+def edited_chain(edit):
+    doc = tiny_chain_doc()
+    edit(doc)
+    return doc
 
 
 class TestWildcatterFixture:
@@ -183,9 +199,113 @@ class TestValidate:
         with pytest.raises(DiagramError, match="evidence"):
             from_dict(data)
 
+    def test_observed_chance_depending_on_later_decision_open_sets(self):
+        # S depends on D2 and is observed at D1; closing the sets makes D2
+        # observe D1, and D2 -> S -> D1 -> D2 a cycle
+        data = {
+            "variables": [
+                {"id": "S", "kind": "chance", "domain": ["a", "b"]},
+                {"id": "D1", "kind": "decision", "domain": ["l", "r"]},
+                {"id": "D2", "kind": "decision", "domain": ["l", "r"]},
+            ],
+            "cpts": [{"child": "S", "parents": ["D2"], "table": [0.5, 0.5, 0.5, 0.5]}],
+            "utilities": [{"scope": ["D1"], "table": [1, 0]}],
+            "decision_order": ["D1", "D2"],
+            "information_sets": {"D1": ["S"], "D2": []},
+        }
+        assert validate(from_dict(data, nonforgetting=False)) == [
+            "chance variable S is observed at D1 but depends on a later decision"
+        ]
+        assert validate(from_dict(data)) == ["graph has a directed cycle"]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["variables"][0].update(domain=[]), "variable X: empty domain"),
+            (
+                lambda d: d["variables"][0].update(domain=["a", "a"]),
+                "variable X: duplicate domain labels",
+            ),
+            (
+                lambda d: d["information_sets"].update(D=["X", "X"]),
+                "decision D: duplicate parents",
+            ),
+            (
+                lambda d: d["information_sets"].update(D=["X", "D"]),
+                "decision D: observes itself",
+            ),
+        ],
+        ids=["empty domain", "duplicate labels", "duplicate parents", "observes itself"],
+    )
+    def test_structure_messages(self, edit, message):
+        assert validate(from_dict(edited_chain(edit), nonforgetting=False)) == [message]
+
+    def test_entry_type_messages(self):
+        d = tiny_chain()
+        text_cpt = CPT("X", (), ("a", 0.6))
+        float_cpt = CPT("X", (), (0.4, 0.6))
+        none_utility = UtilityFunction(("D", "Y"), (10, None, 2, 5))
+        utility_name = "utility 0 over ['D', 'Y']"
+        assert validate(replace(d, cpts=(text_cpt, d.cpts[1]))) == [
+            "cpt for X: non-numeric entries"
+        ]
+        assert validate(replace(d, utilities=(none_utility,))) == [
+            f"{utility_name}: non-numeric entries"
+        ]
+        oom = convert(d, ConversionConfig(0.1))
+        assert validate(replace(oom, cpts=(float_cpt, oom.cpts[1]))) == [
+            "cpt for X: entries must be positive or zero order-of-magnitude values"
+        ]
+        assert validate(replace(oom, utilities=d.utilities)) == [
+            f"{utility_name}: entries must be order-of-magnitude sets"
+        ]
+
+    def test_orders_within_the_float64_bound(self):
+        oom = convert(tiny_chain(), ConversionConfig(0.1))
+        limit = order_limit(oom)
+        assert limit == (2**53 - 1) // 3  # two CPTs
+        for k in (limit, -limit, limit + 1, -limit - 1):
+            one = singleton(OOMValue(Sign.PLUS, k))
+            utility = UtilityFunction(("D", "Y"), (one, ZERO_SET, ZERO_SET, one))
+            cpt = CPT("X", (), (OOMValue(Sign.PLUS, abs(k)), OOMValue(Sign.PLUS, 0)))
+            for edited in (
+                replace(oom, utilities=(utility,)),
+                replace(oom, cpts=(cpt, oom.cpts[1])),
+            ):
+                problems = validate(edited)
+                if abs(k) <= limit:
+                    assert problems == []
+                else:
+                    assert len(problems) == 1 and "orders must lie within" in problems[0]
+
+    def test_utilities_summing_past_the_largest_float(self):
+        d = tiny_chain()
+        half = UtilityFunction(("D", "Y"), (8.9e307, 0.0, 0.0, -8.9e307))
+        assert validate(replace(d, utilities=(half,))) == []
+        assert validate(replace(d, utilities=(half, half))) == [
+            "utilities: largest magnitudes sum above half the largest float"
+        ]
+
     def test_malformed_document(self):
         with pytest.raises(DiagramError):
             from_dict({"variables": []})
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ([], "not a JSON object"),
+            ({**tiny_chain_doc(), "information_sets": []}, "information_sets must be an object"),
+            (edited_chain(lambda d: d["variables"][0].update(id=3)), "expected a name, got 3"),
+            (
+                edited_chain(lambda d: d["cpts"][0].update(parents="X")),
+                "expected a list of names, got 'X'",
+            ),
+        ],
+        ids=["not an object", "information sets", "name", "list of names"],
+    )
+    def test_malformed_document_messages(self, document, message):
+        with pytest.raises(DiagramError, match=message):
+            from_dict(document)
 
     @pytest.mark.parametrize("entry", ["(+,0)", None, True, [0.5]])
     def test_table_entries_decide_the_kind(self, entry):

@@ -573,6 +573,36 @@ class TestRandomAgreement:
             expected = policy_value(d, {x: r.actions for x, r in policy.rules.items()})
             assert abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
 
+    def test_forgetting_diagram_with_unlinked_closure(self):
+        # D2 observes nothing and forgets X, which D1 observed; the closure
+        # keeps D1 and X as ancestors of the utility over D2, but no factor
+        # links them to it: D1's bucket is empty and X's CPT ends as a root
+        # probability message
+        data = {
+            "variables": [
+                {"id": "X", "kind": "chance", "domain": ["a", "b"]},
+                {"id": "D1", "kind": "decision", "domain": ["l", "r"]},
+                {"id": "D2", "kind": "decision", "domain": ["l", "r"]},
+            ],
+            "cpts": [{"child": "X", "parents": [], "table": [0.25, 0.75]}],
+            "utilities": [{"scope": ["D2"], "table": [5.0, 1.0]}],
+            "decision_order": ["D1", "D2"],
+            "information_sets": {"D1": ["X"], "D2": []},
+        }
+        d = from_dict(data, nonforgetting=False)
+        policies = [
+            Policy(rules={
+                "D1": PolicyRule("D1", ("X",), d1),
+                "D2": PolicyRule("D2", (), (d2,)),
+            })
+            for d1 in itertools.product((0, 1), repeat=2)
+            for d2 in (0, 1)
+        ]
+        values = PolicyEvaluator(d).evaluate_many(policies)
+        assert values == [5.0, 1.0] * 4
+        for policy, value in zip(policies, values):
+            assert value == policy_value(d, {x: r.actions for x, r in policy.rules.items()})
+
     @pytest.mark.parametrize(
         "params",
         [small_params(i) for i in range(5)]

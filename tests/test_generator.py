@@ -16,14 +16,22 @@ def bench_params(seed: int, utility_class: str = "P", n: int = 25) -> GeneratorP
 
 class TestParams:
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            GeneratorParams(n_c=3, n_d=0, r=5)  # more roots than variables
-        with pytest.raises(ValueError):
-            GeneratorParams(n_c=5, n_d=0, r=2, p=3)  # parents exceed roots
-        with pytest.raises(ValueError):
-            GeneratorParams(n_c=5, n_d=1, k=1)
-        with pytest.raises(ValueError):
-            GeneratorParams(n_c=5, n_d=1, utility_class="Q")
+        cases = [
+            (dict(n_c=0, n_d=0), "need at least one variable"),
+            (dict(n_c=-1, n_d=6), "need at least one variable"),
+            (dict(n_c=3, n_d=0, r=5), "root count"),  # more roots than variables
+            (dict(n_c=5, n_d=0, r=5, p=5), "parent count must be in"),
+            (dict(n_c=5, n_d=0, r=2, p=-1), "parent count must be in"),
+            (dict(n_c=5, n_d=0, r=2, p=3), "must not exceed the root count"),
+            (dict(n_c=5, n_d=0, a=0), "utility arity"),
+            (dict(n_c=5, n_d=1, a=7), "utility arity"),
+            (dict(n_c=5, n_d=1, k=1), "domain size bound"),
+            (dict(n_c=4, n_d=2, r=5), "needs n_c >= r"),
+            (dict(n_c=5, n_d=1, utility_class="Q"), "utility class"),
+        ]
+        for kwargs, message in cases:
+            with pytest.raises(ValueError, match=message):
+                GeneratorParams(**kwargs)
 
 
 class TestStructure:
@@ -68,6 +76,17 @@ class TestStructure:
         assert len(order) == 5
         for prev, nxt in zip(order, order[1:]):
             assert reachable(prev, nxt)
+
+    def test_decisions_without_parents_chained(self):
+        # with no parents drawn, each decision but the first observes just
+        # the one before it
+        d = generate(GeneratorParams(n_c=4, n_d=3, p=0, r=2, a=2), nonforgetting=False)
+        order = d.decision_order
+        assert d.information_sets == {
+            order[0]: (), **{nxt: (prev,) for prev, nxt in zip(order, order[1:])}
+        }
+        assert all(not c.parents for c in d.cpts)
+        assert validate(d) == []
 
     def test_counts_and_arity(self):
         d = generate(bench_params(seed=3), nonforgetting=False)
