@@ -3,9 +3,10 @@
 The oracles are the set-based min-fill ordering, induced width, largest
 bucket and interaction graph that the bitset versions replaced: the pair
 loop that recounts every fill at every step.  Results must be equal,
-including every tie-break.  ``TestRecordedOrdering`` checks the ordering
-that ``legal_ordering`` records on a diagram, and that the solvers walk
-each diagram's graph once.
+including every tie-break.  ``oracle_is_legal_ordering`` is the
+position-interval walk that the block-rank legality check replaced.
+``TestRecordedOrdering`` checks the ordering that ``legal_ordering``
+records on a diagram, and that the solvers walk each diagram's graph once.
 """
 
 import math
