@@ -14,6 +14,7 @@ utilities.
 
 from __future__ import annotations
 
+import graphlib
 import json
 import math
 import sys
@@ -126,6 +127,15 @@ def apply_nonforgetting(diagram: InfluenceDiagram) -> InfluenceDiagram:
     return replace(diagram, information_sets=closed)
 
 
+def arcs(diagram: InfluenceDiagram) -> dict[str, tuple[str, ...]]:
+    """Each variable's parents: a chance variable's CPT parents and a
+    decision's information set."""
+    parents = {v.id: () for v in diagram.variables}
+    parents.update((cpt.child, cpt.parents) for cpt in diagram.cpts)
+    parents.update(diagram.information_sets)
+    return parents
+
+
 def validate(diagram: InfluenceDiagram) -> list[str]:
     """Collect invariant violations; an empty list means the diagram is usable.
 
@@ -224,7 +234,10 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
         out.append(f"decision {d}: missing information set")
 
     if not out:
-        out.extend(_graph_violations(diagram))
+        try:
+            graphlib.TopologicalSorter(arcs(apply_nonforgetting(diagram))).prepare()
+        except graphlib.CycleError:
+            out.append("graph has a directed cycle")
     return out
 
 
@@ -307,47 +320,6 @@ def _order_problem(orders: Iterable, limit: int) -> str | None:
     if any(limit < abs(k) < math.inf for k in orders):
         return f"orders must lie within +-{limit}, where float64 sums stay exact"
     return None
-
-
-def _graph_violations(diagram: InfluenceDiagram) -> list[str]:
-    """Cycle and temporal checks on the arc structure."""
-    parents: dict[str, set[str]] = {v.id: set() for v in diagram.variables}
-    for cpt in diagram.cpts:
-        parents[cpt.child].update(cpt.parents)
-    for d, observed in diagram.information_sets.items():
-        parents[d].update(observed)
-
-    # ancestors in topological order; variables left over lie on a cycle
-    children: dict[str, list[str]] = {v: [] for v in parents}
-    for v, ps in parents.items():
-        for p in ps:
-            children[p].append(v)
-    waiting = {v: len(ps) for v, ps in parents.items()}
-    ready = [v for v, n in waiting.items() if n == 0]
-    ancestors: dict[str, set[str]] = {}
-    while ready:
-        u = ready.pop()
-        ancestors[u] = set(parents[u]).union(*(ancestors[p] for p in parents[u]))
-        for w in children[u]:
-            waiting[w] -= 1
-            if waiting[w] == 0:
-                ready.append(w)
-    if len(ancestors) != len(parents):
-        return ["graph has a directed cycle"]
-
-    # a chance variable observed at decision k must not depend on a decision
-    # made at k or later
-    out: list[str] = []
-    chance = set(diagram.chance_vars)
-    order = diagram.decision_order
-    for k, d in enumerate(order):
-        not_yet_made = set(order[k:])
-        for p in diagram.information_sets.get(d, ()):
-            if p in chance and ancestors[p] & not_yet_made:
-                out.append(
-                    f"chance variable {p} is observed at {d} but depends on a later decision"
-                )
-    return out
 
 
 @dataclass(frozen=True)

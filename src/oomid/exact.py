@@ -51,6 +51,7 @@ from .diagram import (
     PolicyBatch,
     PolicyRule,
     apply_nonforgetting,
+    arcs,
     require_valid,
 )
 from .elimination import (
@@ -247,8 +248,7 @@ class PolicyEvaluator:
         self._diagram = diagram
         self._closure = apply_nonforgetting(diagram)
         self._order = resolve_order(self._closure, order)
-        parents = {cpt.child: cpt.parents for cpt in diagram.cpts}
-        parents.update(self._closure.information_sets)
+        parents = arcs(self._closure)
         kept = [_ancestors(u.scope, parents) for u in diagram.utilities]
         cpts = [cpt for cpt in diagram.cpts if any(cpt.child in k for k in kept)]
         lambdas = dict(zip((c.child for c in cpts), encoded(diagram, cpts, _floats)))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .diagram import DiagramError, InfluenceDiagram
+from .diagram import DiagramError, InfluenceDiagram, arcs
 
 
 def temporal_partition(diagram: InfluenceDiagram) -> list[tuple[str, ...]]:
@@ -84,9 +84,8 @@ def _graph(diagram: InfluenceDiagram) -> tuple[list[str], dict[str, int], list[i
     interaction graph."""
     names = [v.id for v in diagram.variables]
     index = {v: i for i, v in enumerate(names)}
-    scopes = [cpt.scope for cpt in diagram.cpts]
+    scopes = [(v, *ps) for v, ps in arcs(diagram).items()]
     scopes += [u.scope for u in diagram.utilities]
-    scopes += [(d,) + tuple(ps) for d, ps in diagram.information_sets.items()]
     adj = [0] * len(names)
     for scope in scopes:
         mask = 0

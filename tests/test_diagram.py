@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -7,7 +9,9 @@ from oomid.diagram import (
     CPT,
     DiagramError,
     InfluenceDiagram,
+    Kind,
     UtilityFunction,
+    Variable,
     apply_nonforgetting,
     from_dict,
     load,
@@ -181,9 +185,7 @@ class TestValidate:
             "decision_order": ["D"],
             "information_sets": {"D": ["S"]},
         }
-        d = from_dict(data)
-        violations = validate(d)
-        assert violations  # reported either as a cycle or a temporal violation
+        assert validate(from_dict(data)) == ["graph has a directed cycle"]
 
     def test_evidence_checked(self):
         data = {
@@ -201,7 +203,7 @@ class TestValidate:
 
     def test_observed_chance_depending_on_later_decision_open_sets(self):
         # S depends on D2 and is observed at D1; closing the sets makes D2
-        # observe D1, and D2 -> S -> D1 -> D2 a cycle
+        # observe D1, and D2 -> S -> D1 -> D2 a cycle, open sets or not
         data = {
             "variables": [
                 {"id": "S", "kind": "chance", "domain": ["a", "b"]},
@@ -213,9 +215,7 @@ class TestValidate:
             "decision_order": ["D1", "D2"],
             "information_sets": {"D1": ["S"], "D2": []},
         }
-        assert validate(from_dict(data, nonforgetting=False)) == [
-            "chance variable S is observed at D1 but depends on a later decision"
-        ]
+        assert validate(from_dict(data, nonforgetting=False)) == ["graph has a directed cycle"]
         assert validate(from_dict(data)) == ["graph has a directed cycle"]
 
     @pytest.mark.parametrize(
@@ -318,6 +318,105 @@ class TestValidate:
         }
         with pytest.raises(DiagramError, match="mix|neither"):
             from_dict(data)
+
+
+def oracle_graph_violations(diagram):
+    """The graph checks that one cycle check on the non-forgetting closure
+    replaced: a cycle in the diagram's own arcs, then each chance variable
+    observed at a decision it depends on or that precedes one it depends on."""
+    parents = {v.id: set() for v in diagram.variables}
+    for cpt in diagram.cpts:
+        parents[cpt.child].update(cpt.parents)
+    for d, observed in diagram.information_sets.items():
+        parents[d].update(observed)
+
+    # ancestors in topological order; variables left over lie on a cycle
+    children = {v: [] for v in parents}
+    for v, ps in parents.items():
+        for p in ps:
+            children[p].append(v)
+    waiting = {v: len(ps) for v, ps in parents.items()}
+    ready = [v for v, n in waiting.items() if n == 0]
+    ancestors = {}
+    while ready:
+        u = ready.pop()
+        ancestors[u] = set(parents[u]).union(*(ancestors[p] for p in parents[u]))
+        for w in children[u]:
+            waiting[w] -= 1
+            if waiting[w] == 0:
+                ready.append(w)
+    if len(ancestors) != len(parents):
+        return ["graph has a directed cycle"]
+
+    # a chance variable observed at decision k must not depend on a decision
+    # made at k or later
+    out = []
+    chance = set(diagram.chance_vars)
+    order = diagram.decision_order
+    for k, d in enumerate(order):
+        not_yet_made = set(order[k:])
+        for p in diagram.information_sets.get(d, ()):
+            if p in chance and ancestors[p] & not_yet_made:
+                out.append(
+                    f"chance variable {p} is observed at {d} but depends on a later decision"
+                )
+    return out
+
+
+def random_structure(rng):
+    """A diagram of 1-4 chance variables and 1-3 decisions with random CPT
+    parents, information sets and decision order, and uniform tables.  Each
+    decision observes chance variables and decisions earlier in the order,
+    so ``validate`` reaches its graph check."""
+    chance = [f"X{i}" for i in range(rng.randint(1, 4))]
+    decisions = [f"D{i}" for i in range(rng.randint(1, 3))]
+    order = rng.sample(decisions, len(decisions))
+    names = chance + decisions
+    cpts = []
+    for x in chance:
+        parents = tuple(v for v in names if v != x and rng.random() < 0.25)
+        cpts.append(CPT(x, parents, (0.5,) * 2 ** (len(parents) + 1)))
+    info = {
+        d: tuple(v for v in chance + order[:k] if rng.random() < 0.25)
+        for k, d in enumerate(order)
+    }
+    return InfluenceDiagram(
+        variables=tuple(
+            Variable(v, Kind.CHANCE if v in chance else Kind.DECISION, ("a", "b"))
+            for v in names
+        ),
+        cpts=tuple(cpts),
+        utilities=(UtilityFunction((rng.choice(names),), (1.0, 0.0)),),
+        decision_order=tuple(order),
+        information_sets=info,
+    )
+
+
+class TestGraphCheckOracle:
+    def test_same_verdicts_on_random_diagrams(self):
+        # open and closed information sets: one cycle check on the closure
+        # rejects exactly what the raw cycle and temporal checks rejected
+        rng = random.Random(0)
+        seen = Counter()
+        for _ in range(2000):
+            raw = random_structure(rng)
+            for sets, diagram in (("open", raw), ("closed", apply_nonforgetting(raw))):
+                problems = validate(diagram)
+                assert problems in ([], ["graph has a directed cycle"])
+                expected = oracle_graph_violations(diagram)
+                assert bool(problems) == bool(expected), (diagram, expected)
+                verdict = expected[0].split()[0] if expected else "accepted"
+                seen[sets, verdict] += 1
+        # every verdict occurs; only open sets let a temporal violation
+        # through the oracle's cycle check
+        assert set(seen) == {
+            ("open", "accepted"),
+            ("open", "graph"),
+            ("open", "chance"),
+            ("closed", "accepted"),
+            ("closed", "graph"),
+        }, seen
+        assert min(seen.values()) >= 20, seen
 
 
 class TestTemporalPartition:
