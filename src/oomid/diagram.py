@@ -265,8 +265,9 @@ def mark_valid(diagram: InfluenceDiagram) -> InfluenceDiagram:
     is valid by construction: it starts from a valid numeric diagram and
     keeps its variables, scopes, decision order and information sets, so
     every structural and graph check passes as before.  Each probability
-    becomes zero or ``(+,k)``; a numeric row sums to 1, so it has a
-    positive entry, which becomes non-zero.  Each utility becomes an
+    becomes zero or ``(+,k)``, where k >= 0 since the bracket of p <= 1
+    lies below 1; a numeric row sums to 1, so it has a positive entry,
+    which becomes non-zero.  Each utility becomes an
     ``OOMSet``.  ``convert`` checks the bound of ``order_limit`` itself.
     ``test_convert`` checks ``validate`` on converted diagrams to keep this
     argument honest.
@@ -304,6 +305,8 @@ def _numeric_utility_problem(table: tuple) -> str | None:
 def _oom_cpt_problem(table: tuple, k: int, limit: int) -> str | None:
     if not all(isinstance(x, OOMValue) and (x.is_positive or x.is_zero) for x in table):
         return "entries must be positive or zero order-of-magnitude values"
+    if any(x.order < 0 for x in table):  # a probability is at most 1
+        return "probability orders must be at least 0"
     for start in range(0, len(table), k):
         if all(x.is_zero for x in table[start : start + k]):
             return f"row {start // k} has no non-zero entry"

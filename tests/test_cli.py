@@ -52,6 +52,13 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert "sum to 1" in capsys.readouterr().err
 
+    def test_negative_probability_order(self, tmp_path, capsys):
+        # a probability is at most 1, so its order is at least 0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(NEGATIVE_ORDER()))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "cpt for Oil: probability orders must be at least 0\n"
+
     def test_no_utilities_rejected(self, tmp_path, capsys):
         doc = {
             "variables": [{"id": "X", "kind": "chance", "domain": ["a", "b"]}],
@@ -125,9 +132,14 @@ SUBNORMAL_UTILITY = _edited(
 OVERFLOWING_UTILITIES = _edited(
     NUMERIC_DOC, lambda d: [u.update(table=[1.7e308] * len(u["table"])) for u in d["utilities"]]
 )
-# inputs that pass the diagram checks or the epsilon range check but that no
-# float64 computation can take
+NEGATIVE_ORDER = _edited(
+    OOM_DOC, lambda d: _cpt(d, "Oil").update(table=["(+,-2)", "(+,0)", "(+,1)"])
+)
+# inputs of the right shape whose numbers no float64 computation can take or
+# no probability can have
 INPUT_FAULTS = [
+    ("negative probability order",
+     NEGATIVE_ORDER, ["solve-oom"], "probability orders must be at least 0"),
     ("huge qualitative cpt order",
      _edited(OOM_DOC, lambda d: _cpt(d, "Oil").update(table=[f"(+,{HUGE})", "(+,0)", "(+,0)"])),
      ["solve-oom"], "orders must lie within"),
