@@ -140,7 +140,10 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
     """Collect invariant violations; an empty list means the diagram is usable.
 
     The structural and graph checks are the same for both kinds of diagram;
-    only the table entry checks depend on the kind.
+    only the table entry checks depend on the kind.  The graph check is the
+    rule of a regular diagram: the ``arcs`` of the non-forgetting closure
+    form no directed cycle.  So no decision observes a chance variable that
+    depends on it or on a later decision, whether its sets are closed or not.
     """
     if len(diagram._index) != len(diagram.variables):
         return ["duplicate variable ids"]
@@ -234,6 +237,11 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
         out.append(f"decision {d}: missing information set")
 
     if not out:
+        # This also checks the temporal rule.  A chance variable p observed
+        # at D_k that depends on D_j, j >= k, closes D_k (-> D_j) ~> p -> D_k,
+        # D_k -> D_j being a closure arc.  And with no such p, no raw cycle
+        # and only earlier decisions observed, the closure is ordered by: for
+        # each D_k in turn, its information set's unlisted ancestors, then D_k.
         try:
             graphlib.TopologicalSorter(arcs(apply_nonforgetting(diagram))).prepare()
         except graphlib.CycleError:
