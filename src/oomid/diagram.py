@@ -273,10 +273,10 @@ def mark_valid(diagram: InfluenceDiagram) -> InfluenceDiagram:
     is valid by construction: it starts from a valid numeric diagram and
     keeps its variables, scopes, decision order and information sets, so
     every structural and graph check passes as before.  Each probability
-    becomes zero or ``(+,k)``, where k >= 0 since the bracket of p <= 1
-    lies below 1; a numeric row sums to 1, so it has a positive entry,
-    which becomes non-zero.  Each utility becomes an
-    ``OOMSet``.  ``convert`` checks the bound of ``order_limit`` itself.
+    p becomes zero or the ``(+,k)`` with ``eps**(k+1) < p <= eps**k``, and
+    p <= 1 gives k >= 0; a numeric row sums to 1, so it has a positive
+    entry, which becomes non-zero.  Each utility becomes an ``OOMSet``.
+    ``convert`` checks the bound of ``order_limit`` itself.
     ``test_convert`` checks ``validate`` on converted diagrams to keep this
     argument honest.
     """
