@@ -50,7 +50,6 @@ from .diagram import (
     Policy,
     PolicyBatch,
     PolicyRule,
-    apply_nonforgetting,
     arcs,
     require_valid,
 )
@@ -225,20 +224,17 @@ def _stack(diagram: InfluenceDiagram, policies: Sequence[Policy]) -> PolicyBatch
 class PolicyEvaluator:
     """Exact policy evaluation with the diagram-side work done once.
 
-    A forgetting diagram is ordered and eliminated as its non-forgetting
-    closure, which only adds observations: each decision still goes before
-    everything its rule reads; a closed diagram is its own closure.  Each
-    utility is summed over its ancestors in the closure only, along CPT
-    parents and information sets.  No ancestor depends on the other
-    variables, so summed out children first, each barren chance variable's
-    CPT rows add up to one and each barren decision selects from a table of
-    ones: dropping them is exact up to those row sums' distance from one.  The
-    ancestors are eliminated along the closure's ordering (its legal one
-    unless given) restricted to them, which stays legal: the kept decisions
-    are a prefix of the decision order, and each one's information set is
-    kept.  The chunk size is bounded by the largest bucket of the closure's
-    whole ordering, which no ancestors' bucket exceeds: their graph is a
-    subgraph of the closure's, so eliminating it adds no other fill.  The
+    Each utility is summed over its ancestors only, along CPT parents and
+    information sets.  No ancestor depends on the other variables, so summed
+    out children first, each barren chance variable's CPT rows add up to one
+    and each barren decision selects from a table of ones: dropping them is
+    exact up to those row sums' distance from one.  The ancestors are
+    eliminated along the diagram's ordering (its legal one unless given)
+    restricted to them, which stays legal: blocks that never decrease along
+    the ordering never decrease along a subsequence, and each kept decision's
+    information set is kept.  The chunk size is bounded by the largest bucket
+    of the whole ordering, which no ancestors' bucket exceeds: their graph is
+    a subgraph of the diagram's, so eliminating it adds no other fill.  The
     orderings, the encoded CPTs and the chunk size depend on the diagram
     only.
     """
@@ -246,9 +242,8 @@ class PolicyEvaluator:
     def __init__(self, diagram: InfluenceDiagram, order: list[str] | None = None):
         require_valid(diagram, qualitative=False)
         self._diagram = diagram
-        self._closure = apply_nonforgetting(diagram)
-        self._order = resolve_order(self._closure, order)
-        parents = arcs(self._closure)
+        self._order = resolve_order(diagram, order)
+        parents = arcs(diagram)
         kept = [_ancestors(u.scope, parents) for u in diagram.utilities]
         cpts = [cpt for cpt in diagram.cpts if any(cpt.child in k for k in kept)]
         lambdas = dict(zip((c.child for c in cpts), encoded(diagram, cpts, _floats)))
@@ -266,7 +261,7 @@ class PolicyEvaluator:
     @functools.cached_property
     def _chunk(self) -> int:
         """Policies per chunk; only a batch of more than one needs it."""
-        return max(1, _CHUNK_CELLS // largest_bucket(self._closure, self._order))
+        return max(1, _CHUNK_CELLS // largest_bucket(self._diagram, self._order))
 
     def evaluate(self, policy: Policy) -> float:
         return self.evaluate_many([policy])[0]
@@ -284,7 +279,7 @@ class PolicyEvaluator:
             select = functools.partial(_select_step, chunk)
             total = np.zeros(stop - start)
             for order, lambdas, utility in self._parts:
-                run = eliminate(self._closure, order, lambdas, [utility], _sum_step, select)
+                run = eliminate(self._diagram, order, lambdas, [utility], _sum_step, select)
                 value = run.root_thetas[0]
                 for lam in run.root_lambdas:
                     value = value * lam

@@ -30,28 +30,18 @@ def temporal_partition(diagram: InfluenceDiagram) -> list[tuple[str, ...]]:
 
     I_0 holds the chance variables observed at the first decision D_1, I_k
     those revealed after D_k, and I_m the never-observed ones, each sorted
-    by name; a diagram without decisions is one block.  Requires chance
-    observations to be remembered, so observation sets grow along the
-    decision order; a ``DiagramError`` names any that a later decision
-    forgets.
+    by name; a diagram without decisions is one block.  Observations
+    accumulate along the decision order, so a forgetting diagram has the
+    blocks of its non-forgetting closure.
 
-    Forgetting diagrams, by contract: the solvers reject a forgotten chance
-    observation here, before eliminating; they reject a rule over a
-    forgotten decision after eliminating, in ``elimination.expand_rule``,
-    since a rule's scope is known only once its bucket is built; and
-    ``exact.PolicyEvaluator`` scores any policy of a forgetting diagram
-    through its non-forgetting closure.
+    Forgetting diagrams: a solver rejects a rule that reads a variable its
+    decision does not observe (``elimination.expand_rule``), and nothing else.
     """
     chance = set(diagram.chance_vars)
     observed: set[str] = set()
     blocks: list[tuple[str, ...]] = []
     for d in diagram.decision_order:
         info = set(diagram.information_sets.get(d, ()))
-        missing = (observed - info) & chance
-        if missing:
-            raise DiagramError(
-                f"information sets are not non-forgetting at {d}: missing {sorted(missing)}"
-            )
         blocks += [tuple(sorted((info - observed) & chance)), (d,)]
         observed |= info
     blocks.append(tuple(sorted(chance - observed)))

@@ -3,6 +3,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oomid.convert import ConversionConfig, convert
 from oomid.diagram import (
@@ -20,6 +22,8 @@ from oomid.diagram import (
     validate,
     wildcatter,
 )
+from oomid.exact import solve_exact
+from oomid.generator import GeneratorParams, generate
 from oomid.ordering import (
     induced_width,
     interaction_graph,
@@ -445,7 +449,8 @@ class TestTemporalPartition:
         }
         assert temporal_partition(from_dict(data)) == [(), ("D",), ("X",)]
 
-    def test_forgetting_information_sets_rejected(self):
+    def test_forgetting_diagram_has_closure_blocks(self):
+        # D2 forgets X, which no rule reads: the diagram solves
         data = {
             "variables": [
                 {"id": "X", "kind": "chance", "domain": ["a", "b"]},
@@ -458,8 +463,18 @@ class TestTemporalPartition:
             "information_sets": {"D1": ["X"], "D2": []},
         }
         d = from_dict(data, nonforgetting=False)
-        with pytest.raises(DiagramError):
-            temporal_partition(d)
+        blocks = [(), ("D2",), (), ("D1",), ("X",)]
+        assert temporal_partition(d) == temporal_partition(apply_nonforgetting(d)) == blocks
+        assert solve_exact(d).meu == 1.0
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 3), st.integers(1, 5), st.integers(2, 3), st.integers(0, 10**6)
+    )
+    def test_open_generated_diagrams_have_closure_blocks(self, p, n_d, k, seed):
+        params = GeneratorParams(n_c=12 - n_d, n_d=n_d, k=k, p=p, r=3, a=3, seed=seed)
+        d = generate(params, nonforgetting=False)
+        assert temporal_partition(d) == temporal_partition(apply_nonforgetting(d))
 
 
 class TestOrdering:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,10 @@ from oomid.elimination import Factor, align, eliminate, product
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
 from oomid.ordering import is_legal_ordering, largest_bucket, legal_ordering
+
+
+# expand_rule's rejection of a rule that reads an unobserved variable
+FORGOTTEN = re.compile(r"decision (\w+): rule depends on unobserved \[(.*)\]")
 
 
 def wildcatter_policy(diagram, test_action, drill_actions):
@@ -473,6 +478,7 @@ class TestBarrenVariables:
         calls = []
 
         def recorded(diagram, order, lambdas, thetas, *steps):
+            assert diagram is d  # no second diagram, such as the closure
             calls.append((list(order), lambdas, thetas))
             return eliminate(diagram, order, lambdas, thetas, *steps)
 
@@ -481,7 +487,7 @@ class TestBarrenVariables:
         values = PolicyEvaluator(d).evaluate_many(policies)
         assert len(calls) == 2
         for (order, lambdas, thetas), kept in zip(calls, self.ANCESTORS):
-            assert order == [v for v in legal_ordering(closure) if v in kept]
+            assert order == [v for v in legal_ordering(d) if v in kept]
             assert {f.scope[-1] for f in lambdas} == kept - set(d.decision_vars)
             assert all(set(f.scope) <= kept for f in lambdas + thetas)
         for policy, value in zip(policies, values):
@@ -529,18 +535,32 @@ class TestRandomAgreement:
             expected = policy_value(d, {x: r.actions for x, r in policy.rules.items()})
             assert abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
 
-    def test_forgetting_diagrams_evaluated_not_solved(self):
-        forgetting = 0
-        for i in range(30):
+    def test_forgetting_diagrams_solved_or_rejected(self):
+        # the one forgetting rule: a rule may read only what its decision
+        # observes; a solved diagram has its closure's MEU (limited memory)
+        outcomes = {"solved": 0, "rejected": 0}
+        for i in range(60):
             d = generate(small_params(i), nonforgetting=False)
-            if d.information_sets == apply_nonforgetting(d).information_sets:
+            closure = apply_nonforgetting(d)
+            if d.information_sets == closure.information_sets:
                 continue
-            forgetting += 1
-            with pytest.raises(DiagramError, match="non-forgetting"):
-                solve_exact(d)
-            policies = random_policies(d, 3, seed=i)
-            assert len(PolicyEvaluator(d).evaluate_many(policies)) == 3
-        assert forgetting >= 5
+            try:
+                sol = solve_exact(d)
+            except DiagramError as exc:
+                # the named variables are observed in the closure only
+                decision, names = FORGOTTEN.fullmatch(str(exc)).groups()
+                for v in names.strip("'").split("', '"):
+                    assert v not in d.information_sets[decision]
+                    assert v in closure.information_sets[decision]
+                outcomes["rejected"] += 1
+                continue
+            outcomes["solved"] += 1
+            meu, _ = brute_force_meu(d, guard=200_000)
+            scale = max(1.0, abs(meu))
+            assert abs(sol.meu - meu) <= 1e-9 * scale
+            assert abs(solve_exact(closure).meu - meu) <= 1e-9 * scale
+            assert abs(evaluate_policy(d, sol.policy) - sol.meu) <= 1e-9 * scale
+        assert min(outcomes.values()) >= 5, outcomes
 
     @pytest.mark.parametrize(
         "params",
@@ -552,15 +572,14 @@ class TestRandomAgreement:
         ids=lambda p: f"n{p.n_c + p.n_d}-{p.utility_class}-seed{p.seed}",
     )
     def test_caller_ordering_bit_equal_to_default(self, params):
-        # a closed diagram is its own closure, so its ordering is the default
         d = generate(params)
         policies = random_policies(d, 6, seed=params.seed)
         default = PolicyEvaluator(d).evaluate_many(policies)
         assert PolicyEvaluator(d, legal_ordering(d)).evaluate_many(policies) == default
 
     def test_forgetting_diagram_along_its_own_ordering(self):
-        # Drill forgets Test: the diagram's ordering, legal for its closure
-        # too, may differ from the closure's, and must score every policy
+        # Drill forgets Test: the diagram's ordering, which may differ from
+        # its closure's, must score every policy
         d = wildcatter(nonforgetting=False)
         assert d.information_sets != apply_nonforgetting(d).information_sets
         policies = [
@@ -574,10 +593,8 @@ class TestRandomAgreement:
             assert abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
 
     def test_forgetting_diagram_with_unlinked_closure(self):
-        # D2 observes nothing and forgets X, which D1 observed; the closure
-        # keeps D1 and X as ancestors of the utility over D2, but no factor
-        # links them to it: D1's bucket is empty and X's CPT ends as a root
-        # probability message
+        # D2 observes nothing and forgets X, which D1 observed: the utility
+        # over D2 has no ancestor but D2, so X and D1 are barren for it
         data = {
             "variables": [
                 {"id": "X", "kind": "chance", "domain": ["a", "b"]},
@@ -645,10 +662,9 @@ class TestRandomAgreement:
     )
     def test_tables_within_chunk_bound(self, params, nonforgetting, monkeypatch):
         # every table a step builds spans at most the largest bucket of the
-        # closure's ordering, once per policy of the chunk
+        # diagram's ordering, once per policy of the chunk
         d = generate(params, nonforgetting=nonforgetting)
-        closure = apply_nonforgetting(d)
-        largest = largest_bucket(closure, legal_ordering(closure))
+        largest = largest_bucket(d, legal_ordering(d))
         sizes = []
 
         def recorded(fn, table_of):

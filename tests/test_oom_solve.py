@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oomid.diagram import (
     InfluenceDiagram,
     OOMInfluenceDiagram,
     UtilityFunction,
+    apply_nonforgetting,
     from_dict,
     load,
     save,
@@ -241,6 +243,31 @@ class TestRandomAgreement:
     @pytest.mark.parametrize("i", range(30))
     def test_native_matches_oracle(self, i):
         self.assert_matches_oracle(native_oom(i))
+
+    def test_forgetting_diagrams_solved_or_rejected(self):
+        # a rule may read only what its decision observes: the solver and the
+        # oracle reject the same diagrams, and agree on the others
+        outcomes = {"solved": 0, "rejected": 0}
+        for i in range(30):
+            d = generate(small_params(i), nonforgetting=False)
+            if d.information_sets == apply_nonforgetting(d).information_sets:
+                continue
+            for eps in (0.5, 0.1, 0.01):
+                o = convert(d, ConversionConfig(eps))
+                try:
+                    sol = elim_oom_id(o)
+                except DiagramError as exc:
+                    assert "rule depends on unobserved" in str(exc)
+                    with pytest.raises(DiagramError, match=re.escape(str(exc))):
+                        brute_force_oom(o)
+                    outcomes["rejected"] += 1
+                    continue
+                oracle = brute_force_oom(o)
+                assert equiv(sol.meu, oracle.meu)
+                assert sol.policies == oracle.policies
+                assert sol.max_table_cells == oracle.max_table_cells
+                outcomes["solved"] += 1
+        assert min(outcomes.values()) >= 5, outcomes
 
     @pytest.mark.parametrize("i", range(6))
     def test_meu_invariant_under_block_shuffles(self, i):
