@@ -51,12 +51,9 @@ def _print_policy(diagram: InfluenceDiagram, policy) -> None:
 
 
 def _cmd_validate(args) -> int:
-    diagram = load(args.diagram)
-    problems = validate(diagram)
+    problems = validate(load(args.diagram))
     if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return 2
+        raise DiagramError("; ".join(problems))
     print("valid")
     return 0
 

@@ -178,7 +178,7 @@ def expand_rule(
     flattened row-major into the last one."""
     info = tuple(diagram.information_sets.get(decision, ()))
     extra = [v for v in rule.scope if v not in info]
-    if extra:  # a forgetting diagram: an earlier decision is not observed
+    if extra:  # the rule reads a variable the decision does not observe
         raise DiagramError(f"decision {decision}: rule depends on unobserved {extra}")
     table = align(rule, info)
     lead = table.shape[: table.ndim - len(info)]

@@ -23,6 +23,11 @@ and ``evaluate_policy`` are batches of one.  ``brute_force_meu``
 enumerates every policy and scores each with ``policy_value``, an
 independent oracle for testing.
 
+A forgetting diagram is solved and evaluated as it is, not as its
+non-forgetting closure.  ``solve_exact`` returns the closure's optimum
+unless a rule it finds reads a variable its decision does not observe,
+which ``expand_rule`` rejects; ``PolicyEvaluator`` scores any policy.
+
 ``solve_exact`` and ``oom_solve.elim_oom_id`` keep every variable.  In
 ``solve_exact`` a barren variable's probability message is one only up to
 rounding, and dropping it would move MEU bits that tests pin.  In the

@@ -57,7 +57,9 @@ class TestValidate:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(NEGATIVE_ORDER()))
         assert main(["validate", str(path)]) == 2
-        assert capsys.readouterr().err == "cpt for Oil: probability orders must be at least 0\n"
+        assert capsys.readouterr().err == (
+            "error: cpt for Oil: probability orders must be at least 0\n"
+        )
 
     def test_no_utilities_rejected(self, tmp_path, capsys):
         doc = {
@@ -123,6 +125,13 @@ MALFORMED = [
     ("numeric evidence",
      _edited(NUMERIC_DOC, lambda d: d.update(evidence={"Oil": "dry"})),
      ["validate"], "evidence"),
+    ("unknown cpt parent to validate",
+     _edited(NUMERIC_DOC, lambda d: _cpt(d, "Seismic")["parents"].append("Nope")),
+     ["validate"], "bad parent list"),
+    ("two violations to validate",
+     _edited(NUMERIC_DOC, lambda d: [_cpt(d, "Oil").update(table=[0.7, 0.7, 0.7]),
+                                     d["utilities"][0].update(table=[1.0])]),
+     ["validate"], "sum to 1; utility 0"),
 ]
 
 HUGE = "9" * 400  # an order no float64 holds
@@ -140,6 +149,8 @@ NEGATIVE_ORDER = _edited(
 INPUT_FAULTS = [
     ("negative probability order",
      NEGATIVE_ORDER, ["solve-oom"], "probability orders must be at least 0"),
+    ("negative probability order to validate",
+     NEGATIVE_ORDER, ["validate"], "probability orders must be at least 0"),
     ("huge qualitative cpt order",
      _edited(OOM_DOC, lambda d: _cpt(d, "Oil").update(table=[f"(+,{HUGE})", "(+,0)", "(+,0)"])),
      ["solve-oom"], "orders must lie within"),

@@ -36,10 +36,6 @@ from oomid.oom_solve import elim_oom_id
 from oomid.ordering import is_legal_ordering, largest_bucket, legal_ordering
 
 
-# expand_rule's rejection of a rule that reads an unobserved variable
-FORGOTTEN = re.compile(r"decision (\w+): rule depends on unobserved \[(.*)\]")
-
-
 def wildcatter_policy(diagram, test_action, drill_actions):
     drill_scope = diagram.information_sets["Drill"]
     return Policy(
@@ -548,7 +544,8 @@ class TestRandomAgreement:
                 sol = solve_exact(d)
             except DiagramError as exc:
                 # the named variables are observed in the closure only
-                decision, names = FORGOTTEN.fullmatch(str(exc)).groups()
+                rejection = r"decision (\w+): rule depends on unobserved \[(.*)\]"
+                decision, names = re.fullmatch(rejection, str(exc)).groups()
                 for v in names.strip("'").split("', '"):
                     assert v not in d.information_sets[decision]
                     assert v in closure.information_sets[decision]
