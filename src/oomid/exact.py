@@ -69,7 +69,7 @@ from .elimination import (
     product,
     reduce_out,
 )
-from .ordering import largest_bucket, resolve_order
+from .ordering import largest_bucket, legal_ordering
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,12 @@ class ExactSolution:
     policy: Policy
 
 
-def solve_exact(
-    diagram: InfluenceDiagram, order: list[str] | None = None
-) -> ExactSolution:
+def solve_exact(diagram: InfluenceDiagram) -> ExactSolution:
     """Maximum expected utility and one optimal policy (first-action ties)."""
     require_valid(diagram, qualitative=False)
     run = eliminate(
         diagram,
-        resolve_order(diagram, order),
+        legal_ordering(diagram),
         encoded(diagram, diagram.cpts, _floats),
         encoded(diagram, diagram.utilities, _floats),
         _chance_step,
@@ -234,20 +232,19 @@ class PolicyEvaluator:
     out children first, each barren chance variable's CPT rows add up to one
     and each barren decision selects from a table of ones: dropping them is
     exact up to those row sums' distance from one.  The ancestors are
-    eliminated along the diagram's ordering (its legal one unless given)
-    restricted to them, which stays legal: blocks that never decrease along
-    the ordering never decrease along a subsequence, and each kept decision's
-    information set is kept.  The chunk size is bounded by the largest bucket
-    of the whole ordering, which no ancestors' bucket exceeds: their graph is
-    a subgraph of the diagram's, so eliminating it adds no other fill.  The
-    orderings, the encoded CPTs and the chunk size depend on the diagram
-    only.
+    eliminated along the diagram's recorded ordering restricted to them,
+    which stays legal: blocks that never decrease along the ordering never
+    decrease along a subsequence, and each kept decision's information set
+    is kept.  The chunk size is bounded by the largest bucket of the whole
+    ordering, which no ancestors' bucket exceeds: their graph is a subgraph
+    of the diagram's, so eliminating it adds no other fill.  The orderings,
+    the encoded CPTs and the chunk size depend on the diagram only.
     """
 
-    def __init__(self, diagram: InfluenceDiagram, order: list[str] | None = None):
+    def __init__(self, diagram: InfluenceDiagram):
         require_valid(diagram, qualitative=False)
         self._diagram = diagram
-        self._order = resolve_order(diagram, order)
+        self._order = legal_ordering(diagram)
         parents = arcs(diagram)
         kept = [_ancestors(u.scope, parents) for u in diagram.utilities]
         cpts = [cpt for cpt in diagram.cpts if any(cpt.child in k for k in kept)]

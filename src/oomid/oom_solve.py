@@ -50,7 +50,7 @@ from .elimination import (
     fold,
     reduce_out,
 )
-from .ordering import resolve_order
+from .ordering import legal_ordering
 from .sets import OOMSet, ZERO_SET, max_sets, scale, set_dominates, sum_sets
 from .values import INF, ZERO, OOMValue, Sign, add, dominates, inverse, mul
 
@@ -310,13 +310,11 @@ class OOMSolution:
     max_table_cells: int
 
 
-def elim_oom_id(
-    diagram: OOMInfluenceDiagram, order: list[str] | None = None
-) -> OOMSolution:
+def elim_oom_id(diagram: OOMInfluenceDiagram) -> OOMSolution:
     require_valid(diagram, qualitative=True)
     run = eliminate(
         diagram,
-        resolve_order(diagram, order),
+        legal_ordering(diagram),
         encoded(diagram, diagram.cpts, encode_orders),
         encoded(diagram, diagram.utilities, encode_sets),
         _chance_step,
@@ -402,13 +400,10 @@ def _key(assignment: Mapping[str, int], variables: Iterable[str]):
 
 
 def brute_force_oom(
-    diagram: OOMInfluenceDiagram,
-    order: list[str] | None = None,
-    guard: int = DEFAULT_GUARD,
+    diagram: OOMInfluenceDiagram, guard: int = DEFAULT_GUARD
 ) -> OOMSolution:
     """Test oracle: dict-based variable elimination over live factor pulls."""
     require_valid(diagram, qualitative=True)
-    order = resolve_order(diagram, order)
 
     joint = math.prod(len(v.domain) for v in diagram.variables)
     if joint > guard:
@@ -428,7 +423,7 @@ def brute_force_oom(
     root_thetas: list[OOMSet] = []
     max_cells = 0
 
-    for y in order:
+    for y in legal_ordering(diagram):
         pulled_l = [f for f in lams if y in f.vars]
         pulled_t = [f for f in thetas if y in f.vars]
         lams = [f for f in lams if y not in f.vars]

@@ -5,7 +5,7 @@ last-observed first: the never-observed chance variables, then the last
 decision, then the variables observed just before it, and so on.  Only the
 order *within* a chance block is free; min-fill over the interaction graph
 picks it, with ties broken by variable name (as strings) for determinism.
-``resolve_order`` hands the solvers a caller's checked ordering or this one.
+Every solve and evaluation of a diagram object runs along this one ordering.
 
 The graph is one integer bitmask per variable, bit i standing for the i-th
 variable of ``diagram.variables``: the variable's neighbours.  Fill is
@@ -112,8 +112,9 @@ def legal_ordering(diagram: InfluenceDiagram) -> list[str]:
     """Deterministic legal elimination ordering (first-eliminated first).
 
     It depends on the graph only, so it is computed once per diagram and
-    recorded on it, as ``require_valid`` records validity; every call
-    returns a fresh list."""
+    recorded on it, as ``require_valid`` records validity; every solve and
+    evaluation of the diagram runs along it.  Each call returns a fresh
+    list."""
     if diagram._ordering is None:
         object.__setattr__(diagram, "_ordering", tuple(_min_fill(diagram)))
     return list(diagram._ordering)
@@ -161,15 +162,6 @@ def is_legal_ordering(diagram: InfluenceDiagram, order: list[str]) -> bool:
         return False
     rank = {v: k for k, block in enumerate(temporal_partition(diagram)) for v in block}
     return all(rank[a] <= rank[b] for a, b in zip(order, order[1:]))
-
-
-def resolve_order(diagram: InfluenceDiagram, order: list[str] | None) -> list[str]:
-    """``order`` if it is legal, the default legal ordering if it is None."""
-    if order is None:
-        return legal_ordering(diagram)
-    if not is_legal_ordering(diagram, order):
-        raise DiagramError(f"not a legal elimination ordering: {order}")
-    return order
 
 
 def _neighbourhoods(

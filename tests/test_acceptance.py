@@ -12,7 +12,6 @@ from oomid.diagram import Policy, PolicyRule, wildcatter
 from oomid.exact import brute_force_meu, evaluate_policy, solve_exact
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import brute_force_oom, elim_oom_id
-from oomid.ordering import legal_ordering
 from oomid.sets import (
     OOMSet,
     canonicalize,
@@ -386,9 +385,8 @@ def test_criterion_8_solver_oracle_equivalence(capsys):
         )
         eps = [0.5, 0.1, 0.01][i % 3]
         o = convert(d, ConversionConfig(eps))
-        order = legal_ordering(o)
-        qual = elim_oom_id(o, order=order)
-        oracle = brute_force_oom(o, order=order)
+        qual = elim_oom_id(o)
+        oracle = brute_force_oom(o)
         checks.append(
             (
                 equiv(qual.meu, oracle.meu),

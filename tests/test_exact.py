@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from oomid import diagram as diagram_module
-from oomid import exact
+from oomid import exact, oom_solve
 from oomid.diagram import (
     DiagramError,
     GuardExceeded,
@@ -17,6 +18,7 @@ from oomid.diagram import (
     PolicyBatch,
     PolicyRule,
     apply_nonforgetting,
+    arcs,
     from_dict,
     mark_valid,
     to_dict,
@@ -33,7 +35,12 @@ from oomid.convert import ConversionConfig, convert
 from oomid.elimination import Factor, align, eliminate, product
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
-from oomid.ordering import is_legal_ordering, largest_bucket, legal_ordering
+from oomid.ordering import (
+    is_legal_ordering,
+    largest_bucket,
+    legal_ordering,
+    temporal_partition,
+)
 
 
 def wildcatter_policy(diagram, test_action, drill_actions):
@@ -58,6 +65,15 @@ def small_params(i: int) -> GeneratorParams:
     ]
     shape = shapes[i % len(shapes)]
     return GeneratorParams(seed=1000 + i, utility_class="PM"[i % 2], **shape)
+
+
+def along(diagram, order):
+    """A copy of ``diagram`` whose recorded ordering, which every solve and
+    evaluation of it runs along, is the legal ``order``."""
+    assert is_legal_ordering(diagram, order), order
+    copy = dataclasses.replace(diagram)
+    object.__setattr__(copy, "_ordering", tuple(order))
+    return copy
 
 
 def random_policies(diagram, count: int, seed: int) -> list[Policy]:
@@ -559,21 +575,6 @@ class TestRandomAgreement:
             assert abs(evaluate_policy(d, sol.policy) - sol.meu) <= 1e-9 * scale
         assert min(outcomes.values()) >= 5, outcomes
 
-    @pytest.mark.parametrize(
-        "params",
-        [small_params(i) for i in range(10)]
-        + [
-            GeneratorParams(n_c=n - 5, n_d=5, utility_class=c, seed=n)
-            for n, c in [(25, "P"), (45, "M")]
-        ],
-        ids=lambda p: f"n{p.n_c + p.n_d}-{p.utility_class}-seed{p.seed}",
-    )
-    def test_caller_ordering_bit_equal_to_default(self, params):
-        d = generate(params)
-        policies = random_policies(d, 6, seed=params.seed)
-        default = PolicyEvaluator(d).evaluate_many(policies)
-        assert PolicyEvaluator(d, legal_ordering(d)).evaluate_many(policies) == default
-
     def test_forgetting_diagram_along_its_own_ordering(self):
         # Drill forgets Test: the diagram's ordering, which may differ from
         # its closure's, must score every policy
@@ -584,7 +585,7 @@ class TestRandomAgreement:
             for test in (0, 1)
             for drill in itertools.product((0, 1), repeat=3)
         ]
-        values = PolicyEvaluator(d, legal_ordering(d)).evaluate_many(policies)
+        values = PolicyEvaluator(d).evaluate_many(policies)
         for policy, value in zip(policies, values):
             expected = policy_value(d, {x: r.actions for x, r in policy.rules.items()})
             assert abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
@@ -703,7 +704,43 @@ class TestRandomAgreement:
                 if not is_legal_ordering(d, shuffled):
                     continue
                 scale = max(1.0, abs(base))
-                assert abs(solve_exact(d, order=shuffled).meu - base) <= 1e-9 * scale
+                assert abs(solve_exact(along(d, shuffled)).meu - base) <= 1e-9 * scale
+
+
+def test_recorded_ordering_reaches_eliminate(monkeypatch):
+    # a shuffled legal ordering recorded on a copy is the one that its solves,
+    # its conversion's and its evaluator (per utility, restricted to the
+    # utility's ancestors) eliminate along
+    params = GeneratorParams(n_c=20, n_d=5, utility_class="M", seed=6)
+    rng = random.Random(6)
+    blocks = temporal_partition(generate(params))
+    shuffled = [v for block in blocks for v in rng.sample(block, len(block))]
+    assert shuffled != legal_ordering(generate(params))
+    d = along(generate(params), shuffled)
+    o = along(convert(generate(params), ConversionConfig(0.1)), shuffled)
+    policy = solve_exact(d).policy
+    orders = []
+
+    def spy(module):
+        run = module.eliminate
+
+        def recorded(diagram, order, *rest):
+            orders.append(list(order))
+            return run(diagram, order, *rest)
+
+        monkeypatch.setattr(module, "eliminate", recorded)
+
+    spy(exact)
+    spy(oom_solve)
+    solve_exact(d)
+    elim_oom_id(o)
+    elim_oom_id(convert(d, ConversionConfig(0.1)))
+    assert orders == [shuffled] * 3
+    orders.clear()
+    PolicyEvaluator(d).evaluate(policy)
+    parents = arcs(d)
+    kept = [exact._ancestors(u.scope, parents) for u in d.utilities]
+    assert orders == [[v for v in shuffled if v in k] for k in kept]
 
 
 def take_along_reference(rule, order_key, y, lambdas, thetas):

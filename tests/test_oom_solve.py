@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -44,6 +45,15 @@ def small_params(i: int) -> GeneratorParams:
     ]
     shape = shapes[i % len(shapes)]
     return GeneratorParams(seed=2000 + i, utility_class="PM"[i % 2], **shape)
+
+
+def along(diagram, order):
+    """A copy of ``diagram`` whose recorded ordering, which every solve and
+    evaluation of it runs along, is the legal ``order``."""
+    assert is_legal_ordering(diagram, order), order
+    copy = dataclasses.replace(diagram)
+    object.__setattr__(copy, "_ordering", tuple(order))
+    return copy
 
 
 # the order window of the acceptance tests
@@ -227,9 +237,8 @@ class TestSingleDecision:
 class TestRandomAgreement:
     @staticmethod
     def assert_matches_oracle(o):
-        order = legal_ordering(o)
-        sol = elim_oom_id(o, order=order)
-        oracle = brute_force_oom(o, order=order)
+        sol = elim_oom_id(o)
+        oracle = brute_force_oom(o)
         assert equiv(sol.meu, oracle.meu)
         assert sol.policies == oracle.policies
         assert sol.max_table_cells == oracle.max_table_cells
@@ -291,16 +300,15 @@ class TestRandomAgreement:
                 if chunk and chunk[0] not in decisions:
                     rng.shuffle(chunk)
                 shuffled.extend(chunk)
-            assert elim_oom_id(o, order=shuffled).meu == base
+            assert elim_oom_id(along(o, shuffled)).meu == base
 
     @pytest.mark.parametrize("i", range(10))
     def test_table_cells_within_width_bound(self, i):
         d = generate(small_params(i))
         o = convert(d, ConversionConfig(0.1))
-        order = legal_ordering(o)
-        width = induced_width(o, order)
+        width = induced_width(o, legal_ordering(o))
         k = max(len(v.domain) for v in o.variables)
-        sol = elim_oom_id(o, order=order)
+        sol = elim_oom_id(o)
         assert sol.max_table_cells <= k ** (width + 1)
 
 
@@ -365,9 +373,8 @@ class TestLimitSemantics:
     @pytest.mark.parametrize("i", range(40))
     def test_meu_order_in_range(self, i, positive):
         numeric, o = limit_pair(i, positive)
-        order = legal_ordering(o)
-        meu = solve_exact(numeric, order=order).meu
-        got = elim_oom_id(o, order=order).meu
+        meu = solve_exact(numeric).meu
+        got = elim_oom_id(o).meu
         lo = got.elements[0]
         if got == ZERO_SET:
             assert meu == 0.0
@@ -388,9 +395,8 @@ class TestLimitSemantics:
         strict = 0
         for i in range(60):
             numeric, o = limit_pair(i, positive=True)
-            order = legal_ordering(o)
-            exact = solve_exact(numeric, order=order).policy
-            policies = elim_oom_id(o, order=order).policies
+            exact = solve_exact(numeric).policy
+            policies = elim_oom_id(o).policies
             for d in o.decision_vars:
                 for cell, action in zip(policies.cells[d], exact.rules[d].actions):
                     if len(cell) == 1:
@@ -442,9 +448,8 @@ def test_paper_grid_solves_pinned():
                         utility_class=cls, seed=seed,
                     )
                 )
-                order = legal_ordering(d)
                 for eps in (0.5, 0.05, 0.005):
-                    sol = elim_oom_id(convert(d, ConversionConfig(eps)), order=order)
+                    sol = elim_oom_id(convert(d, ConversionConfig(eps)))
                     ps = sol.policies
                     cells = [
                         (dec, ps.scopes[dec], [sorted(c) for c in ps.cells[dec]])
@@ -498,19 +503,20 @@ def check_ordering_invariance(n: int, cls: str, shuffles: int) -> None:
     )
     o = convert(d, ConversionConfig({25: 0.5, 35: 0.05, 45: 0.005}[n]))
     order = legal_ordering(d)
-    base, meu = elim_oom_id(o, order=order), solve_exact(d, order=order).meu
+    base, meu = elim_oom_id(o), solve_exact(d).meu
     rng = random.Random(n)
     for _ in range(shuffles):
         shuffled = block_shuffle(d, order, rng)
-        assert shuffled != order and is_legal_ordering(d, shuffled)
-        sol = elim_oom_id(o, order=shuffled)
+        assert shuffled != order
+        sol = elim_oom_id(along(o, shuffled))
         assert sol.meu == base.meu
         assert sol.policies.cells == base.policies.cells
         assert sol.policies.count() == base.policies.count()
-        exact = solve_exact(d, order=shuffled)
+        numeric = along(d, shuffled)
+        exact = solve_exact(numeric)
         assert abs(exact.meu - meu) <= 1e-12 * abs(meu)
         # the optimal policy may change only between tied actions
-        value = PolicyEvaluator(d, shuffled).evaluate(exact.policy)
+        value = PolicyEvaluator(numeric).evaluate(exact.policy)
         assert abs(value - meu) <= 1e-9 * max(1.0, abs(meu))
 
 
@@ -658,32 +664,6 @@ def test_runs_fit_int64():
             {d: p.rules[d].actions for d in ps.decisions} for p in ps._batch(indices)
         ]
         assert decoded == [reference_decode(ps, i) for i in indices]
-
-
-ILLEGAL_ORDERS = {
-    "reversed": lambda order: order[::-1],
-    "missing": lambda order: order[1:],
-    "duplicated": lambda order: order + order[:1],
-}
-
-
-@pytest.mark.parametrize("mutate", ILLEGAL_ORDERS.values(), ids=ILLEGAL_ORDERS.keys())
-@pytest.mark.parametrize(
-    "solve, diagram",
-    [
-        (solve_exact, wildcatter()),
-        (elim_oom_id, wildcatter_oom(0.1)),
-        (brute_force_oom, wildcatter_oom(0.1)),
-        (PolicyEvaluator, wildcatter()),
-        (PolicyEvaluator, wildcatter(nonforgetting=False)),
-    ],
-    ids=[
-        "solve_exact", "elim_oom_id", "brute_force_oom", "evaluator", "evaluator-forgetting"
-    ],
-)
-def test_illegal_order_rejected(solve, diagram, mutate):
-    with pytest.raises(DiagramError, match="not a legal elimination ordering"):
-        solve(diagram, order=mutate(legal_ordering(diagram)))
 
 
 NOT_PERMUTATIONS = {

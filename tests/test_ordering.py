@@ -260,17 +260,6 @@ class TestRecordedOrdering:
         assert legal_ordering(changed) == ["Seismic", "Oil", "Drill", "Test"]
         assert walked == [id(d), id(same), id(changed)]
 
-    def test_illegal_order_rejected_after_record(self):
-        d = wildcatter()
-        solve_exact(d)
-        assert d._ordering == ("Oil", "Drill", "Seismic", "Test")
-        illegal = ["Test", "Seismic", "Drill", "Oil"]
-        with pytest.raises(DiagramError, match="not a legal elimination ordering"):
-            solve_exact(d, order=illegal)
-        with pytest.raises(DiagramError, match="not a legal elimination ordering"):
-            PolicyEvaluator(d, illegal)
-        assert legal_ordering(d) == ["Oil", "Drill", "Seismic", "Test"]
-
     def test_forgetting_diagram_walks_once(self, monkeypatch):
         # the evaluators order the diagram itself, not a closure of it;
         # Drill's optimal rule reads Test, which Drill forgets
