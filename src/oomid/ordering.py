@@ -155,10 +155,16 @@ def _min_fill(diagram: InfluenceDiagram) -> list[str]:
     return order
 
 
+def _is_permutation(diagram: InfluenceDiagram, order: list[str]) -> bool:
+    """True iff ``order`` lists each variable id once, as a ``str``."""
+    ids = sorted(v.id for v in diagram.variables)
+    return all(isinstance(v, str) for v in order) and sorted(order) == ids
+
+
 def is_legal_ordering(diagram: InfluenceDiagram, order: list[str]) -> bool:
     """True iff ``order`` is a permutation of the variables along which
     their blocks' positions in ``temporal_partition`` never decrease."""
-    if sorted(order) != sorted(v.id for v in diagram.variables):
+    if not _is_permutation(diagram, order):
         return False
     rank = {v: k for k, block in enumerate(temporal_partition(diagram)) for v in block}
     return all(rank[a] <= rank[b] for a, b in zip(order, order[1:]))
@@ -169,9 +175,9 @@ def _neighbourhoods(
 ) -> tuple[dict[str, int], list[int]]:
     """The variables' bit indices, and the neighbour mask each variable of
     ``order`` has when it is eliminated."""
-    names, index, adj = _graph(diagram)
-    if sorted(order) != sorted(names):
+    if not _is_permutation(diagram, order):
         raise DiagramError(f"not an ordering of the diagram's variables: {order}")
+    _, index, adj = _graph(diagram)
     return index, [_eliminate(adj, index[v]) for v in order]
 
 

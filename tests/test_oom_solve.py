@@ -28,6 +28,7 @@ from oomid.oom_solve import PolicySet, brute_force_oom, elim_oom_id
 from oomid.ordering import (
     induced_width,
     is_legal_ordering,
+    largest_bucket,
     legal_ordering,
     temporal_partition,
 )
@@ -671,6 +672,8 @@ NOT_PERMUTATIONS = {
     "duplicated": ["Oil", "Drill", "Seismic", "Test", "Oil"],
     "duplicate in place of one": ["Oil", "Drill", "Seismic", "Oil"],
     "unknown": ["Oil", "Drill", "Seismic", "Test", "Rain"],
+    "not a name": ["Oil", 1, "Drill", "Test"],
+    "nested": ["Oil", ["Drill"], "Seismic", "Test"],
 }
 
 
@@ -678,6 +681,13 @@ NOT_PERMUTATIONS = {
 def test_width_of_non_permutation_rejected(order):
     with pytest.raises(DiagramError, match="not an ordering of the diagram's variables"):
         induced_width(wildcatter(), order)
+
+
+@pytest.mark.parametrize("order", NOT_PERMUTATIONS.values(), ids=NOT_PERMUTATIONS.keys())
+def test_non_permutation_not_legal(order):
+    assert is_legal_ordering(wildcatter(), order) is False
+    with pytest.raises(DiagramError, match="not an ordering of the diagram's variables"):
+        largest_bucket(wildcatter(), order)
 
 
 def test_width_of_illegal_permutation():
