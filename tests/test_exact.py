@@ -708,16 +708,16 @@ class TestRandomAgreement:
 
 
 def test_recorded_ordering_reaches_eliminate(monkeypatch):
-    # a shuffled legal ordering recorded on a copy is the one that its solves,
-    # its conversion's and its evaluator (per utility, restricted to the
-    # utility's ancestors) eliminate along
-    params = GeneratorParams(n_c=20, n_d=5, utility_class="M", seed=6)
+    # a shuffled legal ordering recorded on a copy reaches eliminate from every
+    # solve of the copy and of its conversion, and from its evaluator as
+    # restricted to each utility's ancestors
+    base = generate(GeneratorParams(n_c=20, n_d=5, utility_class="M", seed=6))
     rng = random.Random(6)
-    blocks = temporal_partition(generate(params))
+    blocks = temporal_partition(base)
     shuffled = [v for block in blocks for v in rng.sample(block, len(block))]
-    assert shuffled != legal_ordering(generate(params))
-    d = along(generate(params), shuffled)
-    o = along(convert(generate(params), ConversionConfig(0.1)), shuffled)
+    assert shuffled != legal_ordering(base)
+    d = along(base, shuffled)
+    o = along(convert(base, ConversionConfig(0.1)), shuffled)
     policy = solve_exact(d).policy
     orders = []
 
