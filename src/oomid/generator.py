@@ -15,6 +15,7 @@ entries are balanced to within one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,16 +67,40 @@ EXTREME_LOW, EXTREME_HIGH = 1e-5, 1e-4
 MAX_UTILITY_EXPONENT = 5
 
 
+def _samples(
+    rng: np.random.Generator, populations: list[int], size: int
+) -> list[list[int]]:
+    """For each ``n`` in ``populations``, what ``rng.choice(n, size,
+    replace=False)`` returns, from the same draws, made in one call.
+
+    ``choice`` runs Floyd's algorithm (Bentley and Floyd, "A sample of
+    brilliance", CACM 30(9), 1987): for j = n - size, ..., n - 1 it draws
+    t in [0, j] and picks t, or j if t is picked already.  It then shuffles
+    the picks, swapping position i = size - 1, ..., 1 with a draw in
+    [0, i].  One ``integers`` call over an array of those bounds makes the
+    draws the scalar calls make.  numpy leaves Floyd's algorithm only for
+    n > 10,000 with size > n // 50.
+    """
+    bounds = [b for n in populations for b in (*range(n - size, n), *range(size - 1, 0, -1))]
+    draws = iter(rng.integers(0, np.array(bounds, dtype=np.int64) + 1).tolist())
+    samples = []
+    for n in populations:
+        picks: list[int] = []
+        for j in range(n - size, n):
+            t = next(draws)
+            picks.append(j if t in picks else t)
+        for i in range(size - 1, 0, -1):
+            t = next(draws)
+            picks[i], picks[t] = picks[t], picks[i]
+        samples.append(picks)
+    return samples
+
+
 def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDiagram:
     rng = np.random.default_rng(params.seed)
     total = params.n_c + params.n_d
-
-    decision_positions = set()
-    if params.n_d:
-        picks = rng.choice(
-            np.arange(params.r, total), size=params.n_d, replace=False
-        )
-        decision_positions = set(picks.tolist())
+    (picks,) = _samples(rng, [total - params.r], params.n_d)
+    decision_positions = {params.r + i for i in picks}
 
     names: list[str] = []
     kinds: list[Kind] = []
@@ -90,57 +115,64 @@ def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDi
             names.append(f"X{n_x}")
             kinds.append(Kind.CHANCE)
 
-    domains = [
-        tuple(f"v{j}" for j in range(int(rng.integers(2, params.k + 1))))
-        for _ in range(total)
+    sizes = rng.integers(2, params.k + 1, size=total).tolist()
+    labels = {size: tuple(f"v{j}" for j in range(size)) for size in set(sizes)}
+    domains = [labels[size] for size in sizes]
+
+    # p <= r, so every non-root has p predecessors to draw from
+    parents = [[] for _ in range(params.r)] + [
+        sorted(s) for s in _samples(rng, list(range(params.r, total)), params.p)
     ]
 
-    parents: list[list[int]] = [[] for _ in range(total)]
-    for pos in range(params.r, total):
-        parents[pos] = sorted(
-            rng.choice(pos, size=min(params.p, pos), replace=False).tolist()
-        )
-
-    # chain consecutive decisions with a forced arc so they form a path
+    # chain consecutive decisions with a forced arc so they form a path: the
+    # earlier one replaces a random parent of the later one (every non-root
+    # has p of them), or becomes its only parent when p = 0
     decision_seq = sorted(decision_positions)
-    for prev, nxt in zip(decision_seq, decision_seq[1:]):
-        if prev not in parents[nxt]:
-            slot = int(rng.integers(0, len(parents[nxt]))) if parents[nxt] else 0
-            if parents[nxt]:
-                parents[nxt][slot] = prev
-            else:
-                parents[nxt] = [prev]
-            parents[nxt] = sorted(set(parents[nxt]))
+    pairs = [(a, b) for a, b in zip(decision_seq, decision_seq[1:]) if a not in parents[b]]
+    slots = rng.integers(0, max(params.p, 1), size=len(pairs)).tolist()
+    for (prev, nxt), slot in zip(pairs, slots):
+        parents[nxt][slot : slot + 1] = [prev]
+        parents[nxt].sort()
 
     chance_positions = [i for i in range(total) if kinds[i] is Kind.CHANCE]
     n_extreme = int(EXTREME_FRACTION * len(chance_positions))
-    extreme = set(rng.choice(chance_positions, size=n_extreme, replace=False).tolist())
+    (picks,) = _samples(rng, [len(chance_positions)], n_extreme)
+    extreme = {chance_positions[i] for i in picks}
 
-    cpts = []
+    # draw every table in variable order; uniform(lo, hi) is lo + (hi - lo)
+    # times random(), bit for bit
+    uniform, heavy = {}, {}
+    groups: dict[tuple[int, bool], list[int]] = {}  # by row width and kind
     for pos in chance_positions:
-        scope_sizes = [len(domains[q]) for q in parents[pos]] + [len(domains[pos])]
-        rows = math.prod(scope_sizes[:-1])
-        k_child = scope_sizes[-1]
+        shape = (math.prod(sizes[q] for q in parents[pos]), sizes[pos])
+        uniform[pos] = rng.random(shape)
         if pos in extreme:
+            heavy[pos] = rng.integers(0, shape[1], size=shape[0])
+        groups.setdefault((shape[1], pos in extreme), []).append(pos)
+    # then finish the rows of one width and kind in one pass
+    cpts = {}
+    for (_, is_extreme), group in groups.items():
+        table = np.concatenate([uniform[pos] for pos in group])
+        if is_extreme:
             # near-deterministic rows: all but one entry is tiny, the
             # remaining mass sits at a random position
-            table = rng.uniform(EXTREME_LOW, EXTREME_HIGH, size=(rows, k_child))
-            heavy = (np.arange(rows), rng.integers(0, k_child, size=rows))
-            table[heavy] = 0.0
-            table[heavy] = 1.0 - table.sum(axis=1)
+            table = EXTREME_LOW + (EXTREME_HIGH - EXTREME_LOW) * table
+            cells = (np.arange(len(table)), np.concatenate([heavy[pos] for pos in group]))
+            table[cells] = 0.0
+            table[cells] = 1.0 - table.sum(axis=1)
         else:
-            table = rng.uniform(0.0, 1.0, size=(rows, k_child))
             table /= table.sum(axis=1, keepdims=True)
-        cpts.append(
-            CPT(
+        flat = iter(table.reshape(-1).tolist())
+        for pos in group:
+            cpts[pos] = CPT(
                 child=names[pos],
                 parents=tuple(names[q] for q in parents[pos]),
-                table=tuple(table.reshape(-1).tolist()),
+                table=tuple(itertools.islice(flat, uniform[pos].size)),
             )
-        )
 
-    scope_positions = sorted(rng.choice(total, size=params.a, replace=False).tolist())
-    n_cells = math.prod(len(domains[q]) for q in scope_positions)
+    (picks,) = _samples(rng, [total], params.a)
+    scope_positions = sorted(picks)
+    n_cells = math.prod(sizes[q] for q in scope_positions)
     exponents = rng.integers(0, MAX_UTILITY_EXPONENT + 1, size=n_cells)
     magnitudes = np.power(10.0, exponents)
     if params.utility_class == "M":
@@ -155,7 +187,7 @@ def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDi
         variables=tuple(
             Variable(names[i], kinds[i], domains[i]) for i in range(total)
         ),
-        cpts=tuple(cpts),
+        cpts=tuple(cpts[pos] for pos in chance_positions),
         utilities=(utility,),
         decision_order=tuple(names[i] for i in decision_seq),
         information_sets={

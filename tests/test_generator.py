@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oomid.diagram import Kind, validate
-from oomid.generator import GeneratorParams, generate
+from oomid.generator import EXTREME_HIGH, EXTREME_LOW, GeneratorParams, _samples, generate
 
 
 def bench_params(seed: int, utility_class: str = "P", n: int = 25) -> GeneratorParams:
@@ -162,3 +162,60 @@ def test_generated_diagrams_pinned():
         )
         digest.update(repr(generate(params)).encode())
     assert digest.hexdigest() == GENERATED_REPR_SHA256
+
+
+# the same for n = 80 and p = 1 and 3, recorded before the draws were
+# batched into one sampler
+GENERATED_N80_REPR_SHA256 = "9079c9d1075112f3cc94287bea1e66838c24543b0a3347d57d848e1171858404"
+
+
+def test_generated_n80_diagrams_pinned():
+    digest = hashlib.sha256()
+    for seed, k, cls, p in itertools.product(range(4), (2, 3, 5), "PM", (1, 3)):
+        params = GeneratorParams(
+            n_c=75, n_d=5, k=k, p=p, r=5, a=5, utility_class=cls, seed=seed
+        )
+        digest.update(repr(generate(params)).encode())
+    assert digest.hexdigest() == GENERATED_N80_REPR_SHA256
+
+
+class TestDraws:
+    """The identities of numpy's ``Generator`` that batching the draws relies
+    on: each batched form gives what the scalar or per-call form gives and
+    leaves the generator in the same state."""
+
+    @pytest.mark.parametrize(
+        "populations, size",
+        [(list(range(3, 40)), size) for size in range(4)] + [([75], 56), ([6], 6)],
+    )
+    def test_samples_equal_choice(self, populations, size):
+        for seed in range(100):
+            batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [scalar.choice(n, size, replace=False).tolist() for n in populations]
+            assert _samples(batched, populations, size) == want
+            assert batched.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("low, high", [(2, 3), (2, 4), (2, 6), (2, 11), (0, 1), (0, 3)])
+    def test_sized_integers_equal_scalar_draws(self, low, high):
+        for seed in range(20):
+            batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [int(scalar.integers(low, high)) for _ in range(37)]
+            assert batched.integers(low, high, size=37).tolist() == want
+            assert batched.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "low, high, draw",
+        [
+            (0.0, 1.0, lambda rng: rng.random((7, 3))),
+            (
+                EXTREME_LOW,
+                EXTREME_HIGH,
+                lambda rng: EXTREME_LOW + (EXTREME_HIGH - EXTREME_LOW) * rng.random((7, 3)),
+            ),
+        ],
+        ids=["random", "scaled random"],
+    )
+    def test_random_equals_uniform(self, low, high, draw):
+        for seed in range(20):
+            want = np.random.default_rng(seed).uniform(low, high, size=(7, 3))
+            assert draw(np.random.default_rng(seed)).tobytes() == want.tobytes()
