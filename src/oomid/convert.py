@@ -16,8 +16,9 @@ The converted diagram keeps the numeric diagram's variables, scopes,
 decision order and information sets, so ``convert`` records it as valid
 (see ``diagram.mark_valid``) instead of validating it again, once its
 orders are within ``diagram.order_limit``.  It hands the result the
-numeric diagram's recorded elimination ordering, if any (see
-``ordering.legal_ordering``): the graph, and so the ordering, is the same.
+numeric diagram's recorded elimination ordering and its largest bucket,
+if any (see ``ordering.legal_ordering``): the graph and the domains, and
+so both, are the same.
 An entry that cannot be quantized raises ``DiagramError``.
 """
 
@@ -182,4 +183,5 @@ def convert(diagram: InfluenceDiagram, cfg: ConversionConfig) -> OOMInfluenceDia
         information_sets=dict(diagram.information_sets),
     )
     object.__setattr__(oom, "_ordering", diagram._ordering)
+    object.__setattr__(oom, "_largest_bucket", diagram._largest_bucket)
     return mark_valid(oom)

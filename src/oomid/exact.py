@@ -69,7 +69,7 @@ from .elimination import (
     product,
     reduce_out,
 )
-from .ordering import largest_bucket, legal_ordering
+from .ordering import checked_ordering
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def solve_exact(diagram: InfluenceDiagram) -> ExactSolution:
     require_valid(diagram, qualitative=False)
     run = eliminate(
         diagram,
-        legal_ordering(diagram),
+        checked_ordering(diagram),
         encoded(diagram, diagram.cpts, _floats),
         encoded(diagram, diagram.utilities, _floats),
         _chance_step,
@@ -134,10 +134,13 @@ def _chance_step(diagram, order_key, y, lambdas, thetas):
         theta = thetas[0] if len(thetas) == 1 else fold(thetas, order_key, np.add)
         num = reduce_out(fold([lam, theta], order_key), y, np.ndarray.sum)
         marginal = align(lam_msg, num.scope)
-        # 0.0 where the marginal is zero; num there is a sum of 0 * theta,
-        # which is -0.0 for a negative theta, so it cannot serve as out
-        theta_msg = Factor(num.scope, np.zeros_like(num.table))
-        np.divide(num.table, marginal, out=theta_msg.table, where=marginal != 0)
+        table = np.asarray(num.table)  # a sum over every axis is a scalar
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(table, marginal, out=table)
+        # +0.0 where the marginal is zero; num there is a sum of 0 * theta,
+        # 0/0 gives nan, and -0.0 for a negative theta would keep its sign
+        np.copyto(table, 0.0, where=marginal == 0)
+        theta_msg = Factor(num.scope, table)
     return lam_msg, theta_msg
 
 
@@ -244,7 +247,7 @@ class PolicyEvaluator:
     def __init__(self, diagram: InfluenceDiagram):
         require_valid(diagram, qualitative=False)
         self._diagram = diagram
-        self._order = legal_ordering(diagram)
+        self._order = checked_ordering(diagram)
         parents = arcs(diagram)
         kept = [_ancestors(u.scope, parents) for u in diagram.utilities]
         cpts = [cpt for cpt in diagram.cpts if any(cpt.child in k for k in kept)]
@@ -263,7 +266,7 @@ class PolicyEvaluator:
     @functools.cached_property
     def _chunk(self) -> int:
         """Policies per chunk; only a batch of more than one needs it."""
-        return max(1, _CHUNK_CELLS // largest_bucket(self._diagram, self._order))
+        return max(1, _CHUNK_CELLS // self._diagram._largest_bucket)
 
     def evaluate(self, policy: Policy) -> float:
         return self.evaluate_many([policy])[0]

@@ -50,7 +50,7 @@ from .elimination import (
     fold,
     reduce_out,
 )
-from .ordering import legal_ordering
+from .ordering import checked_ordering, legal_ordering
 from .sets import OOMSet, ZERO_SET, max_sets, scale, set_dominates, sum_sets
 from .values import INF, ZERO, OOMValue, Sign, add, dominates, inverse, mul
 
@@ -314,7 +314,7 @@ def elim_oom_id(diagram: OOMInfluenceDiagram) -> OOMSolution:
     require_valid(diagram, qualitative=True)
     run = eliminate(
         diagram,
-        legal_ordering(diagram),
+        checked_ordering(diagram),
         encoded(diagram, diagram.cpts, encode_orders),
         encoded(diagram, diagram.utilities, encode_sets),
         _chance_step,

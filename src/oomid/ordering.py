@@ -14,15 +14,17 @@ graph update.  The min-fill walk keeps each variable's fill and recounts
 it only when an elimination can have changed it: eliminating u touches
 only u's neighbours and theirs.  ``legal_ordering`` records the walk's
 result on the diagram, so each diagram object is walked once.
-``induced_width`` and ``largest_bucket`` read the neighbourhoods of one
-walk along a given ordering.
+The walk also records the cells of the ordering's largest bucket, which
+``checked_ordering`` holds against ``diagram.CELL_LIMIT`` before a solve
+allocates.  ``induced_width`` and ``largest_bucket`` read the
+neighbourhoods of one walk along a given ordering.
 """
 
 from __future__ import annotations
 
 import math
 
-from .diagram import DiagramError, InfluenceDiagram, arcs
+from .diagram import CELL_LIMIT, DiagramError, InfluenceDiagram, arcs
 
 
 def temporal_partition(diagram: InfluenceDiagram) -> list[tuple[str, ...]]:
@@ -112,17 +114,43 @@ def legal_ordering(diagram: InfluenceDiagram) -> list[str]:
     """Deterministic legal elimination ordering (first-eliminated first).
 
     It depends on the graph only, so it is computed once per diagram and
-    recorded on it, as ``require_valid`` records validity; every solve and
-    evaluation of the diagram runs along it.  Each call returns a fresh
-    list."""
+    recorded on it, with the cells of its largest bucket, as
+    ``require_valid`` records validity; every solve and evaluation of the
+    diagram runs along it.  Each call returns a fresh list."""
     if diagram._ordering is None:
-        object.__setattr__(diagram, "_ordering", tuple(_min_fill(diagram)))
+        order, cells = _min_fill(diagram)
+        object.__setattr__(diagram, "_ordering", tuple(order))
+        object.__setattr__(diagram, "_largest_bucket", cells)
     return list(diagram._ordering)
 
 
-def _min_fill(diagram: InfluenceDiagram) -> list[str]:
-    """The min-fill walk of ``legal_ordering``, block by block."""
+def checked_ordering(diagram: InfluenceDiagram) -> list[str]:
+    """``legal_ordering(diagram)``, once the largest bucket along it is found
+    within ``CELL_LIMIT`` cells: no table of a solve along it is larger.
+    A diagram whose ordering was recorded some other way has its largest
+    bucket counted once, along that ordering."""
+    order = legal_ordering(diagram)
+    if diagram._largest_bucket is None:
+        object.__setattr__(diagram, "_largest_bucket", largest_bucket(diagram, order))
+    if diagram._largest_bucket > CELL_LIMIT:
+        raise DiagramError(
+            f"largest bucket of the elimination has {diagram._largest_bucket} cells,"
+            f" more than the limit of {CELL_LIMIT}"
+        )
+    return order
+
+
+def _cells(sizes: list[int], i: int, neighbours: int) -> int:
+    """Cells of the bucket of variable ``i``: it and its neighbours."""
+    return sizes[i] * math.prod(sizes[j] for j in _bits(neighbours))
+
+
+def _min_fill(diagram: InfluenceDiagram) -> tuple[list[str], int]:
+    """The min-fill walk of ``legal_ordering``, block by block, and the
+    cells of its largest bucket."""
     names, index, adj = _graph(diagram)
+    sizes = [len(v.domain) for v in diagram.variables]
+    cells = 1
     # (fill, name) as one integer: fill times n plus the name's rank
     n = len(names)
     rank = [0] * n  # each name's position among the names sorted as strings
@@ -142,6 +170,7 @@ def _min_fill(diagram: InfluenceDiagram) -> list[str]:
             order.append(names[best])
             remaining.remove(best)
             neighbours = _eliminate(adj, best)
+            cells = max(cells, _cells(sizes, best, neighbours))
             stale |= neighbours
             if key[best] >= n:
                 # edges were added between the neighbours: the fill of a
@@ -152,7 +181,7 @@ def _min_fill(diagram: InfluenceDiagram) -> list[str]:
                 for w in _bits(around & ~neighbours):
                     if (adj[w] & neighbours).bit_count() > 1:
                         stale |= 1 << w
-    return order
+    return order, cells
 
 
 def _is_permutation(diagram: InfluenceDiagram, order: list[str]) -> bool:
@@ -193,10 +222,4 @@ def largest_bucket(diagram: InfluenceDiagram, order: list[str]) -> int:
     messages and decision rules included, spans at most these."""
     index, masks = _neighbourhoods(diagram, order)
     sizes = [len(v.domain) for v in diagram.variables]
-    return max(
-        (
-            sizes[index[v]] * math.prod(sizes[j] for j in _bits(mask))
-            for v, mask in zip(order, masks)
-        ),
-        default=1,
-    )
+    return max((_cells(sizes, index[v], mask) for v, mask in zip(order, masks)), default=1)

@@ -173,10 +173,10 @@ def convex_closure_bounded(
     # state: (partial sum, a coefficient of order 0 was used)
     states: set[tuple[OOMValue, bool]] = {(ZERO, False)}
     for a in values:
+        terms = [(mul(OOMValue(Sign.PLUS, k), a), k == 0) for k in range(max_coeff_order + 1)]
         new_states = set(states)  # skipping the element is allowed
         for acc, min_used in states:
-            for k in range(max_coeff_order + 1):
-                term = mul(OOMValue(Sign.PLUS, k), a)
-                new_states.add((add(acc, term), min_used or k == 0))
+            for term, zero_order in terms:
+                new_states.add((add(acc, term), min_used or zero_order))
         states = new_states
     return {acc for acc, min_used in states if min_used}

@@ -144,8 +144,26 @@ OVERFLOWING_UTILITIES = _edited(
 NEGATIVE_ORDER = _edited(
     OOM_DOC, lambda d: _cpt(d, "Oil").update(table=["(+,-2)", "(+,0)", "(+,1)"])
 )
+
+
+def _wide_chain(n: int = 20) -> dict:
+    """A valid file of about 4 KB that no solve can hold: binary decisions
+    D1..Dn, each observing a binary root Ci, and one utility over (Dn, Cn).
+    Closed, Dn observes 2n - 1 variables, so its bucket has 2**(2n) cells."""
+    binary = ["a", "b"]
+    ids = range(1, n + 1)
+    return {
+        "variables": [{"id": f"C{i}", "kind": "chance", "domain": binary} for i in ids]
+        + [{"id": f"D{i}", "kind": "decision", "domain": binary} for i in ids],
+        "cpts": [{"child": f"C{i}", "parents": [], "table": [0.5, 0.5]} for i in ids],
+        "utilities": [{"scope": [f"D{n}", f"C{n}"], "table": [1.0, 0.0, 0.0, 1.0]}],
+        "decision_order": [f"D{i}" for i in ids],
+        "information_sets": {f"D{i}": [f"C{i}"] for i in ids},
+    }
+
+
 # inputs of the right shape whose numbers no float64 computation can take or
-# no probability can have
+# no probability can have, or whose tables no solve can hold
 INPUT_FAULTS = [
     ("negative probability order",
      NEGATIVE_ORDER, ["solve-oom"], "probability orders must be at least 0"),
@@ -172,6 +190,12 @@ INPUT_FAULTS = [
      OVERFLOWING_UTILITIES, ["solve-exact"], "half the largest float"),
     ("utilities summing past the largest float to compare",
      OVERFLOWING_UTILITIES, ["compare", "--epsilon", "0.1"], "half the largest float"),
+    ("bucket of 2**40 cells to solve-exact",
+     _wide_chain, ["solve-exact"], f"has {2**40} cells, more than the limit"),
+    ("bucket of 2**40 cells to solve-oom",
+     _wide_chain, ["solve-oom", "--epsilon", "0.1"], f"has {2**40} cells, more than the limit"),
+    ("bucket of 2**40 cells to compare",
+     _wide_chain, ["compare", "--epsilon", "0.1"], f"has {2**40} cells, more than the limit"),
 ]
 MALFORMED += INPUT_FAULTS
 

@@ -35,7 +35,9 @@ from oomid.convert import ConversionConfig, convert
 from oomid.elimination import Factor, align, eliminate, product
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
+from oomid import ordering
 from oomid.ordering import (
+    checked_ordering,
     is_legal_ordering,
     largest_bucket,
     legal_ordering,
@@ -742,6 +744,64 @@ def test_recorded_ordering_reaches_eliminate(monkeypatch):
     kept = [exact._ancestors(u.scope, parents) for u in d.utilities]
     assert orders == [[v for v in shuffled if v in k] for k in kept]
 
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_largest_bucket_recorded_with_ordering(seed):
+    # min-fill counts the largest bucket of the ordering it records, convert
+    # hands both on, and a copy whose ordering is recorded by hand counts
+    # its own along that ordering
+    d = generate(GeneratorParams(n_c=10 + 5 * seed, n_d=5, utility_class="PM"[seed % 2], seed=seed))
+    order = legal_ordering(d)
+    assert d._largest_bucket == largest_bucket(d, order)
+    assert convert(d, ConversionConfig(0.1))._largest_bucket == d._largest_bucket
+    rng = random.Random(seed)
+    shuffled = [v for block in temporal_partition(d) for v in rng.sample(block, len(block))]
+    copy = along(d, shuffled)
+    assert copy._largest_bucket is None
+    assert checked_ordering(copy) == shuffled
+    assert copy._largest_bucket == largest_bucket(d, shuffled)
+
+
+def test_cell_limit_checked_before_elimination(monkeypatch):
+    # each solve holds its ordering's largest bucket against the limit: at
+    # the limit it runs, one cell under it the diagram is rejected
+    d = wildcatter()
+    largest = largest_bucket(d, legal_ordering(d))
+    oom = convert(d, ConversionConfig(0.1))
+    policy = solve_exact(d).policy
+    runs = [
+        lambda: solve_exact(d),
+        lambda: PolicyEvaluator(d).evaluate(policy),
+        lambda: elim_oom_id(oom),
+    ]
+    monkeypatch.setattr(ordering, "CELL_LIMIT", largest)
+    for run in runs:
+        run()
+    monkeypatch.setattr(ordering, "CELL_LIMIT", largest - 1)
+    message = f"largest bucket of the elimination has {largest} cells, more than the limit of {largest - 1}"
+    for run in runs:
+        with pytest.raises(DiagramError, match=message):
+            run()
+
+
+@pytest.mark.parametrize(
+    "lam, theta, expected",
+    [
+        ([[0.0, 0.0], [0.25, 0.75]], [[-3.0, -4.0], [-1.0, 2.0]], [0.0, 1.25]),
+        ([0.0, 0.0], [-3.0, -4.0], 0.0),  # a message over no variable
+    ],
+)
+def test_chance_step_zero_marginal_gives_positive_zero(lam, theta, expected):
+    # where the marginal is zero the utility message is +0.0, not the -0.0
+    # of 0 * theta for a negative theta nor the nan of 0 / 0, and the
+    # division warns of nothing (pytest turns warnings into errors)
+    lam, theta = np.array(lam), np.array(theta)
+    scope = ("X", "Y")[2 - lam.ndim :]
+    _, msg = exact._chance_step(
+        None, {"Y": 0, "X": 1}, "Y", [Factor(scope, lam)], [Factor(scope, theta)]
+    )
+    assert msg.table.tobytes() == np.array(expected).tobytes()
 
 def take_along_reference(rule, order_key, y, lambdas, thetas):
     """The decision step's selection by ``np.take_along_axis``: the product

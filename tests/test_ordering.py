@@ -285,20 +285,22 @@ class TestRecordedOrdering:
         assert len(results) == 6
         assert len(walked) == len(set(walked)) == 2
 
-    def test_chunk_bound_only_for_batches(self, monkeypatch):
-        bounded = []
-        bound = exact.largest_bucket
+    def test_chunk_bound_read_from_the_record(self, monkeypatch):
+        # the min-fill walk counts the largest bucket; the solves and the
+        # evaluator's chunks read that count and walk the graph no second time
+        walked = counted_walks(monkeypatch)
+        rewalked = []
+        neighbourhoods = ordering._neighbourhoods
 
         def counting(diagram, order):
-            bounded.append(id(diagram))
-            return bound(diagram, order)
+            rewalked.append(id(diagram))
+            return neighbourhoods(diagram, order)
 
-        monkeypatch.setattr(exact, "largest_bucket", counting)
+        monkeypatch.setattr(ordering, "_neighbourhoods", counting)
         d = wildcatter()
         policy = solve_exact(d).policy
         evaluator = PolicyEvaluator(d)
-        evaluator.evaluate(policy)
-        evaluator.evaluate_many([policy])
-        assert bounded == []
         evaluator.evaluate_many([policy, policy])
-        assert bounded == [id(d)]
+        chunk = evaluator._chunk
+        assert walked == [id(d)] and rewalked == []
+        assert chunk == exact._CHUNK_CELLS // largest_bucket(d, legal_ordering(d))
