@@ -70,19 +70,21 @@ MAX_UTILITY_EXPONENT = 5
 def _samples(
     rng: np.random.Generator, populations: list[int], size: int
 ) -> list[list[int]]:
-    """For each ``n`` in ``populations``, what ``rng.choice(n, size,
-    replace=False)`` returns, from the same draws, made in one call.
+    """For each ``n`` in ``populations``, ``size`` distinct values of
+    ``range(n)``, drawn as ``rng.choice(n, size, replace=False)`` draws
+    them, with one call for the whole batch.
 
     ``choice`` runs Floyd's algorithm (Bentley and Floyd, "A sample of
     brilliance", CACM 30(9), 1987): for j = n - size, ..., n - 1 it draws
     t in [0, j] and picks t, or j if t is picked already.  It then shuffles
     the picks, swapping position i = size - 1, ..., 1 with a draw in
     [0, i].  One ``integers`` call over an array of those bounds makes the
-    draws the scalar calls make.  numpy leaves Floyd's algorithm only for
-    n > 10,000 with size > n // 50.
+    draws the scalar calls make.  ``choice`` itself switches to a tail
+    shuffle for n > 10,000 with size > n // 50; only there do the two differ.
     """
-    bounds = [b for n in populations for b in (*range(n - size, n), *range(size - 1, 0, -1))]
-    draws = iter(rng.integers(0, np.array(bounds, dtype=np.int64) + 1).tolist())
+    column = np.array(populations, dtype=np.int64)[:, None]
+    bounds = np.hstack([column + np.arange(-size, 0), 0 * column + np.arange(size - 1, 0, -1)])
+    draws = iter(rng.integers(0, bounds.ravel() + 1).tolist())
     samples = []
     for n in populations:
         picks: list[int] = []
@@ -99,8 +101,7 @@ def _samples(
 def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDiagram:
     rng = np.random.default_rng(params.seed)
     total = params.n_c + params.n_d
-    (picks,) = _samples(rng, [total - params.r], params.n_d)
-    decision_positions = {params.r + i for i in picks}
+    decision_positions = {params.r + i for i in _samples(rng, [total - params.r], params.n_d)[0]}
 
     names: list[str] = []
     kinds: list[Kind] = []
@@ -136,8 +137,7 @@ def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDi
 
     chance_positions = [i for i in range(total) if kinds[i] is Kind.CHANCE]
     n_extreme = int(EXTREME_FRACTION * len(chance_positions))
-    (picks,) = _samples(rng, [len(chance_positions)], n_extreme)
-    extreme = {chance_positions[i] for i in picks}
+    extreme = {chance_positions[i] for i in _samples(rng, [len(chance_positions)], n_extreme)[0]}
 
     # draw every table in variable order; uniform(lo, hi) is lo + (hi - lo)
     # times random(), bit for bit
@@ -170,8 +170,7 @@ def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDi
                 table=tuple(itertools.islice(flat, uniform[pos].size)),
             )
 
-    (picks,) = _samples(rng, [total], params.a)
-    scope_positions = sorted(picks)
+    scope_positions = sorted(_samples(rng, [total], params.a)[0])
     n_cells = math.prod(sizes[q] for q in scope_positions)
     exponents = rng.integers(0, MAX_UTILITY_EXPONENT + 1, size=n_cells)
     magnitudes = np.power(10.0, exponents)
