@@ -35,9 +35,10 @@ from .values import OOMValue, parse_value
 ROW_TOLERANCE = 1e-9
 
 # The most cells the largest bucket of a solve may span (see
-# ``ordering.checked_ordering``): 256 MiB as one float64 table, eight times
-# the widest bucket of 6,300 generated n = 80 diagrams (2**22), far below a
-# 20-decision chain whose closure asks for 2**40.
+# ``ordering.checked_ordering``): 256 MiB as one float64 table.  That is
+# eight times the widest bucket, 2**22, of 6,300 generated n = 80 diagrams
+# (the exact-solve benchmark's pools for workload seeds 0-20), and far below
+# the 2**40 of a 4 KB file of 20 chained decisions.
 CELL_LIMIT = 2**25
 
 

@@ -82,6 +82,7 @@ def _samples(
     draws the scalar calls make.  ``choice`` itself switches to a tail
     shuffle for n > 10,000 with size > n // 50; only there do the two differ.
     """
+    # one row per population: Floyd's bounds, then the shuffle's
     column = np.array(populations, dtype=np.int64)[:, None]
     bounds = np.hstack([column + np.arange(-size, 0), 0 * column + np.arange(size - 1, 0, -1)])
     draws = iter(rng.integers(0, bounds.ravel() + 1).tolist())
