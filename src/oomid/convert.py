@@ -9,8 +9,11 @@ utility ``u`` maps to the singleton ``{(sign,-k)}`` with
 into one float array and every utility entry into another.  A logarithm
 gives each entry's candidate exponent, and exact comparisons against
 ``eps**k`` (Python float powers) snap it, so exact powers of ``eps`` land
-in the right bracket.  Each distinct value or set is built once and shared
-by every entry that quantizes to it; both types are frozen.
+in the right bracket.  The results are the qualitative tables themselves
+(see ``diagram``): one array of probability orders and one (bit, end,
+cell) table of singleton utility sets, each frozen once and handed out in
+per-function views.  ``spohn_prob`` and ``spohn_util`` quantize one
+number and decode it with the codec of ``sets``.
 
 The converted diagram keeps the numeric diagram's variables, scopes,
 decision order and information sets, so ``convert`` records it as valid
@@ -27,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -41,8 +45,7 @@ from .diagram import (
     order_limit,
     require_valid,
 )
-from .sets import OOMSet, ZERO_SET, singleton
-from .values import ZERO, OOMValue, Sign
+from .sets import decode_set, decode_value
 
 
 @dataclass(frozen=True)
@@ -96,79 +99,68 @@ def _bracket_exponents(x: np.ndarray, eps: float, limit: float) -> np.ndarray:
     return k
 
 
-def _shared(keys: list[int], make: Callable[[int], object]) -> list:
-    """``make(key)`` for each key, built once per distinct key."""
-    made = {key: make(key) for key in set(keys)}
-    return list(map(made.__getitem__, keys))
-
-
-def _probabilities(p: np.ndarray, eps: float, limit: float) -> list[OOMValue]:
-    """Each probability in [0, 1] quantized; zero is the zero element."""
-    keys = np.full(p.shape, -1, dtype=np.int64)  # orders are >= 0
+def _probabilities(p: np.ndarray, eps: float, limit: float) -> np.ndarray:
+    """The order of each probability in [0, 1], ``inf`` for zero."""
+    orders = np.full(p.shape, math.inf)
     positive = p > 0.0
-    keys[positive] = _bracket_exponents(p[positive], eps, limit)
-    return _shared(keys.tolist(), lambda k: ZERO if k < 0 else OOMValue(Sign.PLUS, k))
+    orders[positive] = _bracket_exponents(p[positive], eps, limit)
+    return orders
 
 
-_UTILITY_SIGNS = (Sign.PLUS, Sign.MINUS)
-
-
-def _utilities(u: np.ndarray, eps: float, limit: float) -> list[OOMSet]:
-    """Each finite utility quantized, as a singleton set.
+def _utilities(u: np.ndarray, eps: float, limit: float) -> np.ndarray:
+    """Each finite utility quantized: the (bit, end, utility) table of its
+    singleton set.
 
     The bracket of ``|u|`` is evaluated as the probability-style bracket on
     ``1/|u|``, which keeps the powers of ``eps`` nonnegative for the common
-    case ``|u| >= 1``.  A key is ``3 * order + s``, s being 0 for +, 1 for -
-    and 2 for zero.
+    case ``|u| >= 1``.
     """
-    keys = np.full(u.shape, 2, dtype=np.int64)
+    orders = np.full(u.shape, math.inf)
     nonzero = u != 0.0
     with np.errstate(over="ignore"):
         inverse = 1.0 / np.abs(u[nonzero])
     tiny = np.isinf(inverse)
     if tiny.any():
         raise DiagramError(f"cannot quantize {u[nonzero][tiny][0]}: 1/|u| overflows")
-    keys[nonzero] = -3 * _bracket_exponents(inverse, eps, limit) + (u[nonzero] < 0)
-
-    def make(key: int) -> OOMSet:
-        order, s = divmod(key, 3)
-        return ZERO_SET if s == 2 else singleton(OOMValue(_UTILITY_SIGNS[s], order))
-
-    return _shared(keys.tolist(), make)
+    orders[nonzero] = -_bracket_exponents(inverse, eps, limit)
+    bits = np.array([np.where(u < 0.0, math.inf, orders), np.where(u > 0.0, math.inf, orders)])
+    return np.repeat(bits[:, None], 2, axis=1)  # both ends of a singleton
 
 
-def spohn_prob(p: float, cfg: ConversionConfig) -> OOMValue:
-    """Probability quantization; zero maps to the zero element."""
+def spohn_prob(p: float, cfg: ConversionConfig):
+    """Probability quantization as an ``OOMValue``; zero maps to the zero
+    element."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")
-    return _probabilities(np.array([p], dtype=float), cfg.epsilon, math.inf)[0]
+    order = _probabilities(np.array([p], dtype=float), cfg.epsilon, math.inf)[0]
+    return decode_value(order, math.inf)
 
 
-def spohn_util(u: float, cfg: ConversionConfig) -> OOMSet:
-    """Utility quantization; the sign carries over, zero maps to zero."""
+def spohn_util(u: float, cfg: ConversionConfig):
+    """Utility quantization as an ``OOMSet``; the sign carries over, zero
+    maps to zero."""
     if not math.isfinite(u):
         raise ValueError(f"utility must be finite: {u}")
-    return _utilities(np.array([u], dtype=float), cfg.epsilon, math.inf)[0]
+    return decode_set(_utilities(np.array([u], dtype=float), cfg.epsilon, math.inf)[:, :, 0])
 
 
-def _split(entries: list, functions: tuple) -> list[tuple]:
-    """``entries`` cut into one table per function, in order."""
-    ends = list(itertools.accumulate(len(f.table) for f in functions))
-    return [tuple(entries[a:b]) for a, b in zip([0] + ends, ends)]
-
-
-def _flat(functions: tuple) -> np.ndarray:
-    """Every table entry of ``functions``, in order, as one float array."""
-    tables = (f.table for f in functions)
-    return np.fromiter(itertools.chain.from_iterable(tables), dtype=float)
+def _quantized(functions: tuple, quantize: Callable) -> list[np.ndarray]:
+    """``quantize`` over the entries of all ``functions`` at once, frozen
+    and cut along its last axis into one view per function, in order."""
+    if not functions:
+        return []
+    table = quantize(np.concatenate([f.table for f in functions]))
+    table.setflags(write=False)
+    ends = list(itertools.accumulate(f.table.size for f in functions))
+    return [table[..., a:b] for a, b in zip([0, *ends], ends)]
 
 
 def convert(diagram: InfluenceDiagram, cfg: ConversionConfig) -> OOMInfluenceDiagram:
     """Entry-wise quantization; the graph structure carries over unchanged."""
     require_valid(diagram, qualitative=False)
     eps, limit = cfg.epsilon, order_limit(diagram)
-    probabilities = _split(_probabilities(_flat(diagram.cpts), eps, limit), diagram.cpts)
-    utilities = _split(_utilities(_flat(diagram.utilities), eps, limit), diagram.utilities)
+    probabilities = _quantized(diagram.cpts, partial(_probabilities, eps=eps, limit=limit))
+    utilities = _quantized(diagram.utilities, partial(_utilities, eps=eps, limit=limit))
     oom = OOMInfluenceDiagram(
         variables=diagram.variables,
         cpts=tuple(

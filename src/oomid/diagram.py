@@ -2,14 +2,18 @@
 
 A diagram has chance variables with conditional probability tables,
 decision variables with information sets (the variables known when the
-decision is made), and utility functions.  Tables are stored flat in
-row-major order over their scope: the first scope variable varies slowest
-and the last (the child, for CPTs) varies fastest.
+decision is made), and utility functions.
 
 Numeric and order-of-magnitude (qualitative) diagrams share this model:
-only the table entries differ.  A numeric diagram holds floats; an
-``OOMInfluenceDiagram`` holds ``OOMValue`` probabilities and ``OOMSet``
-utilities.
+only the table entries differ.  Every table is a read-only float64 array
+whose last axis runs row-major over its scope: the first scope variable
+varies slowest and the last (the child, for CPTs) varies fastest.  A
+numeric diagram holds probabilities and utilities as floats; an
+``OOMInfluenceDiagram`` holds each probability as its order (``inf`` for
+zero) and its utility sets as a (bit, end, cell) table, the encoding of
+``sets``.  The solvers reshape these arrays into factors as they are;
+``OOMValue``/``OOMSet`` objects appear only where the file format is
+parsed and printed, through the codec of ``sets``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import graphlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import partial
 from importlib import resources
@@ -27,8 +31,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .sets import OOMSet, parse_set
-from .values import OOMValue, parse_value
+from .sets import decode_set, decode_value, encode_orders, encode_sets, parse_set
+from .values import parse_value
 
 
 # How far from 1 the entries of a numeric CPT row may sum.
@@ -62,21 +66,54 @@ class Variable:
     domain: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CPT:
+class _Tabled:
+    """A frozen dataclass whose last field is its ``table``.  The table is
+    kept as a read-only array: numbers as float64, anything else as numpy
+    reads it, for ``validate`` to reject.  Tables compare entry by entry,
+    so instances are unhashable, and print as the tuple of their entries
+    along the last axis."""
+
+    def __post_init__(self) -> None:
+        table = self.table
+        if isinstance(table, np.ndarray) and table.dtype == float and not table.flags.writeable:
+            return  # frozen already: tables may share one buffer
+        table = np.array(table)
+        if table.dtype.kind in "biuf":
+            table = table.astype(float, copy=False)
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
+
+    def _head(self) -> tuple:
+        """The values of the fields before ``table``."""
+        return tuple(getattr(self, f.name) for f in fields(self)[:-1])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._head() == other._head() and np.array_equal(self.table, other.table)
+
+    def __repr__(self) -> str:
+        cells = np.moveaxis(np.atleast_1d(self.table), -1, 0)
+        values = (*self._head(), tuple(cells.tolist()))
+        shown = ", ".join(f"{f.name}={v!r}" for f, v in zip(fields(self), values))
+        return f"{type(self).__name__}({shown})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class CPT(_Tabled):
     child: str
     parents: tuple[str, ...]
-    table: tuple  # row-major over parents + (child,): floats or OOMValues
+    table: np.ndarray  # row-major over parents + (child,)
 
     @property
     def scope(self) -> tuple[str, ...]:
         return self.parents + (self.child,)
 
 
-@dataclass(frozen=True)
-class UtilityFunction:
+@dataclass(frozen=True, eq=False, repr=False)
+class UtilityFunction(_Tabled):
     scope: tuple[str, ...]
-    table: tuple  # row-major over scope: floats or OOMSets
+    table: np.ndarray  # last axis row-major over scope
 
 
 @dataclass(frozen=True)
@@ -116,7 +153,8 @@ class InfluenceDiagram:
 
 
 class OOMInfluenceDiagram(InfluenceDiagram):
-    """A qualitative diagram: ``OOMValue`` probabilities, ``OOMSet`` utilities."""
+    """A qualitative diagram: probability orders and (bit, end, cell)
+    utility set tables."""
 
 
 def apply_nonforgetting(diagram: InfluenceDiagram) -> InfluenceDiagram:
@@ -152,10 +190,11 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
     """Collect invariant violations; an empty list means the diagram is usable.
 
     The structural and graph checks are the same for both kinds of diagram;
-    only the table entry checks depend on the kind.  The graph check is the
-    rule of a regular diagram: the ``arcs`` of the non-forgetting closure
-    form no directed cycle.  So no decision observes a chance variable that
-    depends on it or on a later decision, whether its sets are closed or not.
+    only the table entry checks depend on the kind.  The entries of all the
+    CPTs are checked in one array pass.  The graph check is the rule of a
+    regular diagram: the ``arcs`` of the non-forgetting closure form no
+    directed cycle.  So no decision observes a chance variable that depends
+    on it or on a later decision, whether its sets are closed or not.
     """
     if len(diagram._index) != len(diagram.variables):
         return ["duplicate variable ids"]
@@ -172,12 +211,12 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
     chance = set(diagram.chance_vars)
     decisions = set(diagram.decision_vars)
     qualitative = isinstance(diagram, OOMInfluenceDiagram)
-    if qualitative:
-        cpt_problem = partial(_oom_cpt_problem, limit=order_limit(diagram))
-        utility_problem = partial(_oom_utility_problem, limit=order_limit(diagram))
-    else:
-        cpt_problem, utility_problem = _numeric_cpt_problem, _numeric_utility_problem
+    limit = order_limit(diagram)
 
+    # the entries of the float tables that pass the structural checks are
+    # checked together, and their messages put back in order: (place in
+    # out, name, table, row width)
+    pending: list[tuple[int, str, np.ndarray, int]] = []
     seen_children = set()
     for cpt in diagram.cpts:
         name = f"cpt for {cpt.child}"
@@ -194,13 +233,18 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
         if any(p not in known for p in cpt.parents) or len(set(cpt.scope)) != len(cpt.scope):
             out.append(f"{name}: bad parent list")
             continue
-        expected = math.prod(diagram.domain_sizes(cpt.scope))
-        if len(cpt.table) != expected:
-            out.append(f"{name}: table has {len(cpt.table)} entries, expected {expected}")
-            continue
-        problem = cpt_problem(cpt.table, len(known[cpt.child].domain))
+        cells = math.prod(diagram.domain_sizes(cpt.scope))
+        problem = _layout_problem(cpt.table, cells, qualitative, False)
         if problem:
             out.append(f"{name}: {problem}")
+            continue
+        pending.append((len(out), name, cpt.table, len(known[cpt.child].domain)))
+        out.append("")
+    problems = _cpt_problems([p[2] for p in pending], [p[3] for p in pending], qualitative, limit)
+    for (at, name, _, _), problem in zip(pending, problems):
+        if problem:
+            out[at] = f"{name}: {problem}"
+    out = [message for message in out if message]
     for x in sorted(chance - seen_children):
         out.append(f"chance variable {x}: missing cpt")
 
@@ -214,18 +258,17 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
         if any(s not in known for s in u.scope) or len(set(u.scope)) != len(u.scope):
             out.append(f"{name}: bad scope")
             continue
-        expected = math.prod(diagram.domain_sizes(u.scope))
-        if len(u.table) != expected:
-            out.append(f"{name}: table has {len(u.table)} entries, expected {expected}")
-            continue
-        problem = utility_problem(u.table)
+        cells = math.prod(diagram.domain_sizes(u.scope))
+        problem = _layout_problem(u.table, cells, qualitative, qualitative) or (
+            _utility_problem(u.table, qualitative, limit)
+        )
         if problem:
             out.append(f"{name}: {problem}")
     if not qualitative and not out:
         # every message is a probability-weighted sum of sums of one entry
         # per utility; the factor 2 covers rows that sum to 1 only within
         # ROW_TOLERANCE
-        if sum(max(map(abs, u.table)) for u in diagram.utilities) > sys.float_info.max / 2:
+        if sum(float(np.abs(u.table).max()) for u in diagram.utilities) > sys.float_info.max / 2:
             out.append("utilities: largest magnitudes sum above half the largest float")
 
     order = diagram.decision_order
@@ -287,7 +330,8 @@ def mark_valid(diagram: InfluenceDiagram) -> InfluenceDiagram:
     every structural and graph check passes as before.  Each probability
     p becomes zero or the ``(+,k)`` with ``eps**(k+1) < p <= eps**k``, and
     p <= 1 gives k >= 0; a numeric row sums to 1, so it has a positive
-    entry, which becomes non-zero.  Each utility becomes an ``OOMSet``.
+    entry, which becomes non-zero.  Each utility becomes the (bit, end)
+    table of a singleton, which is canonical.
     ``convert`` checks the bound of ``order_limit`` itself.
     ``test_convert`` checks ``validate`` on converted diagrams to keep this
     argument honest.
@@ -303,46 +347,91 @@ def order_limit(diagram: InfluenceDiagram) -> int:
     return (2**53 - 1) // (len(diagram.cpts) + 1)
 
 
-def _numeric_cpt_problem(table: tuple, k: int) -> str | None:
-    try:
-        if not all(0.0 <= x <= 1.0 for x in table):  # also rejects nan
-            return "entries outside [0, 1]"
-    except TypeError:
-        return "non-numeric entries"
-    for start in range(0, len(table), k):
-        if abs(sum(table[start : start + k]) - 1.0) > ROW_TOLERANCE:
-            return "rows do not sum to 1"
+_NOT_PROBABILITIES = "entries must be positive or zero order-of-magnitude values"
+_NOT_SETS = "entries must be order-of-magnitude sets"
+
+
+def _orders_beyond(limit: int) -> str:
+    return f"orders must lie within +-{limit}, where float64 sums stay exact"
+
+
+def _layout_problem(table: np.ndarray, cells: int, qualitative: bool, sets: bool) -> str | None:
+    """What keeps ``table`` from being a float array of ``cells`` entries:
+    along its only axis, or (bit, end) set tables along its last if
+    ``sets``."""
+    lead = (2, 2) if sets else ()
+    if table.ndim != len(lead) + 1 or table.shape[:-1] != lead:
+        return _NOT_SETS if sets else f"table has shape {table.shape}, expected ({cells},)"
+    if table.shape[-1] != cells:
+        return f"table has {table.shape[-1]} entries, expected {cells}"
+    if table.dtype != float:
+        return (_NOT_SETS if sets else _NOT_PROBABILITIES) if qualitative else "non-numeric entries"
     return None
 
 
-def _numeric_utility_problem(table: tuple) -> str | None:
-    try:
-        return None if all(math.isfinite(x) for x in table) else "non-finite entries"
-    except TypeError:
-        return "non-numeric entries"
+def _cpt_problems(
+    tables: list[np.ndarray], widths: list[int], qualitative: bool, limit: int
+) -> list[str | None]:
+    """The first entry problem of each float CPT table, ``widths`` giving
+    its row length, found in one array pass over all the tables: each row
+    gets the index of the first check it fails, each table the least."""
+    if not tables:
+        return []
+    rows = [t.size // k for t, k in zip(tables, widths)]
+    row_widths = np.repeat(widths, rows)
+    row_starts = np.cumsum(row_widths) - row_widths
+    flat = np.concatenate(tables)
+    any_in_row = partial(np.logical_or.reduceat, indices=row_starts)
+    with np.errstate(all="ignore"):  # nan and inf entries are reported, not warned
+        if qualitative:
+            zero = flat == math.inf
+            integral = np.isfinite(flat) & (flat == np.floor(flat))
+            checks = [
+                (_NOT_PROBABILITIES, any_in_row(~(zero | integral))),
+                ("probability orders must be at least 0", any_in_row(flat < 0)),
+                ("row {} has no non-zero entry", ~any_in_row(~zero)),
+                (_orders_beyond(limit), any_in_row(integral & (np.abs(flat) > limit))),
+            ]
+        else:
+            sums = np.add.reduceat(flat, row_starts)
+            checks = [
+                ("entries outside [0, 1]", any_in_row(~((flat >= 0.0) & (flat <= 1.0)))),
+                ("rows do not sum to 1", np.abs(sums - 1.0) > ROW_TOLERANCE),
+            ]
+    messages, bad = zip(*checks)
+    first = np.argmax(np.vstack([*bad, np.ones_like(bad[0])]), axis=0)  # per row
+    first_rows = np.cumsum(rows) - rows
+    least = np.minimum.reduceat(first, first_rows)
+    problems: list[str | None] = [None] * len(tables)
+    for j in np.flatnonzero(least < len(messages)).tolist():
+        # a row message names the table's first row that fails the check
+        problems[j] = messages[least[j]].format(np.argmax(first[first_rows[j] :] == least[j]))
+    return problems
 
 
-def _oom_cpt_problem(table: tuple, k: int, limit: int) -> str | None:
-    if not all(isinstance(x, OOMValue) and (x.is_positive or x.is_zero) for x in table):
-        return "entries must be positive or zero order-of-magnitude values"
-    if any(x.order < 0 for x in table):  # a probability is at most 1
-        return "probability orders must be at least 0"
-    for start in range(0, len(table), k):
-        if all(x.is_zero for x in table[start : start + k]):
-            return f"row {start // k} has no non-zero entry"
-    return _order_problem((x.order for x in table), limit)
+def _utility_problem(table: np.ndarray, qualitative: bool, limit: int) -> str | None:
+    """The entry problem of a float utility table of the right shape."""
+    if not qualitative:
+        return None if np.isfinite(table).all() else "non-finite entries"
+    if not _canonical_sets(table):
+        return _NOT_SETS
+    orders = np.minimum(table[0], table[1])
+    return _orders_beyond(limit) if (np.abs(orders[orders < math.inf]) > limit).any() else None
 
 
-def _oom_utility_problem(table: tuple, limit: int) -> str | None:
-    if not all(isinstance(x, OOMSet) for x in table):
-        return "entries must be order-of-magnitude sets"
-    return _order_problem((e.order for x in table for e in x.elements), limit)
-
-
-def _order_problem(orders: Iterable, limit: int) -> str | None:
-    if any(limit < abs(k) < math.inf for k in orders):
-        return f"orders must lie within +-{limit}, where float64 sums stay exact"
-    return None
+def _canonical_sets(table: np.ndarray) -> bool:
+    """Whether every cell of a (bit, end, cell) table encodes a canonical
+    set, as the solver's kernels assume: each end a value, zero, (k, k) for
+    +-, or (k, inf) or (inf, k) for a signed one, and the ends equal or a
+    +- value below the other."""
+    plus, minus = table
+    order = np.minimum(plus, minus)
+    integral = np.isfinite(order) & (order == np.floor(order))
+    signed = (plus == minus) | (np.maximum(plus, minus) == math.inf)
+    values = ((plus == math.inf) & (minus == math.inf)) | (integral & signed)
+    singleton = (plus[0] == plus[1]) & (minus[0] == minus[1])
+    pair = (plus[0] == minus[0]) & (order[0] < order[1])
+    return bool((values.all(0) & (singleton | pair)).all())
 
 
 @dataclass(frozen=True)
@@ -389,8 +478,26 @@ class PolicyBatch:
 # qualitative tables hold text: values like ``(+,2)`` in CPTs and sets like
 # ``{(+-,0),(+-,inf)}`` in utilities.  The entries decide the kind.
 
+def _entries(table: np.ndarray, qualitative: bool, sets: bool) -> list:
+    """A table's entries as the file format holds them."""
+    if not qualitative:
+        return table.tolist()
+    if sets:
+        return [str(decode_set(cell)) for cell in np.moveaxis(table, -1, 0).tolist()]
+    return [str(decode_value(k, math.inf)) for k in table.tolist()]
+
+
+def _table(entries: list, qualitative: bool, sets: bool) -> list | np.ndarray:
+    """The table of a file's entries."""
+    if not qualitative:
+        return [float(x) for x in entries]
+    if sets:
+        return encode_sets([parse_set(x) for x in entries])
+    return encode_orders([parse_value(x) for x in entries])
+
+
 def to_dict(diagram: InfluenceDiagram) -> dict:
-    entry = str if isinstance(diagram, OOMInfluenceDiagram) else (lambda x: x)
+    qualitative = isinstance(diagram, OOMInfluenceDiagram)
     return {
         "variables": [
             {"id": v.id, "kind": v.kind.value, "domain": list(v.domain)}
@@ -400,12 +507,12 @@ def to_dict(diagram: InfluenceDiagram) -> dict:
             {
                 "child": c.child,
                 "parents": list(c.parents),
-                "table": [entry(x) for x in c.table],
+                "table": _entries(c.table, qualitative, False),
             }
             for c in diagram.cpts
         ],
         "utilities": [
-            {"scope": list(u.scope), "table": [entry(x) for x in u.table]}
+            {"scope": list(u.scope), "table": _entries(u.table, qualitative, True)}
             for u in diagram.utilities
         ],
         "decision_order": list(diagram.decision_order),
@@ -422,7 +529,6 @@ def from_dict(data: Mapping, nonforgetting: bool = True) -> InfluenceDiagram:
     try:
         tables = [doc["table"] for doc in (*data["cpts"], *data["utilities"])]
         qualitative = _is_qualitative(x for table in tables for x in table)
-        prob, util = (parse_value, parse_set) if qualitative else (float, float)
         cls = OOMInfluenceDiagram if qualitative else InfluenceDiagram
         info = data.get("information_sets", {})
         if not isinstance(info, Mapping):
@@ -436,12 +542,12 @@ def from_dict(data: Mapping, nonforgetting: bool = True) -> InfluenceDiagram:
                 CPT(
                     _name(c["child"]),
                     _names(c["parents"]),
-                    tuple(prob(x) for x in c["table"]),
+                    _table(c["table"], qualitative, False),
                 )
                 for c in data["cpts"]
             ),
             utilities=tuple(
-                UtilityFunction(_names(u["scope"]), tuple(util(x) for x in u["table"]))
+                UtilityFunction(_names(u["scope"]), _table(u["table"], qualitative, True))
                 for u in data["utilities"]
             ),
             decision_order=_names(data["decision_order"]),

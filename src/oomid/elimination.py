@@ -5,14 +5,14 @@ A ``Factor`` is a scope and a numeric table with one axis per scope
 variable, after any leading axes the table's encoding needs: float
 probabilities and utilities for a numeric diagram, with a leading batch
 axis once a table depends on the policies being evaluated; for a
-qualitative one, probability orders and utility sets encoded as
-``oom_solve`` describes.  ``encoded`` turns CPTs or utilities into factors
-with a solver's encoder.  ``eliminate`` puts each probability factor
+qualitative one, probability orders and (bit, end) utility set tables, the
+encoding of ``sets``.  ``factors`` reshapes the read-only tables of CPTs
+or utilities into factors as they are, with no copy.  ``eliminate`` puts each probability factor
 (lambda) and utility factor (theta) into the bucket of its earliest
 variable in the ordering it is handed (``ordering`` checks legality), runs
 the algebra's chance or decision step on each bucket in turn, and puts each
 message into a later bucket the same way; messages over no variable are the
-root results.  Only the two steps and the encoders know the algebra.
+root results.  Only the two steps know the algebra.
 
 ``product`` is the one contraction kernel: it aligns tables over a scope
 and folds them left to right, by multiplication unless told otherwise;
@@ -112,12 +112,9 @@ class Elimination:
     max_cells: int  # cells of the largest message scope, read off its trailing axes
 
 
-def encoded(
-    diagram: InfluenceDiagram, functions: Sequence, encode: Callable[[tuple], np.ndarray]
-) -> list[Factor]:
-    """CPTs or utilities as factors, ``encode`` turning a function's
-    row-major entries into a table whose last axis runs over them."""
-    return [factor(diagram, fn.scope, encode(fn.table)) for fn in functions]
+def factors(diagram: InfluenceDiagram, functions: Sequence) -> list[Factor]:
+    """CPTs or utilities as factors over their tables."""
+    return [factor(diagram, fn.scope, fn.table) for fn in functions]
 
 
 def eliminate(

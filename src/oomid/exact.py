@@ -62,8 +62,8 @@ from .elimination import (
     Factor,
     align,
     eliminate,
-    encoded,
     expand_rule,
+    factors,
     fold,
     ordered,
     product,
@@ -84,8 +84,8 @@ def solve_exact(diagram: InfluenceDiagram) -> ExactSolution:
     run = eliminate(
         diagram,
         checked_ordering(diagram),
-        encoded(diagram, diagram.cpts, _floats),
-        encoded(diagram, diagram.utilities, _floats),
+        factors(diagram, diagram.cpts),
+        factors(diagram, diagram.utilities),
         _chance_step,
         _decision_step,
     )
@@ -103,10 +103,6 @@ def solve_exact(diagram: InfluenceDiagram) -> ExactSolution:
         info, actions = expand_rule(diagram, d, run.rules[d])
         rules[d] = PolicyRule(decision=d, scope=info, actions=tuple(actions.tolist()))
     return ExactSolution(meu=meu, policy=Policy(rules=rules))
-
-
-def _floats(entries: tuple) -> np.ndarray:
-    return np.asarray(entries, dtype=float)
 
 
 def _mass_tolerance(diagram: InfluenceDiagram) -> float:
@@ -241,7 +237,7 @@ class PolicyEvaluator:
     is kept.  The chunk size is bounded by the largest bucket of the whole
     ordering, which no ancestors' bucket exceeds: their graph is a subgraph
     of the diagram's, so eliminating it adds no other fill.  The orderings,
-    the encoded CPTs and the chunk size depend on the diagram only.
+    the CPT factors and the chunk size depend on the diagram only.
     """
 
     def __init__(self, diagram: InfluenceDiagram):
@@ -251,8 +247,8 @@ class PolicyEvaluator:
         parents = arcs(diagram)
         kept = [_ancestors(u.scope, parents) for u in diagram.utilities]
         cpts = [cpt for cpt in diagram.cpts if any(cpt.child in k for k in kept)]
-        lambdas = dict(zip((c.child for c in cpts), encoded(diagram, cpts, _floats)))
-        utilities = encoded(diagram, diagram.utilities, _floats)
+        lambdas = dict(zip((c.child for c in cpts), factors(diagram, cpts)))
+        utilities = factors(diagram, diagram.utilities)
         # per utility: the ordering of its ancestors, their CPTs and the utility
         self._parts = [
             (
@@ -346,6 +342,9 @@ def policy_value(diagram: InfluenceDiagram, actions: Mapping[str, Sequence[int]]
     configuration of the chance variables, the decisions set by the rules.
     """
     chance = [v for v in diagram.variables if v.kind is Kind.CHANCE]
+    # each table read once, as Python floats
+    cpts = [(cpt.scope, cpt.table.tolist()) for cpt in diagram.cpts]
+    utilities = [(u.scope, u.table.tolist()) for u in diagram.utilities]
     total = 0.0
     for chance_config in itertools.product(*[range(len(v.domain)) for v in chance]):
         assignment: dict[str, int] = {v.id: val for v, val in zip(chance, chance_config)}
@@ -358,21 +357,21 @@ def policy_value(diagram: InfluenceDiagram, actions: Mapping[str, Sequence[int]]
                 idx = idx * len(diagram.domain(p)) + assignment[p]
             assignment[d] = actions[d][idx]
         prob = 1.0
-        for cpt in diagram.cpts:
+        for scope, table in cpts:
             pos = 0
-            for s in cpt.scope:
+            for s in scope:
                 pos = pos * len(diagram.domain(s)) + assignment[s]
-            prob *= cpt.table[pos]
+            prob *= table[pos]
             if prob == 0.0:
                 break
         if prob == 0.0:
             continue
         util = 0.0
-        for u in diagram.utilities:
+        for scope, table in utilities:
             pos = 0
-            for s in u.scope:
+            for s in scope:
                 pos = pos * len(diagram.domain(s)) + assignment[s]
-            util += u.table[pos]
+            util += table[pos]
         total += prob * util
     return total
 

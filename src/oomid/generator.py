@@ -15,7 +15,6 @@ entries are balanced to within one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -163,13 +162,16 @@ def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDi
             table[cells] = 1.0 - table.sum(axis=1)
         else:
             table /= table.sum(axis=1, keepdims=True)
-        flat = iter(table.reshape(-1).tolist())
+        table.setflags(write=False)
+        flat, start = table.reshape(-1), 0
         for pos in group:
+            end = start + uniform[pos].size
             cpts[pos] = CPT(
                 child=names[pos],
                 parents=tuple(names[q] for q in parents[pos]),
-                table=tuple(itertools.islice(flat, uniform[pos].size)),
+                table=flat[start:end],
             )
+            start = end
 
     scope_positions = sorted(_samples(rng, [total], params.a)[0])
     n_cells = math.prod(sizes[q] for q in scope_positions)
@@ -178,10 +180,7 @@ def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDi
     if params.utility_class == "M":
         signs = np.where(np.arange(n_cells) % 2 == 0, 1.0, -1.0)
         magnitudes = magnitudes * signs
-    utility = UtilityFunction(
-        scope=tuple(names[q] for q in scope_positions),
-        table=tuple(magnitudes.tolist()),
-    )
+    utility = UtilityFunction(scope=tuple(names[q] for q in scope_positions), table=magnitudes)
 
     diagram = InfluenceDiagram(
         variables=tuple(

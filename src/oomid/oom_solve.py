@@ -1,18 +1,19 @@
 """Variable elimination for order-of-magnitude influence diagrams.
 
 ``elim_oom_id`` runs the shared bucket elimination of ``elimination`` on
-numeric arrays: probabilities as order tables, utility sets as the orders
-of their two ends, one order per sign bit (the encoding is described with
-the array kernels below).  Every step is a few whole-table numpy
-operations; the scalar ``values``/``sets`` calculus only reads and prints
-the entries and serves the oracle.  This module supplies the two steps and
-their kernels.  The chance step sums out the bucket variable from
-the probability product and renormalizes the utility message by that
-marginal (qualitatively impossible configurations get the zero utility).
-The decision step maximizes over the actions and records, per parent
-configuration, every action whose value set is not strictly dominated by
-another action's: ties between incomparable value sets keep both actions,
-which is what makes the result a policy *set*.  Rules are boolean action
+the diagram's own tables: probabilities as orders, utility sets as the
+orders of their two ends, one order per sign bit (the encoding of
+``sets``; the algebra on it is described with the array kernels below).
+Every step is a few whole-table numpy operations; the scalar
+``values``/``sets`` calculus only decodes the MEU and serves the oracle.
+This module supplies the two steps and their kernels.  The chance step
+sums out the bucket variable from the probability product and
+renormalizes the utility message by that marginal (qualitatively
+impossible configurations get the zero utility).  The decision step
+maximizes over the actions and records, per parent configuration, every
+action whose value set is not strictly dominated by another action's:
+ties between incomparable value sets keep both actions, which is what
+makes the result a policy *set*.  Rules are boolean action
 masks end to end: ``PolicySet`` is built from them and derives ``cells``.
 It numbers policies in mixed radix, one digit per cell, and ``sample``
 decodes all drawn indices at once into (s, cells) action arrays.
@@ -44,15 +45,24 @@ from .elimination import (
     Factor,
     align,
     eliminate,
-    encoded,
     expand_rule,
     factor,
+    factors,
     fold,
     reduce_out,
 )
 from .ordering import checked_ordering, legal_ordering
-from .sets import OOMSet, ZERO_SET, max_sets, scale, set_dominates, sum_sets
-from .values import INF, ZERO, OOMValue, Sign, add, dominates, inverse, mul
+from .sets import (
+    OOMSet,
+    ZERO_SET,
+    decode_set,
+    decode_value,
+    max_sets,
+    scale,
+    set_dominates,
+    sum_sets,
+)
+from .values import INF, OOMValue, add, dominates, inverse, mul
 
 DEFAULT_GUARD = 10**6
 
@@ -169,53 +179,13 @@ class PolicySet:
 # ---------------------------------------------------------------------------
 # the order-of-magnitude algebra over numeric arrays
 #
-# A probability is its order, ``inf`` for zero: a product adds orders, and
-# a sum or a dominance maximum of probabilities is their minimum.  A signed
-# value reads its sign as two bits, + = 1, - = 2, +- = 3, and stores one
-# order per bit, ``inf`` where the bit is unset: ``(+,k)`` is ``(k, inf)``,
-# ``(-,k)`` is ``(inf, k)``, ``(+-,k)`` is ``(k, k)`` and zero is
-# ``(inf, inf)``.  The value is the lower of the two orders, with every bit
-# that reaches it.  A sum of values is then the minimum per bit: the lowest
-# order, with the OR of the signs that reach it.  (A bit's order above the
-# value's order is ignored, so sums need no clean-up.)  Scaling by a
-# probability adds its order to both bits; a zero probability gives zero.
-#
-# A utility set is a table with two leading axes, (bit, end): its low and
-# its high element, equal for a singleton, as stored by ``OOMSet``.  The
-# kernels count ``axis`` from the end, past any further leading axes.
-
-def encode_value(v: OOMValue) -> tuple[float, float]:
-    """A value's (+ bit, - bit) orders."""
-    return (
-        INF if v.sign is Sign.MINUS else v.order,
-        INF if v.sign is Sign.PLUS else v.order,
-    )
-
-
-def encode_orders(values: Sequence[OOMValue]) -> np.ndarray:
-    """Positive or zero probabilities as their orders."""
-    return np.array([v.order for v in values], dtype=float)
-
-
-def encode_sets(sets: Sequence[OOMSet]) -> np.ndarray:
-    """Canonical sets as a (bit, end, set) table."""
-    ends = [encode_value(s.elements[0]) + encode_value(s.elements[-1]) for s in sets]
-    return np.array(ends, dtype=float).reshape(-1, 2, 2).transpose(2, 1, 0)
-
-
-def decode_value(plus: float, minus: float) -> OOMValue:
-    """The value of a pair of bit orders."""
-    if plus == minus == INF:
-        return ZERO
-    sign = Sign.PLUS if plus < minus else Sign.MINUS if minus < plus else Sign.PLUSMINUS
-    return OOMValue(sign, int(min(plus, minus)))
-
-
-def decode_set(table: np.ndarray) -> OOMSet:
-    """The set of a (bit, end) table."""
-    lo, hi = decode_value(*table[:, 0]), decode_value(*table[:, 1])
-    return OOMSet((lo,) if lo == hi else (lo, hi))
-
+# On the encoding of ``sets``, a product of probabilities adds orders, and
+# their sum or dominance maximum is their minimum.  A signed value is the
+# lower of its two bit orders, with every bit that reaches it, so a sum of
+# values is the minimum per bit (a bit's order above the value's is
+# ignored: sums need no clean-up).  Scaling by a probability adds its order
+# to both bits.  The kernels take (bit, end, ...) set tables and count
+# ``axis`` from the end, past any further leading axes.
 
 def canonical(plus: np.ndarray, minus: np.ndarray, axis) -> np.ndarray:
     """``canonicalize`` of the values along ``axis`` (an axis or a tuple of
@@ -315,8 +285,8 @@ def elim_oom_id(diagram: OOMInfluenceDiagram) -> OOMSolution:
     run = eliminate(
         diagram,
         checked_ordering(diagram),
-        encoded(diagram, diagram.cpts, encode_orders),
-        encoded(diagram, diagram.utilities, encode_sets),
+        factors(diagram, diagram.cpts),
+        factors(diagram, diagram.utilities),
         _chance_step,
         _decision_step,
     )
@@ -329,7 +299,7 @@ def elim_oom_id(diagram: OOMInfluenceDiagram) -> OOMSolution:
 def _utility(thetas, lam, order_key) -> Factor:
     """The bucket's utility sum, scaled by its probability product if any."""
     theta = fold(thetas, order_key, np.minimum)
-    if len(thetas) > 1:  # one theta is canonical: encoded, or a shifted message
+    if len(thetas) > 1:  # one theta is canonical: a utility table, or a shifted message
         theta = Factor(theta.scope, sum_ends(theta.table))
     return theta if lam is None else fold([theta, lam], order_key, np.add)
 
@@ -416,8 +386,12 @@ def brute_force_oom(
             table[_key(dict(zip(scope, combo)), scope)] = flat[i]
         return _DictFactor(frozenset(scope), table)
 
-    lams = [lift(c.scope, c.table) for c in diagram.cpts]
-    thetas = [lift(u.scope, u.table) for u in diagram.utilities]
+    # each table decoded once
+    lams = [lift(c.scope, [decode_value(k, INF) for k in c.table.tolist()]) for c in diagram.cpts]
+    thetas = [
+        lift(u.scope, [decode_set(cell) for cell in np.moveaxis(u.table, -1, 0).tolist()])
+        for u in diagram.utilities
+    ]
     decisions = set(diagram.decision_vars)
     raw_rules: dict[str, Factor] = {}
     root_thetas: list[OOMSet] = []

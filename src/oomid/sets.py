@@ -6,14 +6,23 @@ values collapses to either a singleton ``{a}`` or a pair
 stores exactly that canonical form, and the three operations that the
 solver needs (scaling by a positive value, summation, maximization) all
 map canonical inputs to canonical outputs.
+
+The codec at the end is the one translation between these objects and
+the float64 tables that qualitative diagrams hold; the solvers never
+call it.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .values import (
+    INF,
     ZERO,
     OOMValue,
     Sign,
@@ -180,3 +189,63 @@ def convex_closure_bounded(
                 new_states.add((add(acc, term), min_used or zero_order))
         states = new_states
     return {acc for acc, min_used in states if min_used}
+
+
+# ---------------------------------------------------------------------------
+# the array codec
+#
+# A probability is its order, ``inf`` for zero.  A signed value reads its
+# sign as two bits, + = 1, - = 2, +- = 3, and stores one order per bit,
+# ``inf`` where the bit is unset: ``(+,k)`` is ``(k, inf)``, ``(-,k)`` is
+# ``(inf, k)``, ``(+-,k)`` is ``(k, k)`` and zero is ``(inf, inf)``.  A set
+# is a (bit, end) table: its low and its high element, equal for a
+# singleton, as ``OOMSet`` stores them.  A table of sets has them along its
+# last axis, (bit, end, set).
+
+def _order(k: int | float) -> float:
+    """``k`` as a float, one past float64's range as the largest float of
+    its sign: an order no valid diagram holds."""
+    try:
+        return float(k)
+    except OverflowError:
+        return sys.float_info.max if k > 0 else -sys.float_info.max
+
+
+def encode_value(v: OOMValue) -> tuple[float, float]:
+    """A value's (+ bit, - bit) orders."""
+    order = _order(v.order)
+    return (
+        INF if v.sign is Sign.MINUS else order,
+        INF if v.sign is Sign.PLUS else order,
+    )
+
+
+def encode_orders(values: Sequence[OOMValue]) -> np.ndarray:
+    """Probabilities as their orders.  A value that is neither positive nor
+    zero is no probability and becomes nan, which ``validate`` rejects."""
+    return np.array(
+        [_order(v.order) if v.is_positive or v.is_zero else math.nan for v in values],
+        dtype=float,
+    )
+
+
+def encode_sets(sets: Sequence[OOMSet]) -> np.ndarray:
+    """Canonical sets as a (bit, end, set) table."""
+    ends = [encode_value(s.elements[0]) + encode_value(s.elements[-1]) for s in sets]
+    return np.array(ends, dtype=float).reshape(-1, 2, 2).transpose(2, 1, 0)
+
+
+def decode_value(plus: float, minus: float) -> OOMValue:
+    """The value of a pair of bit orders; ``decode_value(k, inf)`` is the
+    probability of order ``k``."""
+    if plus == minus == INF:
+        return ZERO
+    sign = Sign.PLUS if plus < minus else Sign.MINUS if minus < plus else Sign.PLUSMINUS
+    return OOMValue(sign, int(min(plus, minus)))
+
+
+def decode_set(table) -> OOMSet:
+    """The set of a (bit, end) table."""
+    (lo_plus, hi_plus), (lo_minus, hi_minus) = table
+    lo, hi = decode_value(lo_plus, lo_minus), decode_value(hi_plus, hi_minus)
+    return OOMSet((lo,) if lo == hi else (lo, hi))

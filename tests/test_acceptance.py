@@ -8,7 +8,7 @@ import time
 
 from oomid.bench import run_experiment, summarize
 from oomid.convert import ConversionConfig, convert
-from oomid.diagram import Policy, PolicyRule, wildcatter
+from oomid.diagram import Policy, PolicyRule, to_dict, wildcatter
 from oomid.exact import brute_force_meu, evaluate_policy, solve_exact
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import brute_force_oom, elim_oom_id
@@ -192,36 +192,31 @@ FIG2 = {
 
 
 def test_criterion_4_conversion_table(capsys):
-    o = convert(wildcatter(), ConversionConfig(0.1))
+    # the tables as the file format prints them
+    o = to_dict(convert(wildcatter(), ConversionConfig(0.1)))
+    cpts = {c["child"]: c["table"] for c in o["cpts"]}
+    utilities = {tuple(u["scope"]): u["table"] for u in o["utilities"]}
     checks = []
-    seismic = next(c for c in o.cpts if c.child == "Seismic")
+    seismic = cpts["Seismic"]
     idx = 0
     for oil in ("dry", "wet", "soaking"):
         for t in ("yes", "no"):
-            got = [str(x) for x in seismic.table[idx : idx + 3]]
+            got = seismic[idx : idx + 3]
             expected = FIG2["seismic"][(oil, t)]
             checks.append(
                 (got == expected, f"seismic row ({oil},{t}): {got} != {expected}")
             )
             idx += 3
-    oil_cpt = next(c for c in o.cpts if c.child == "Oil")
+    checks.append((cpts["Oil"] == FIG2["oil"], "oil prior quantization mismatch"))
     checks.append(
         (
-            [str(x) for x in oil_cpt.table] == FIG2["oil"],
-            "oil prior quantization mismatch",
-        )
-    )
-    u1 = next(u for u in o.utilities if u.scope == ("Test",))
-    checks.append(
-        (
-            [str(s) for s in u1.table] == FIG2["test_payoff"],
+            utilities[("Test",)] == FIG2["test_payoff"],
             "test payoff quantization mismatch",
         )
     )
-    u2 = next(u for u in o.utilities if u.scope == ("Oil", "Drill"))
     checks.append(
         (
-            [str(s) for s in u2.table] == FIG2["drill_payoff"],
+            utilities[("Oil", "Drill")] == FIG2["drill_payoff"],
             "drill payoff quantization mismatch",
         )
     )

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import os
@@ -128,6 +129,12 @@ MALFORMED = [
     ("unknown cpt parent to validate",
      _edited(NUMERIC_DOC, lambda d: _cpt(d, "Seismic")["parents"].append("Nope")),
      ["validate"], "bad parent list"),
+    ("negative cpt entry to validate",
+     _edited(OOM_DOC, lambda d: _cpt(d, "Oil").update(table=["(-,0)", "(+,0)", "(+,0)"])),
+     ["validate"], "cpt for Oil: entries must be positive or zero order-of-magnitude values"),
+    ("unknown-sign cpt entry to validate",
+     _edited(OOM_DOC, lambda d: _cpt(d, "Oil").update(table=["(+-,1)", "(+,0)", "(+,0)"])),
+     ["validate"], "cpt for Oil: entries must be positive or zero order-of-magnitude values"),
     ("two violations to validate",
      _edited(NUMERIC_DOC, lambda d: [_cpt(d, "Oil").update(table=[0.7, 0.7, 0.7]),
                                      d["utilities"][0].update(table=[1.0])]),
@@ -545,6 +552,31 @@ class TestCompare:
         )
         out = capsys.readouterr().out
         assert "sampled with replacement" in out
+
+
+# sha256 of the file ``oomid convert`` writes for the bundled wildcatter at
+# each epsilon, and of ``oomid compare --epsilon 0.1 --samples 5`` stdout,
+# recorded before the tables became arrays; never re-record them
+BUNDLED = Path(oomid.__file__).parent / "data" / "wildcatter.json"
+CONVERT_DIGESTS = {
+    "0.5": "da55f19fa13e30fa634434ffc2ac7ca4ad482e7ce7a0f0d136c1b0de1c61a6c7",
+    "0.1": "db5504dde3e742471ad2349965a2d17d750eb1d2c65570f8f76a1c897ce6a892",
+    "0.005": "bfe106aa7ada532422426e40bde8566f2fbefba340bdf14231b4c906058ffc8f",
+}
+COMPARE_DIGEST = "3ef32839cabb72a0471f503a8c2ea5c4d1c364b7e5cf46bb00178b9ffecff0f2"
+
+
+class TestOutputBytesPinned:
+    @pytest.mark.parametrize("eps", list(CONVERT_DIGESTS))
+    def test_convert(self, eps, tmp_path, capsys):
+        out = tmp_path / "oom.json"
+        assert main(["convert", str(BUNDLED), "--epsilon", eps, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CONVERT_DIGESTS[eps]
+
+    def test_compare(self, capsys):
+        assert main(["compare", str(BUNDLED), "--epsilon", "0.1", "--samples", "5"]) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == COMPARE_DIGEST
 
 
 class TestBench:

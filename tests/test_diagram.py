@@ -1,7 +1,9 @@
+import math
 import random
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from oomid.diagram import (
     load,
     order_limit,
     save,
+    to_dict,
     validate,
     wildcatter,
 )
@@ -31,8 +34,10 @@ from oomid.ordering import (
     legal_ordering,
     temporal_partition,
 )
-from oomid.sets import ZERO_SET, singleton
-from oomid.values import OOMValue, Sign
+from oomid.sets import ZERO_SET, encode_orders, encode_sets, singleton
+from oomid.values import ZERO, OOMValue, Sign
+
+PROBABILITY_MESSAGE = "entries must be positive or zero order-of-magnitude values"
 
 
 def tiny_chain_doc():
@@ -71,16 +76,16 @@ class TestWildcatterFixture:
         # row-major layout: parents first (first slowest), child fastest
         d = wildcatter()
         oil = next(c for c in d.cpts if c.child == "Oil")
-        assert oil.table == (0.5, 0.3, 0.2)
+        assert oil.table.tolist() == [0.5, 0.3, 0.2]
         seismic = next(c for c in d.cpts if c.child == "Seismic")
         assert seismic.parents == ("Oil", "Test")
-        assert seismic.table[0:3] == (0.01, 0.04, 0.95)  # Oil=dry, Test=yes
-        assert seismic.table[6:9] == (0.08, 0.9, 0.02)  # Oil=wet, Test=yes
-        assert seismic.table[12:15] == (0.9, 0.095, 0.005)  # Oil=soaking, Test=yes
+        assert seismic.table[0:3].tolist() == [0.01, 0.04, 0.95]  # Oil=dry, Test=yes
+        assert seismic.table[6:9].tolist() == [0.08, 0.9, 0.02]  # Oil=wet, Test=yes
+        assert seismic.table[12:15].tolist() == [0.9, 0.095, 0.005]  # Oil=soaking, Test=yes
         u2 = next(u for u in d.utilities if u.scope == ("Oil", "Drill"))
-        assert u2.table == (-70, 0, 50, 0, 200, 0)
+        assert u2.table.tolist() == [-70, 0, 50, 0, 200, 0]
         u1 = next(u for u in d.utilities if u.scope == ("Test",))
-        assert u1.table == (-10, 0)
+        assert u1.table.tolist() == [-10, 0]
 
     def test_nonforgetting_closure_adds_earlier_decision(self):
         raw = wildcatter(nonforgetting=False)
@@ -270,8 +275,9 @@ class TestValidate:
         assert limit == (2**53 - 1) // 3  # two CPTs
         for k in (limit, -limit, limit + 1, -limit - 1):
             one = singleton(OOMValue(Sign.PLUS, k))
-            utility = UtilityFunction(("D", "Y"), (one, ZERO_SET, ZERO_SET, one))
-            cpt = CPT("X", (), (OOMValue(Sign.PLUS, abs(k)), OOMValue(Sign.PLUS, 0)))
+            utility = UtilityFunction(("D", "Y"), encode_sets((one, ZERO_SET, ZERO_SET, one)))
+            orders = encode_orders((OOMValue(Sign.PLUS, abs(k)), OOMValue(Sign.PLUS, 0)))
+            cpt = CPT("X", (), orders)
             for edited in (
                 replace(oom, utilities=(utility,)),
                 replace(oom, cpts=(cpt, oom.cpts[1])),
@@ -288,6 +294,48 @@ class TestValidate:
         assert validate(replace(d, utilities=(half,))) == []
         assert validate(replace(d, utilities=(half, half))) == [
             "utilities: largest magnitudes sum above half the largest float"
+        ]
+
+    @pytest.mark.parametrize(
+        "cpt, message",
+        [
+            (CPT("X", (), (math.nan, 0.0)), PROBABILITY_MESSAGE),
+            (CPT("X", (), (1.5, 0.0)), PROBABILITY_MESSAGE),
+            (CPT("X", (), (-math.inf, 0.0)), PROBABILITY_MESSAGE),
+            (CPT("X", (), encode_orders((ZERO, ZERO))), "row 0 has no non-zero entry"),
+        ],
+        ids=["nan", "1.5", "-inf", "zero row"],
+    )
+    def test_library_built_order_arrays(self, cpt, message):
+        oom = convert(tiny_chain(), ConversionConfig(0.1))
+        assert validate(replace(oom, cpts=(cpt, oom.cpts[1]))) == [f"cpt for X: {message}"]
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            [[1.0, 1.0], [2.0, 2.0]],  # an end with two finite bit orders
+            [[0.0, 1.0], [np.inf, np.inf]],  # a pair whose low end is (+,0)
+            [[2.0, 1.0], [2.0, np.inf]],  # a +- low end above the high end
+            [[1.0, 1.0], [1.0, np.inf]],  # (+-,1) then (+,1)
+            [[np.nan, np.nan], [np.nan, np.nan]],
+            [[0.5, 0.5], [np.inf, np.inf]],
+        ],
+        ids=["two orders", "positive low end", "low above high", "equal orders", "nan", "0.5"],
+    )
+    def test_library_built_non_canonical_sets(self, cell):
+        oom = convert(tiny_chain(), ConversionConfig(0.1))
+        table = np.array(oom.utilities[0].table)
+        table[:, :, 1] = cell
+        edited = replace(oom, utilities=(UtilityFunction(("D", "Y"), table),))
+        assert validate(edited) == [
+            "utility 0 over ['D', 'Y']: entries must be order-of-magnitude sets"
+        ]
+
+    def test_two_dimensional_numeric_table(self):
+        d = tiny_chain()
+        cpt = CPT("X", (), [[0.4, 0.6]])
+        assert validate(replace(d, cpts=(cpt, d.cpts[1]))) == [
+            "cpt for X: table has shape (1, 2), expected (2,)"
         ]
 
     def test_malformed_document(self):
@@ -322,6 +370,64 @@ class TestValidate:
         }
         with pytest.raises(DiagramError, match="mix|neither"):
             from_dict(data)
+
+
+def round_trip_diagrams():
+    yield "wildcatter", wildcatter()
+    yield "wildcatter-open", wildcatter(nonforgetting=False)
+    for eps in (0.5, 0.1, 0.005):
+        yield f"wildcatter-eps{eps}", convert(wildcatter(), ConversionConfig(eps))
+    for n in (25, 45):
+        for cls in "PM":
+            params = GeneratorParams(n_c=n - 5, n_d=5, utility_class=cls, seed=n)
+            yield f"n{n}-{cls}", generate(params)
+
+
+class TestTables:
+    @pytest.mark.parametrize("name, diagram", list(round_trip_diagrams()))
+    def test_save_load_round_trip(self, name, diagram, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save(diagram, first)
+        again = load(first, nonforgetting=False)
+        assert again == diagram
+        save(again, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("source", ["generate", "from_dict", "convert", "tuple"])
+    def test_tables_are_read_only(self, source):
+        if source == "tuple":
+            functions = [CPT("X", (), (0.4, 0.6)), UtilityFunction(("X",), (1, 2))]
+        else:
+            diagram = {
+                "generate": lambda: generate(GeneratorParams(n_c=10, n_d=2, seed=1)),
+                "from_dict": wildcatter,
+                "convert": lambda: convert(wildcatter(), ConversionConfig(0.1)),
+            }[source]()
+            functions = [*diagram.cpts, *diagram.utilities]
+        for f in functions:
+            assert f.table.dtype == float
+            with pytest.raises(ValueError):
+                f.table[..., 0] = 0.5
+            with pytest.raises(ValueError):
+                np.asarray(f.table)[...] = 0.5
+
+    def test_equal_tables_compare_equal_and_are_unhashable(self):
+        a, b = CPT("X", (), (0.4, 0.6)), CPT("X", (), np.array([0.4, 0.6]))
+        assert a == b and a != CPT("X", (), (0.6, 0.4))
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_repr_lists_every_entry(self):
+        table = np.arange(1024) / 1024
+        u = UtilityFunction(tuple(f"X{i}" for i in range(10)), table)
+        assert repr(u) == f"UtilityFunction(scope={u.scope!r}, table={tuple(table.tolist())!r})"
+        assert "..." not in repr(u)
+
+    def test_qualitative_file_entries_print_back(self):
+        oom = convert(wildcatter(), ConversionConfig(0.1))
+        doc = to_dict(oom)
+        assert from_dict(doc) == oom
+        assert doc["utilities"][0]["table"] == ["{(-,-1)}", "{(+-,inf)}"]
 
 
 def oracle_graph_violations(diagram):

@@ -1,4 +1,5 @@
-"""The array kernels of ``oom_solve`` against the scalar calculus.
+"""The array kernels of ``oom_solve`` and the codec of ``sets`` against the
+scalar calculus.
 
 Every kernel runs once over a whole batch of operand tuples, and each
 result must equal the scalar result exactly.  Values come from the
@@ -17,15 +18,23 @@ from oomid.oom_solve import (
     _max_value,
     _maximal_actions,
     canonical,
-    decode_set,
-    decode_value,
-    encode_sets,
-    encode_value,
     max_ends,
     maximal_mask,
     sum_ends,
 )
-from oomid.sets import ZERO_SET, OOMSet, canonicalize, max_sets, scale, singleton, sum_sets
+from oomid.sets import (
+    ZERO_SET,
+    OOMSet,
+    canonicalize,
+    decode_set,
+    decode_value,
+    encode_sets,
+    encode_value,
+    max_sets,
+    scale,
+    singleton,
+    sum_sets,
+)
 from oomid.values import ZERO, OOMValue, Sign, add, mul
 
 # the order window of the acceptance tests

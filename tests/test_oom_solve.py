@@ -32,8 +32,16 @@ from oomid.ordering import (
     legal_ordering,
     temporal_partition,
 )
-from oomid.sets import ZERO_SET, canonicalize, equiv, singleton
-from oomid.values import ZERO, OOMValue, Sign, add, mul
+from oomid.sets import (
+    ZERO_SET,
+    canonicalize,
+    decode_value,
+    encode_orders,
+    encode_sets,
+    equiv,
+    singleton,
+)
+from oomid.values import INF, ZERO, OOMValue, Sign, add, mul
 
 
 def small_params(i: int) -> GeneratorParams:
@@ -64,7 +72,11 @@ WINDOW = [
 
 
 def with_tables(d, kind, cpt_tables, utility_tables):
-    """``d``'s graph as a diagram of class ``kind`` with the given tables."""
+    """``d``'s graph as a diagram of class ``kind`` with the given tables,
+    encoded if they hold order-of-magnitude values and sets."""
+    if kind is OOMInfluenceDiagram:
+        cpt_tables = [encode_orders(t) for t in cpt_tables]
+        utility_tables = [encode_sets(t) for t in utility_tables]
     return kind(
         variables=d.variables,
         cpts=tuple(CPT(c.child, c.parents, t) for c, t in zip(d.cpts, cpt_tables)),
@@ -201,7 +213,10 @@ class TestWildcatterPolicySets:
             total = ZERO
             for s in range(3):
                 for ov in range(3):
-                    p = mul(oil.table[ov], seismic.table[(ov * 2 + t) * 3 + s])
+                    p = mul(
+                        decode_value(oil.table[ov], INF),
+                        decode_value(seismic.table[(ov * 2 + t) * 3 + s], INF),
+                    )
                     total = add(total, p)
             per_test.append(total)
         assert per_test[0] == per_test[1]
@@ -339,12 +354,9 @@ def limit_pair(i: int, positive: bool) -> tuple[InfluenceDiagram, OOMInfluenceDi
             return ZERO_SET
         return singleton(OOMValue(rng.choice(signs), rng.randint(-3, 0)))
 
-    o = with_tables(
-        d,
-        OOMInfluenceDiagram,
-        random_rows(d, rng, row),
-        [tuple(utility() for _ in u.table) for u in d.utilities],
-    )
+    probabilities = random_rows(d, rng, row)
+    utilities = [tuple(utility() for _ in u.table) for u in d.utilities]
+    o = with_tables(d, OOMInfluenceDiagram, probabilities, utilities)
 
     def number(v: OOMValue) -> float:
         if v.is_zero:
@@ -352,12 +364,12 @@ def limit_pair(i: int, positive: bool) -> tuple[InfluenceDiagram, OOMInfluenceDi
         return (-1 if v.sign is Sign.MINUS else 1) * rng.uniform(0.5, 2) * EPS**v.order
 
     cpt_tables = []
-    for c in o.cpts:
+    for c, table in zip(o.cpts, probabilities):
         k = len(o.domain(c.child))
-        values = [number(v) for v in c.table]
+        values = [number(v) for v in table]
         rows = [values[j : j + k] for j in range(0, len(values), k)]
         cpt_tables.append(tuple(x / sum(r) for r in rows for x in r))
-    utility_tables = [tuple(number(s.elements[0]) for s in u.table) for u in o.utilities]
+    utility_tables = [tuple(number(s.elements[0]) for s in table) for table in utilities]
     return with_tables(o, InfluenceDiagram, cpt_tables, utility_tables), o
 
 
