@@ -364,9 +364,11 @@ def _layout_problem(table: np.ndarray, cells: int, qualitative: bool, sets: bool
         return _NOT_SETS if sets else f"table has shape {table.shape}, expected ({cells},)"
     if table.shape[-1] != cells:
         return f"table has {table.shape[-1]} entries, expected {cells}"
-    if table.dtype != float:
-        return (_NOT_SETS if sets else _NOT_PROBABILITIES) if qualitative else "non-numeric entries"
-    return None
+    if table.dtype == float:
+        return None
+    if not qualitative:
+        return "non-numeric entries"
+    return _NOT_SETS if sets else _NOT_PROBABILITIES
 
 
 def _cpt_problems(

@@ -7,12 +7,13 @@ probabilities and utilities for a numeric diagram, with a leading batch
 axis once a table depends on the policies being evaluated; for a
 qualitative one, probability orders and (bit, end) utility set tables, the
 encoding of ``sets``.  ``factors`` reshapes the read-only tables of CPTs
-or utilities into factors as they are, with no copy.  ``eliminate`` puts each probability factor
-(lambda) and utility factor (theta) into the bucket of its earliest
-variable in the ordering it is handed (``ordering`` checks legality), runs
-the algebra's chance or decision step on each bucket in turn, and puts each
-message into a later bucket the same way; messages over no variable are the
-root results.  Only the two steps know the algebra.
+or utilities into factors as they are.  ``eliminate`` puts each
+probability factor (lambda) and utility factor (theta) into the bucket of
+its earliest variable in the ordering it is handed (``ordering`` checks
+legality), runs the algebra's chance or decision step on each bucket in
+turn, and puts each message into a later bucket the same way; messages
+over no variable are the root results.  Only the two steps know the
+algebra.
 
 ``product`` is the one contraction kernel: it aligns tables over a scope
 and folds them left to right, by multiplication unless told otherwise;

@@ -241,7 +241,9 @@ def decode_value(plus: float, minus: float) -> OOMValue:
     if plus == minus == INF:
         return ZERO
     sign = Sign.PLUS if plus < minus else Sign.MINUS if minus < plus else Sign.PLUSMINUS
-    return OOMValue(sign, int(min(plus, minus)))
+    order = min(plus, minus)
+    # a nan or non-integral order stays as it is, for OOMValue to reject
+    return OOMValue(sign, int(order) if float(order).is_integer() else order)
 
 
 def decode_set(table) -> OOMSet:

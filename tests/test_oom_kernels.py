@@ -92,6 +92,16 @@ def test_window_values_round_trip():
     assert decoded_sets(encode_sets(SETS)) == SETS
 
 
+@pytest.mark.parametrize("order", [1.5, np.nan, -np.inf])
+def test_decode_rejects_what_encode_never_writes(order):
+    # a library-built table may hold such orders; printing it must not
+    # round them into a value
+    with pytest.raises(ValueError):
+        decode_value(order, np.inf)
+    with pytest.raises(ValueError):
+        decode_set(np.array([[order, order], [np.inf, np.inf]]))
+
+
 @pytest.mark.parametrize("arity", [2, 3])
 def test_add_is_bitwise_min(arity):
     combos = list(itertools.product(WINDOW, repeat=arity))
