@@ -190,12 +190,16 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
     """Collect invariant violations; an empty list means the diagram is usable.
 
     The structural and graph checks are the same for both kinds of diagram;
-    only the table entry checks depend on the kind.  The entries of all the
-    CPTs are checked in one array pass.  The graph check is the rule of a
-    regular diagram: the ``arcs`` of the non-forgetting closure form no
-    directed cycle.  So no decision observes a chance variable that depends
-    on it or on a later decision, whether its sets are closed or not.
+    only the table entry checks depend on the kind.  Each table is checked
+    on its own, in the order of the diagram's fields.  The graph check is
+    the rule of a regular diagram: the ``arcs`` of the non-forgetting
+    closure form no directed cycle.  So no decision observes a chance
+    variable that depends on it or on a later decision, whether its sets
+    are closed or not.
     """
+    problem = _type_problem(diagram)
+    if problem:
+        return [problem]
     if len(diagram._index) != len(diagram.variables):
         return ["duplicate variable ids"]
     out: list[str] = []
@@ -213,10 +217,6 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
     qualitative = isinstance(diagram, OOMInfluenceDiagram)
     limit = order_limit(diagram)
 
-    # the entries of the float tables that pass the structural checks are
-    # checked together, and their messages put back in order: (place in
-    # out, name, table, row width)
-    pending: list[tuple[int, str, np.ndarray, int]] = []
     seen_children = set()
     for cpt in diagram.cpts:
         name = f"cpt for {cpt.child}"
@@ -234,17 +234,11 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
             out.append(f"{name}: bad parent list")
             continue
         cells = math.prod(diagram.domain_sizes(cpt.scope))
-        problem = _layout_problem(cpt.table, cells, qualitative, False)
+        problem = _layout_problem(cpt.table, cells, qualitative, False) or (
+            _cpt_problem(cpt.table, len(known[cpt.child].domain), qualitative, limit)
+        )
         if problem:
             out.append(f"{name}: {problem}")
-            continue
-        pending.append((len(out), name, cpt.table, len(known[cpt.child].domain)))
-        out.append("")
-    problems = _cpt_problems([p[2] for p in pending], [p[3] for p in pending], qualitative, limit)
-    for (at, name, _, _), problem in zip(pending, problems):
-        if problem:
-            out[at] = f"{name}: {problem}"
-    out = [message for message in out if message]
     for x in sorted(chance - seen_children):
         out.append(f"chance variable {x}: missing cpt")
 
@@ -302,6 +296,33 @@ def validate(diagram: InfluenceDiagram) -> list[str]:
         except graphlib.CycleError:
             out.append("graph has a directed cycle")
     return out
+
+
+def _type_problem(d: InfluenceDiagram) -> str | None:
+    """The first field without the type ``from_dict`` gives it, which only
+    a diagram built in Python can lack: ids and labels are strings, kinds
+    ``Kind`` members, sequences tuples and the information sets a mapping."""
+
+    def names(xs) -> bool:
+        return isinstance(xs, tuple) and all(isinstance(x, str) for x in xs)
+
+    if not all(isinstance(xs, tuple) for xs in (d.variables, d.cpts, d.utilities)):
+        return "variables, cpts and utilities must be tuples"
+    for v in d.variables:
+        if not (isinstance(v.id, str) and isinstance(v.kind, Kind) and names(v.domain)):
+            return f"variable {v.id!r}: id must be a string, kind a Kind, domain a tuple of strings"
+    for c in d.cpts:
+        if not (isinstance(c.child, str) and names(c.parents)):
+            return f"cpt for {c.child!r}: child must be a string and parents a tuple of strings"
+    for u in d.utilities:
+        if not names(u.scope):
+            return f"utility over {u.scope!r}: scope must be a tuple of strings"
+    if not names(d.decision_order):
+        return "decision_order must be a tuple of strings"
+    info = d.information_sets
+    if not (isinstance(info, Mapping) and names(tuple(info)) and all(map(names, info.values()))):
+        return "information_sets must map strings to tuples of strings"
+    return None
 
 
 def require_valid(diagram: InfluenceDiagram, qualitative: bool) -> InfluenceDiagram:
@@ -371,44 +392,25 @@ def _layout_problem(table: np.ndarray, cells: int, qualitative: bool, sets: bool
     return _NOT_SETS if sets else _NOT_PROBABILITIES
 
 
-def _cpt_problems(
-    tables: list[np.ndarray], widths: list[int], qualitative: bool, limit: int
-) -> list[str | None]:
-    """The first entry problem of each float CPT table, ``widths`` giving
-    its row length, found in one array pass over all the tables: each row
-    gets the index of the first check it fails, each table the least."""
-    if not tables:
-        return []
-    rows = [t.size // k for t, k in zip(tables, widths)]
-    row_widths = np.repeat(widths, rows)
-    row_starts = np.cumsum(row_widths) - row_widths
-    flat = np.concatenate(tables)
-    any_in_row = partial(np.logical_or.reduceat, indices=row_starts)
-    with np.errstate(all="ignore"):  # nan and inf entries are reported, not warned
-        if qualitative:
-            zero = flat == math.inf
-            integral = np.isfinite(flat) & (flat == np.floor(flat))
-            checks = [
-                (_NOT_PROBABILITIES, any_in_row(~(zero | integral))),
-                ("probability orders must be at least 0", any_in_row(flat < 0)),
-                ("row {} has no non-zero entry", ~any_in_row(~zero)),
-                (_orders_beyond(limit), any_in_row(integral & (np.abs(flat) > limit))),
-            ]
-        else:
-            sums = np.add.reduceat(flat, row_starts)
-            checks = [
-                ("entries outside [0, 1]", any_in_row(~((flat >= 0.0) & (flat <= 1.0)))),
-                ("rows do not sum to 1", np.abs(sums - 1.0) > ROW_TOLERANCE),
-            ]
-    messages, bad = zip(*checks)
-    first = np.argmax(np.vstack([*bad, np.ones_like(bad[0])]), axis=0)  # per row
-    first_rows = np.cumsum(rows) - rows
-    least = np.minimum.reduceat(first, first_rows)
-    problems: list[str | None] = [None] * len(tables)
-    for j in np.flatnonzero(least < len(messages)).tolist():
-        # a row message names the table's first row that fails the check
-        problems[j] = messages[least[j]].format(np.argmax(first[first_rows[j] :] == least[j]))
-    return problems
+def _cpt_problem(table: np.ndarray, width: int, qualitative: bool, limit: int) -> str | None:
+    """The first entry problem of a float CPT table whose rows are ``width``
+    entries long."""
+    xs = table.tolist()
+    if not qualitative:
+        if not all(0.0 <= x <= 1.0 for x in xs):  # nan fails too
+            return "entries outside [0, 1]"
+        # numpy's sums: a row's first entry plus the rest added pairwise,
+        # which may differ from a left-to-right sum in the last ulps
+        sums = np.add.reduceat(table, range(0, len(xs), width)).tolist()
+        return "rows do not sum to 1" if any(abs(s - 1.0) > ROW_TOLERANCE for s in sums) else None
+    if not all(x == math.inf or x.is_integer() for x in xs):
+        return _NOT_PROBABILITIES
+    if any(x < 0 for x in xs):
+        return "probability orders must be at least 0"
+    for i in range(0, len(xs), width):
+        if all(x == math.inf for x in xs[i : i + width]):
+            return f"row {i // width} has no non-zero entry"
+    return _orders_beyond(limit) if any(limit < x < math.inf for x in xs) else None
 
 
 def _utility_problem(table: np.ndarray, qualitative: bool, limit: int) -> str | None:

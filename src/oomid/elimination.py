@@ -174,7 +174,7 @@ def expand_rule(
     """A decision rule broadcast from its bucket scope over the decision's
     information set: the set, and the rule's table with the set's axes
     flattened row-major into the last one."""
-    info = tuple(diagram.information_sets.get(decision, ()))
+    info = diagram.information_sets.get(decision, ())
     extra = [v for v in rule.scope if v not in info]
     if extra:  # the rule reads a variable the decision does not observe
         raise DiagramError(f"decision {decision}: rule depends on unobserved {extra}")

@@ -206,7 +206,7 @@ def _stack(diagram: InfluenceDiagram, policies: Sequence[Policy]) -> PolicyBatch
     scope and cell count."""
     scopes, actions = {}, {}
     for d in diagram.decision_vars:
-        info = tuple(diagram.information_sets.get(d, ()))
+        info = diagram.information_sets.get(d, ())
         cells = math.prod(diagram.domain_sizes(info))
         rows = []
         for policy in policies:
@@ -244,6 +244,7 @@ class PolicyEvaluator:
         require_valid(diagram, qualitative=False)
         self._diagram = diagram
         self._order = checked_ordering(diagram)
+        self._chunk = max(1, _CHUNK_CELLS // diagram._largest_bucket)  # policies per chunk
         parents = arcs(diagram)
         kept = [_ancestors(u.scope, parents) for u in diagram.utilities]
         cpts = [cpt for cpt in diagram.cpts if any(cpt.child in k for k in kept)]
@@ -259,11 +260,6 @@ class PolicyEvaluator:
             for k, u in zip(kept, utilities)
         ]
 
-    @functools.cached_property
-    def _chunk(self) -> int:
-        """Policies per chunk; only a batch of more than one needs it."""
-        return max(1, _CHUNK_CELLS // self._diagram._largest_bucket)
-
     def evaluate(self, policy: Policy) -> float:
         return self.evaluate_many([policy])[0]
 
@@ -272,10 +268,9 @@ class PolicyEvaluator:
         if not isinstance(policies, PolicyBatch):
             policies = _stack(self._diagram, policies)
         rules = {d: self._checked(policies, d) for d in self._diagram.decision_vars}
-        step = self._chunk if policies.size > 1 else 1
         values: list[float] = []
-        for start in range(0, policies.size, step):
-            stop = min(start + step, policies.size)
+        for start in range(0, policies.size, self._chunk):
+            stop = min(start + self._chunk, policies.size)
             chunk = {d: Factor(r.scope, r.table[start:stop]) for d, r in rules.items()}
             select = functools.partial(_select_step, chunk)
             total = np.zeros(stop - start)
@@ -292,7 +287,7 @@ class PolicyEvaluator:
         """The batch's rule for decision ``d`` as a factor over its
         information set, with a leading batch axis, after checking the set
         and the actions' shape, type and range."""
-        info = tuple(self._diagram.information_sets.get(d, ()))
+        info = self._diagram.information_sets.get(d, ())
         if d not in batch.actions or d not in batch.scopes:
             raise DiagramError(f"policy has no rule for decision {d}")
         if tuple(batch.scopes[d]) != info:
@@ -330,7 +325,7 @@ def _policy_space(diagram: InfluenceDiagram) -> list[tuple[str, tuple[str, ...],
     """Per decision: (id, info scope, number of cells, domain size)."""
     out = []
     for d in diagram.decision_vars:
-        info = tuple(diagram.information_sets.get(d, ()))
+        info = diagram.information_sets.get(d, ())
         n_cells = math.prod(diagram.domain_sizes(info))
         out.append((d, info, n_cells, len(diagram.domain(d))))
     return out

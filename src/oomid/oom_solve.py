@@ -338,7 +338,7 @@ def _expand_policy_set(
     scopes, masks = {}, {}
     for d in diagram.decision_vars:
         scopes[d], masks[d] = expand_rule(diagram, d, rules[d])
-    return PolicySet(tuple(diagram.decision_order), scopes, masks)
+    return PolicySet(diagram.decision_order, scopes, masks)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ solver needs (scaling by a positive value, summation, maximization) all
 map canonical inputs to canonical outputs.
 
 The codec at the end is the one translation between these objects and
-the float64 tables that qualitative diagrams hold; the solvers never
-call it.
+the float64 tables that qualitative diagrams hold; ``elim_oom_id`` decodes
+only its MEU with it, and the test oracle ``brute_force_oom`` every table.
 """
 
 from __future__ import annotations

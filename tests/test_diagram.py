@@ -1,19 +1,24 @@
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oomid.diagram as diagram_module
 from oomid.convert import ConversionConfig, convert
 from oomid.diagram import (
     CPT,
+    ROW_TOLERANCE,
     DiagramError,
     InfluenceDiagram,
     Kind,
+    OOMInfluenceDiagram,
     UtilityFunction,
     Variable,
     apply_nonforgetting,
@@ -24,9 +29,12 @@ from oomid.diagram import (
     to_dict,
     validate,
     wildcatter,
+    _cpt_problem,
+    _orders_beyond,
 )
 from oomid.exact import solve_exact
 from oomid.generator import GeneratorParams, generate
+from oomid.oom_solve import elim_oom_id
 from oomid.ordering import (
     induced_width,
     interaction_graph,
@@ -372,6 +380,150 @@ class TestValidate:
             from_dict(data)
 
 
+def renamed(d, old, new):
+    """``d`` with variable ``old`` called ``new`` in every field."""
+
+    def one(x):
+        return new if x == old else x
+
+    def names(xs):
+        return tuple(map(one, xs))
+
+    return replace(
+        d,
+        variables=tuple(replace(v, id=one(v.id)) for v in d.variables),
+        cpts=tuple(replace(c, child=one(c.child), parents=names(c.parents)) for c in d.cpts),
+        utilities=tuple(replace(u, scope=names(u.scope)) for u in d.utilities),
+        decision_order=names(d.decision_order),
+        information_sets={one(k): names(ps) for k, ps in d.information_sets.items()},
+    )
+
+
+def with_utility_only_variable(d, kind):
+    """``d`` plus a variable of ``kind`` that only a new utility names."""
+    table = d.utilities[0].table
+    z = Variable("Z", kind, tuple(map(str, range(table.shape[-1]))))
+    return replace(
+        d, variables=d.variables + (z,), utilities=d.utilities + (UtilityFunction(("Z",), table),)
+    )
+
+
+def wrong_typed(value):
+    """Values of another type than ``value`` that code may still pass."""
+    out = [None]
+    if isinstance(value, tuple):
+        out.append(list(value))
+        if all(isinstance(x, str) for x in value):
+            out.append((0, *value[1:]))  # an integer id or label
+    if isinstance(value, Kind):
+        out += [value.value, "other"]
+    if isinstance(value, str):
+        out += [0, [value]]
+    if isinstance(value, dict):
+        out += [list(value.items())]
+    return out
+
+
+def wrong_typed_mutants(d):
+    """Builders of ``d`` with one field, or one field of a variable, CPT,
+    utility or information set, of a wrong type, with one variable renamed
+    to an integer, or with a variable of a wrong-typed kind that only a
+    utility names."""
+
+    def swap(group, i, **change):
+        items = list(getattr(d, group))
+        items[i] = replace(items[i], **change)
+        return replace(d, **{group: tuple(items)})
+
+    for name in ("variables", "cpts", "utilities", "decision_order", "information_sets"):
+        for w in wrong_typed(getattr(d, name)):
+            yield partial(replace, d, **{name: w})
+    for group, attrs in (
+        ("variables", ("id", "kind", "domain")),
+        ("cpts", ("child", "parents")),
+        ("utilities", ("scope",)),
+    ):
+        for i, item in enumerate(getattr(d, group)):
+            for a in attrs:
+                for w in wrong_typed(getattr(item, a)):
+                    yield partial(swap, group, i, **{a: w})
+    for k, ps in d.information_sets.items():
+        for w in wrong_typed(ps):
+            yield partial(replace, d, information_sets={**d.information_sets, k: w})
+    for v in d.variables:
+        yield partial(renamed, d, v.id, 0)
+    for kind in wrong_typed(Kind.CHANCE):
+        yield partial(with_utility_only_variable, d, kind)
+
+
+class TestLibraryBuiltFields:
+    # from_dict gives every field its type; a diagram built in Python may
+    # not have it, and gets one message instead of a traceback
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda d: with_utility_only_variable(d, "chance"),
+                "variable 'Z': id must be a string, kind a Kind, domain a tuple of strings",
+            ),
+            (
+                lambda d: renamed(d, "Y", 1),
+                "variable 1: id must be a string, kind a Kind, domain a tuple of strings",
+            ),
+            (
+                lambda d: replace(d, cpts=(d.cpts[0], replace(d.cpts[1], parents=["D"]))),
+                "cpt for 'Y': child must be a string and parents a tuple of strings",
+            ),
+            (
+                lambda d: replace(d, information_sets=None),
+                "information_sets must map strings to tuples of strings",
+            ),
+            (
+                lambda d: replace(d, decision_order=None),
+                "decision_order must be a tuple of strings",
+            ),
+        ],
+        ids=["string kind", "integer id", "list of parents", "no information sets", "no order"],
+    )
+    def test_wrong_type_is_one_message(self, edit, message):
+        numeric = tiny_chain()
+        assert validate(edit(numeric)) == [message]
+        with pytest.raises(DiagramError, match=re.escape(message)):
+            solve_exact(edit(numeric))
+        with pytest.raises(DiagramError, match=re.escape(message)):
+            convert(edit(numeric), ConversionConfig(0.1))
+        oom = edit(convert(numeric, ConversionConfig(0.1)))
+        assert validate(oom) == [message]
+        with pytest.raises(DiagramError, match=re.escape(message)):
+            elim_oom_id(oom)
+
+    def test_wrong_typed_mutants_solve_or_raise_diagram_error(self):
+        sources = [wildcatter()] + [
+            generate(GeneratorParams(n_c=4, n_d=2, k=3, p=2, r=2, a=2, seed=seed))
+            for seed in range(3)
+        ]
+        built, config = 0, ConversionConfig(0.1)
+        for numeric in sources:
+            for d in (numeric, convert(numeric, config)):
+                for make in wrong_typed_mutants(d):
+                    try:
+                        mutant = make()
+                    except TypeError:
+                        continue  # does not construct
+                    built += 1
+                    assert isinstance(validate(mutant), list)
+                    if isinstance(mutant, OOMInfluenceDiagram):
+                        runs = [elim_oom_id]
+                    else:
+                        runs = [solve_exact, lambda m: elim_oom_id(convert(m, config))]
+                    for run in runs:
+                        try:
+                            run(mutant)
+                        except DiagramError:
+                            pass
+        assert built >= 400, built
+
+
 def round_trip_diagrams():
     yield "wildcatter", wildcatter()
     yield "wildcatter-open", wildcatter(nonforgetting=False)
@@ -529,6 +681,153 @@ class TestGraphCheckOracle:
             ("closed", "cycle"),
         }, seen
         assert min(seen.values()) >= 20, seen
+
+
+def oracle_cpt_problems(tables, widths, qualitative, limit):
+    """The first entry problem of each float CPT table, ``widths`` giving
+    its row length, found in one array pass over all the tables: each row
+    gets the index of the first check it fails, each table the least."""
+    if not tables:
+        return []
+    rows = [t.size // k for t, k in zip(tables, widths)]
+    row_widths = np.repeat(widths, rows)
+    row_starts = np.cumsum(row_widths) - row_widths
+    flat = np.concatenate(tables)
+    any_in_row = partial(np.logical_or.reduceat, indices=row_starts)
+    with np.errstate(all="ignore"):  # nan and inf entries are reported, not warned
+        if qualitative:
+            zero = flat == math.inf
+            integral = np.isfinite(flat) & (flat == np.floor(flat))
+            checks = [
+                (PROBABILITY_MESSAGE, any_in_row(~(zero | integral))),
+                ("probability orders must be at least 0", any_in_row(flat < 0)),
+                ("row {} has no non-zero entry", ~any_in_row(~zero)),
+                (_orders_beyond(limit), any_in_row(integral & (np.abs(flat) > limit))),
+            ]
+        else:
+            sums = np.add.reduceat(flat, row_starts)
+            checks = [
+                ("entries outside [0, 1]", any_in_row(~((flat >= 0.0) & (flat <= 1.0)))),
+                ("rows do not sum to 1", np.abs(sums - 1.0) > ROW_TOLERANCE),
+            ]
+    messages, bad = zip(*checks)
+    first = np.argmax(np.vstack([*bad, np.ones_like(bad[0])]), axis=0)  # per row
+    first_rows = np.cumsum(rows) - rows
+    least = np.minimum.reduceat(first, first_rows)
+    problems = [None] * len(tables)
+    for j in np.flatnonzero(least < len(messages)).tolist():
+        # a row message names the table's first row that fails the check
+        problems[j] = messages[least[j]].format(np.argmax(first[first_rows[j] :] == least[j]))
+    return problems
+
+
+def near_one_row(rng, k):
+    """``k`` probabilities whose float sum lies within a few ulps of 1 or of
+    1 +- ROW_TOLERANCE, where the order of the additions decides the verdict."""
+    xs = [rng.random() + 0.01 for _ in range(k)]
+    target = 1.0 + rng.choice((-ROW_TOLERANCE, 0.0, ROW_TOLERANCE))
+    total = sum(xs)
+    xs = [x * target / total for x in xs]
+    xs[-1] += target - math.fsum(xs) + rng.randint(-4, 4) * math.ulp(1.0)
+    return xs
+
+
+def random_cpt_row(rng, k, qualitative, limit):
+    """A row of ``k`` entries, well formed or failing one or more checks."""
+    fault = rng.choice(["none"] * 4 + ["nan", "inf", "-inf", "negative", "other"])
+    if qualitative:
+        row = [rng.choice((0.0, 1.0, 2.0, 5.0, math.inf)) for _ in range(k)]
+        bad = {
+            "nan": math.nan,
+            "inf": -math.inf,
+            "-inf": -math.inf,
+            "negative": -float(rng.randint(1, 3)),
+            "other": rng.choice((0.5, limit + 1.0, float(limit), -limit - 1.0)),
+        }
+        if fault == "none" and rng.random() < 0.2:
+            return [math.inf] * k  # no non-zero entry
+    else:
+        row = near_one_row(rng, k)
+        bad = {
+            "nan": math.nan,
+            "inf": math.inf,
+            "-inf": -math.inf,
+            "negative": -rng.random(),
+            "other": 1.0 + rng.random(),
+        }
+    if fault != "none":
+        row[rng.randrange(k)] = bad[fault]
+    return row
+
+
+def random_cpt_diagram(rng, qualitative):
+    """A chain of 2-5 chance variables of 2-12 values, each child's CPT
+    over at most its predecessor, with random rows from ``random_cpt_row``;
+    now and then a table one entry short."""
+    count = rng.randint(2, 5)
+    limit = (2**53 - 1) // (count + 1)
+    names = [f"X{i}" for i in range(count)]
+    sizes = [rng.randint(2, 12) for _ in names]
+    cpts = []
+    for i, x in enumerate(names):
+        parents = (names[i - 1],) if i and rng.random() < 0.5 else ()
+        rows = sizes[i - 1] if parents else 1
+        table = [e for _ in range(rows) for e in random_cpt_row(rng, sizes[i], qualitative, limit)]
+        if rng.random() < 0.05:
+            table = table[:-1]
+        cpts.append(CPT(x, parents, table))
+    utility = (1.0, 0.0) + (0.0,) * (sizes[0] - 2)
+    if qualitative:
+        utility = encode_sets([singleton(OOMValue(Sign.PLUS, 0))] + [ZERO_SET] * (sizes[0] - 1))
+    cls = OOMInfluenceDiagram if qualitative else InfluenceDiagram
+    return cls(
+        variables=tuple(
+            Variable(x, Kind.CHANCE, tuple(map(str, range(k)))) for x, k in zip(names, sizes)
+        ),
+        cpts=tuple(cpts),
+        utilities=(UtilityFunction((names[0],), utility),),
+        decision_order=(),
+        information_sets={},
+    )
+
+
+class TestCptCheckOracle:
+    @pytest.mark.parametrize("qualitative", [False, True], ids=["numeric", "qualitative"])
+    def test_same_messages_as_the_batched_pass(self, qualitative, monkeypatch):
+        # the per-CPT check finds what the one array pass over all CPTs
+        # found, table by table and message by message, in order
+        rng = random.Random(1 + qualitative)
+        seen, several = Counter(), 0
+        diagrams = [random_cpt_diagram(rng, qualitative) for _ in range(600)]
+        found = [validate(d) for d in diagrams]
+        monkeypatch.setattr(
+            diagram_module,
+            "_cpt_problem",
+            lambda table, k, q, limit: oracle_cpt_problems([table], [k], q, limit)[0],
+        )
+        for d, problems in zip(diagrams, found):
+            assert validate(d) == problems, d
+            shaped = [c for c in d.cpts if c.table.size == math.prod(d.domain_sizes(c.scope))]
+            widths = [len(d.domain(c.child)) for c in shaped]
+            tables = [c.table for c in shaped]
+            assert oracle_cpt_problems(tables, widths, qualitative, order_limit(d)) == [
+                _cpt_problem(t, k, qualitative, order_limit(d)) for t, k in zip(tables, widths)
+            ]
+            seen.update(re.sub(r"\d+", "N", p.split(": ", 1)[1]) for p in problems)
+            several += len(set(problems)) > 1
+        # every check fails somewhere, and many diagrams fail several
+        expected = {"table has N entries, expected N"}
+        if qualitative:
+            expected |= {
+                PROBABILITY_MESSAGE,
+                "probability orders must be at least N",
+                "row N has no non-zero entry",
+                "orders must lie within +-N, where floatN sums stay exact",
+            }
+        else:
+            expected |= {"entries outside [N, N]", "rows do not sum to N"}
+        assert set(seen) == expected and min(seen.values()) >= 20, seen
+        assert several >= 100
 
 
 class TestTemporalPartition:
