@@ -19,7 +19,9 @@ algebra.
 and folds them left to right, by multiplication unless told otherwise;
 every step combines its bucket with ``fold``, a ``product`` over the
 union of the scopes, and takes its variable out with ``reduce_out``, which
-counts the variable's axis from the end so that leading axes pass through.
+counts the variable's axis from the end so that leading axes pass through,
+or with ``sum_out``, which sums as numpy would over the table with every
+size-1 axis broadcast to its variable's domain.
 ``align`` keeps leading axes, looks each target variable's axis up in one
 position table per target scope, takes each axis's size from the table's
 own shape, and transposes only when the scope is out of the target's order.
@@ -105,12 +107,38 @@ def reduce_out(f: Factor, y: str, reduce: Callable) -> Factor:
     return Factor(f.scope[:i] + f.scope[i + 1 :], reduce(f.table, i - len(f.scope)))
 
 
+def sum_out(diagram: InfluenceDiagram, f: Factor, y: str) -> Factor:
+    """``f`` with ``y`` summed out, bit for bit as numpy sums it out of the
+    table with each size-1 axis broadcast to its variable's domain: slice
+    by slice from +0.0 along ``y``'s axis, the first of its bucket's scope,
+    while a later axis has more than one cell, else in one pass (pairwise
+    on long axes).  A broadcast ``y`` adds k copies, not k times one."""
+    table = f.table
+    i = f.scope.index(y)
+    axis = table.ndim - len(f.scope) + i
+    scope = f.scope[:i] + f.scope[i + 1 :]
+    rest = table.shape[axis + 1 :]
+    if table.shape[axis] == 1 or set(rest) == {1}:  # else the full table's order
+        k, *later = diagram.domain_sizes(f.scope[i:])
+        broadcast = table.shape[axis] < k
+        if broadcast:
+            table = np.broadcast_to(table, table.shape[:axis] + (k,) + rest)
+        if math.prod(later) > 1 and (broadcast or math.prod(rest) == 1):
+            total = np.zeros(table.shape[:axis] + rest)
+            for part in np.moveaxis(table, axis, 0):
+                total += part
+            return Factor(scope, total)
+    return Factor(scope, table.sum(axis))
+
+
 @dataclass
 class Elimination:
     root_lambdas: list[np.ndarray]  # tables over no variable, in the order they arrived
     root_thetas: list[np.ndarray]
     rules: dict[str, Factor]
-    max_cells: int  # cells of the largest message scope, read off its trailing axes
+    # cells stored by the largest message, read off its trailing axes: a
+    # broadcast axis stores one
+    max_cells: int
 
 
 def factors(diagram: InfluenceDiagram, functions: Sequence) -> list[Factor]:

@@ -2,9 +2,9 @@
 
 ``solve_exact`` runs the shared bucket elimination of ``elimination`` on
 float tables; this module supplies its two steps, which combine tables
-with ``fold`` and reduce them with ``reduce_out``.  The chance step
-marginalizes the bucket variable out of the probability product and
-renormalizes the utility by that marginal (zero-probability
+with ``fold`` and reduce them with ``sum_out`` and ``reduce_out``.  The
+chance step marginalizes the bucket variable out of the probability
+product and renormalizes the utility by that marginal (zero-probability
 configurations contribute zero).  The decision step maximizes the
 utility, keeps the first maximizing action in domain order, and checks
 that the probability part is constant in the decision, within what the
@@ -28,9 +28,16 @@ non-forgetting closure.  ``solve_exact`` returns the closure's optimum
 unless a rule it finds reads a variable its decision does not observe,
 which ``expand_rule`` rejects; ``PolicyEvaluator`` scores any policy.
 
-``solve_exact`` and ``oom_solve.elim_oom_id`` keep every variable.  In
-``solve_exact`` a barren variable's probability message is one only up to
-rounding, and dropping it would move MEU bits that tests pin.  In the
+``solve_exact`` and ``oom_solve.elim_oom_id`` eliminate every variable.
+``solve_exact`` stores a probability message over two or more variables
+that is exactly 1.0 in every cell, as a barren subtree whose rows sum to
+exactly one sends, as one cell with every axis broadcast; it keeps its
+scope, so buckets, folds and values stay as they are.  ``sum_out`` sums in
+numpy's order over the full tables, and the max, min or argmax of a
+broadcast axis reads one cell equal to all it stands for (argmax: the
+first action, as on a tie), so MEU and policy are those of full tables bit
+for bit.  Dropping barren variables would move MEU bits that tests pin:
+most of their messages are one only up to rounding.  In the
 order-of-magnitude algebra a CPT row's mass need not be of order 0: at
 eps = 0.5 each entry of the row (0.34, 0.33, 0.33) is of order 1, and so
 is their sum, so pruning would change qualitative results.
@@ -68,6 +75,7 @@ from .elimination import (
     ordered,
     product,
     reduce_out,
+    sum_out,
 )
 from .ordering import checked_ordering
 
@@ -124,11 +132,11 @@ def _chance_step(diagram, order_key, y, lambdas, thetas):
     # with a probability factor sends one on, so only a solver fault fails this
     assert lambdas, f"chance bucket {y} has no probability component"
     lam = fold(lambdas, order_key)
-    lam_msg = reduce_out(lam, y, np.ndarray.sum)
+    lam_msg = sum_out(diagram, lam, y)
     theta_msg = None
     if thetas:
         theta = thetas[0] if len(thetas) == 1 else fold(thetas, order_key, np.add)
-        num = reduce_out(fold([lam, theta], order_key), y, np.ndarray.sum)
+        num = sum_out(diagram, fold([lam, theta], order_key), y)
         marginal = align(lam_msg, num.scope)
         table = np.asarray(num.table)  # a sum over every axis is a scalar
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -137,7 +145,7 @@ def _chance_step(diagram, order_key, y, lambdas, thetas):
         # 0/0 gives nan, and -0.0 for a negative theta would keep its sign
         np.copyto(table, 0.0, where=marginal == 0)
         theta_msg = Factor(num.scope, table)
-    return lam_msg, theta_msg
+    return _stored(lam_msg), theta_msg
 
 
 def _decision_step(diagram, order_key, y, lambdas, thetas):
@@ -157,13 +165,23 @@ def _decision_step(diagram, order_key, y, lambdas, thetas):
             raise DiagramError(
                 f"probability component in decision bucket {y} varies with {y}"
             )
+        lam_msg = _stored(lam_msg)
     if not thetas:
         # nothing downstream distinguishes the actions
         return lam_msg, None, Factor((), np.zeros((), dtype=int))
     combined = fold(thetas, order_key, np.add)
     theta_msg = reduce_out(combined, y, np.ndarray.max)
-    # first maximizing action in domain order
+    # first maximizing action in domain order: 0 on a broadcast axis, whose
+    # actions all tie
     return lam_msg, theta_msg, reduce_out(combined, y, np.ndarray.argmax)
+
+
+def _stored(msg: Factor) -> Factor:
+    """A probability message as stored: one over two or more variables that
+    is exactly 1.0 in every cell as a single cell, each axis broadcast."""
+    if len(msg.scope) > 1 and msg.table.item(0) == 1.0 and (msg.table == 1.0).all():
+        return Factor(msg.scope, np.ones((1,) * len(msg.scope)))
+    return msg
 
 
 # Cells of the largest table of one chunk of policies: every table of the
@@ -176,7 +194,7 @@ _CHUNK_CELLS = 1 << 22
 def _sum_step(diagram, order_key, y, lambdas, thetas):
     """Sum ``y`` out of the bucket's product; the message carries the
     utility if the bucket does."""
-    msg = reduce_out(fold(lambdas + thetas, order_key), y, np.ndarray.sum)
+    msg = sum_out(diagram, fold(lambdas + thetas, order_key), y)
     return (None, msg) if thetas else (msg, None)
 
 

@@ -32,7 +32,17 @@ from oomid.exact import (
     solve_exact,
 )
 from oomid.convert import ConversionConfig, convert
-from oomid.elimination import Factor, align, eliminate, product
+from oomid.elimination import (
+    Factor,
+    align,
+    eliminate,
+    expand_rule,
+    factors,
+    fold,
+    product,
+    reduce_out,
+    sum_out,
+)
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
 from oomid.ordering import (
@@ -931,3 +941,224 @@ def test_optimal_policy_evaluates_to_meu():
         sol = solve_exact(d)
         value = evaluate_policy(d, sol.policy)
         assert abs(value - sol.meu) <= 1e-12 * abs(sol.meu)
+
+
+# ---------------------------------------------------------------------------
+# solve_exact stores probability messages that are one in every cell as a
+# single broadcast cell; it must agree bit for bit with steps that keep
+# every table at its full size
+
+
+def oracle_chance_step(diagram, order_key, y, lambdas, thetas):
+    """The chance step with every table materialized over its scope."""
+    assert lambdas, f"chance bucket {y} has no probability component"
+    lam = fold(lambdas, order_key)
+    lam_msg = reduce_out(lam, y, np.ndarray.sum)
+    theta_msg = None
+    if thetas:
+        theta = thetas[0] if len(thetas) == 1 else fold(thetas, order_key, np.add)
+        num = reduce_out(fold([lam, theta], order_key), y, np.ndarray.sum)
+        marginal = align(lam_msg, num.scope)
+        table = np.asarray(num.table)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(table, marginal, out=table)
+        np.copyto(table, 0.0, where=marginal == 0)
+        theta_msg = Factor(num.scope, table)
+    return lam_msg, theta_msg
+
+
+def oracle_decision_step(diagram, order_key, y, lambdas, thetas):
+    """The decision step with every table materialized over its scope."""
+    lam_msg = None
+    if lambdas:
+        lam = fold(lambdas, order_key)
+        lam_msg = reduce_out(lam, y, np.ndarray.max)
+        spread = lam_msg.table - reduce_out(lam, y, np.ndarray.min).table
+        bound = exact._mass_tolerance(diagram) * max(1.0, np.abs(lam.table).max())
+        if not np.all(spread <= bound):
+            raise DiagramError(f"probability component in decision bucket {y} varies")
+    if not thetas:
+        return lam_msg, None, Factor((), np.zeros((), dtype=int))
+    combined = fold(thetas, order_key, np.add)
+    return (
+        lam_msg,
+        reduce_out(combined, y, np.ndarray.max),
+        reduce_out(combined, y, np.ndarray.argmax),
+    )
+
+
+def run_steps(d, chance_step, decision_step):
+    lambdas, thetas = factors(d, d.cpts), factors(d, d.utilities)
+    return eliminate(d, checked_ordering(d), lambdas, thetas, chance_step, decision_step)
+
+
+def bits(d, run):
+    """A run's root tables as hex floats and its rules expanded over their
+    information sets."""
+    roots = [[float(t).hex() for t in ts] for ts in (run.root_lambdas, run.root_thetas)]
+    rules = {v: expand_rule(d, v, run.rules[v])[1].tolist() for v in d.decision_vars}
+    return roots, rules
+
+
+def assert_matches_oracle(d) -> tuple[int, int]:
+    """``solve_exact``'s MEU and actions are the oracle steps' bit for bit;
+    returns the cells of the largest message each stores."""
+    run = run_steps(d, exact._chance_step, exact._decision_step)
+    oracle = run_steps(d, oracle_chance_step, oracle_decision_step)
+    expected = bits(d, oracle)
+    assert bits(d, run) == expected
+    meu = 0.0
+    for theta in oracle.root_thetas:
+        meu += float(theta)
+    sol = solve_exact(d)
+    assert sol.meu.hex() == meu.hex()
+    for v, actions in expected[1].items():
+        assert list(sol.policy.rules[v].actions) == actions
+    return run.max_cells, oracle.max_cells
+
+
+def test_generated_match_oracle():
+    # the benchmark's settings at n = 25, 45 and 80; at n = 80 barren
+    # subtrees send messages of ones, so some largest message shrinks
+    shrunk = 0
+    for n, c, seed in itertools.product((25, 45, 80), "PM", range(4)):
+        d = generate(
+            GeneratorParams(n_c=n - 5, n_d=5, k=2, p=2, r=5, a=5, utility_class=c, seed=seed)
+        )
+        stored, full = assert_matches_oracle(d)
+        assert stored <= full
+        shrunk += n == 80 and stored < full
+    assert shrunk
+
+
+def remade(d, k: int, one_value: bool, seed: int):
+    """``d``'s graph with domains of size k or 2 (and, if ``one_value``,
+    a one-value chance variable with children) and new tables: CPT rows
+    that sum to exactly one (dyadic, zeros as +0.0 or -0.0) or are
+    normalized draws with zeros, utilities of both signs with zeros."""
+    rng = np.random.default_rng(seed)
+    data = to_dict(d)
+    size = {v["id"]: int(rng.choice([k, 2])) for v in data["variables"]}
+    if one_value:
+        parents = {p for c in data["cpts"] for p in c["parents"]}
+        chance = [c["child"] for c in data["cpts"] if c["child"] in parents]
+        size[chance[int(rng.integers(len(chance)))]] = 1
+    for v in data["variables"]:
+        v["domain"] = [str(i) for i in range(size[v["id"]])]
+
+    def row(k):
+        if rng.random() < 0.5:
+            cuts = np.sort(rng.integers(0, 65, size=k - 1))
+            entries = np.diff(np.concatenate([[0], cuts, [64]])) / 64
+            return np.where(entries == 0, rng.choice([0.0, -0.0]), entries)
+        entries = rng.random(k) * (rng.random(k) < 0.8)
+        entries[int(rng.integers(k))] += 0.5
+        return entries / entries.sum()
+
+    for cpt in data["cpts"]:
+        rows = math.prod(size[p] for p in cpt["parents"])
+        cpt["table"] = np.concatenate([row(size[cpt["child"]]) for _ in range(rows)]).tolist()
+    for u in data["utilities"]:
+        cells = math.prod(size[v] for v in u["scope"])
+        values = rng.normal(size=cells) * 10
+        u["table"] = np.where(rng.random(cells) < 0.2, -0.0, values).tolist()
+    return from_dict(data)
+
+
+@pytest.mark.parametrize("k, one_value", [(3, False), (9, False), (3, True), (9, True)])
+def test_remade_match_oracle(k, one_value):
+    # generated graphs with wider domains, a one-value variable, zero
+    # entries of both signs and utilities of both signs
+    for seed in range(12):
+        base = generate(
+            GeneratorParams(
+                n_c=8, n_d=3, k=2, p=2, r=3, a=3, utility_class="PM"[seed % 2], seed=seed
+            )
+        )
+        assert_matches_oracle(remade(base, k, one_value, seed))
+
+
+def wide_root_diagram(k: int, seed: int):
+    """Y (k values) is a root and B, a child of Y and Z, is barren, so its
+    bucket sends ones over (Y, Z), stored as one cell.  Y's bucket then
+    holds P(Y), a table with no later axis of more than one cell, where the
+    full one has Z's two.  D observes X and its child Z, which is 1 only
+    when X is 2, a value of probability zero: a zero marginal in X's
+    bucket."""
+    rng = np.random.default_rng(seed)
+    py = rng.random(k) + 0.1
+    px = np.append(rng.dirichlet([1.0, 1.0]), 0.0)
+    data = {
+        "variables": [
+            {"id": v, "kind": kind, "domain": [str(i) for i in range(n)]}
+            for v, kind, n in [
+                ("Y", "chance", k), ("Z", "chance", 2), ("B", "chance", 2),
+                ("X", "chance", 3), ("D", "decision", 2),
+            ]
+        ],
+        "cpts": [
+            {"child": "Y", "parents": [], "table": (py / py.sum()).tolist()},
+            {"child": "X", "parents": [], "table": px.tolist()},
+            {"child": "Z", "parents": ["X"], "table": [1.0, 0.0, 1.0, 0.0, 0.0, 1.0]},
+            {"child": "B", "parents": ["Y", "Z"], "table": [0.5, 0.5] * (2 * k)},
+        ],
+        "utilities": [
+            {"scope": ["Y", "D"], "table": (rng.normal(size=2 * k) * 10).tolist()},
+            {"scope": ["X", "D"], "table": (rng.normal(size=6) - 1).tolist()},
+        ],
+        "decision_order": ["D"],
+        "information_sets": {"D": ["Z", "X"]},
+    }
+    return from_dict(data)
+
+
+@pytest.mark.parametrize("k", [3, 9])
+def test_wide_root_matches_oracle(k):
+    # numpy sums an axis of 8 or more cells pairwise when it is the only
+    # one of more than one cell, and the full table's axis 0 slice by
+    # slice, so the stored P(Y) must be summed as the full table would be
+    for seed in range(30):
+        stored, full = assert_matches_oracle(wide_root_diagram(k, seed))
+        assert stored < full == 2 * k
+
+
+class Sizes:
+    """Domain sizes by variable, all ``sum_out`` reads of a diagram."""
+
+    def __init__(self, **sizes):
+        self.sizes = sizes
+
+    def domain_sizes(self, scope):
+        return tuple(self.sizes[v] for v in scope)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 17])
+@pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["no batch", "batch 1", "batch 3"])
+def test_sum_out_sums_as_materialized(k, lead):
+    # every pattern of broadcast axes, the bucket variable's own included,
+    # over later axes with one and with several cells, -0.0 entries too
+    rng = np.random.default_rng(k)
+    sizes = Sizes(Y=k, X=3, Z=1, W=2)
+    scopes = [("Y",), ("Y", "X"), ("Y", "Z"), ("Y", "Z", "X"), ("Y", "X", "W")]
+    for scope, _ in itertools.product(scopes, range(10)):
+        full = lead + sizes.domain_sizes(scope)
+        for mask in itertools.product([False, True], repeat=len(scope)):
+            shape = lead + tuple(1 if m else n for m, n in zip(mask, full[len(lead) :]))
+            values = rng.random(shape) * 10.0 ** rng.integers(-17, 1, size=shape)
+            table = np.where(rng.random(shape) < 0.2, -0.0, values)
+            expected = np.broadcast_to(table, full).copy().sum(len(lead))
+            got = sum_out(sizes, Factor(scope, table), "Y")
+            assert got.scope == scope[1:]
+            got = np.broadcast_to(got.table, expected.shape)
+            assert got.tobytes() == expected.tobytes(), (scope, mask)
+
+
+@pytest.mark.slow
+def test_benchmark_pool_matches_oracle():
+    # perfbench's seed-0 exact-solve pool: n = 80, generator seeds from
+    # 8,000,000, classes P and M alternating
+    for j in range(300):
+        params = GeneratorParams(
+            n_c=75, n_d=5, k=2, p=2, r=5, a=5, utility_class="PM"[j % 2], seed=8_000_000 + j
+        )
+        assert_matches_oracle(generate(params))
