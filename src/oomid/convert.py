@@ -19,9 +19,8 @@ The converted diagram keeps the numeric diagram's variables, scopes,
 decision order and information sets, so ``convert`` records it as valid
 (see ``diagram.mark_valid``) instead of validating it again, once its
 orders are within ``diagram.order_limit``.  It hands the result the
-numeric diagram's recorded elimination ordering and its largest bucket,
-if any (see ``ordering.legal_ordering``): the graph and the domains, and
-so both, are the same.
+numeric diagram's recorded ``ordering.Skeleton``, if any, as the same
+object: the graph and the domains it is found from are the same.
 An entry that cannot be quantized raises ``DiagramError``.
 """
 
@@ -174,6 +173,5 @@ def convert(diagram: InfluenceDiagram, cfg: ConversionConfig) -> OOMInfluenceDia
         decision_order=diagram.decision_order,
         information_sets=dict(diagram.information_sets),
     )
-    object.__setattr__(oom, "_ordering", diagram._ordering)
-    object.__setattr__(oom, "_largest_bucket", diagram._largest_bucket)
+    object.__setattr__(oom, "_skeleton", diagram._skeleton)
     return mark_valid(oom)

@@ -27,19 +27,22 @@ from enum import Enum
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from .sets import decode_set, decode_value, encode_orders, encode_sets, parse_set
 from .values import parse_value
 
+if TYPE_CHECKING:
+    from .ordering import Skeleton
+
 
 # How far from 1 the entries of a numeric CPT row may sum.
 ROW_TOLERANCE = 1e-9
 
 # The most cells the largest bucket of a solve may span (see
-# ``ordering.checked_ordering``): 256 MiB as one float64 table.  That is
+# ``ordering.checked_skeleton``): 256 MiB as one float64 table.  That is
 # eight times the widest bucket, 2**22, of 6,300 generated n = 80 diagrams
 # (the exact-solve benchmark's pools for workload seeds 0-20), and far below
 # the 2**40 of a 4 KB file of 20 chained decisions.
@@ -128,15 +131,8 @@ class InfluenceDiagram:
     _index: Mapping[str, Variable] = field(init=False, repr=False, compare=False)
     # set by the first ``require_valid`` that finds no problem
     _valid: bool = field(default=False, init=False, repr=False, compare=False)
-    # set by the first ``ordering.legal_ordering``
-    _ordering: tuple[str, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # cells of the largest bucket along ``_ordering``, set with it or by
-    # the first ``ordering.checked_ordering``
-    _largest_bucket: int | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # set by the first ``ordering.skeleton``, or by ``convert`` to its input's
+    _skeleton: Skeleton | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # derived once: the id index and the variables of each kind

@@ -112,22 +112,20 @@ def sum_out(diagram: InfluenceDiagram, f: Factor, y: str) -> Factor:
     table with each size-1 axis broadcast to its variable's domain: slice
     by slice from +0.0 along ``y``'s axis, the first of its bucket's scope,
     while a later axis has more than one cell, else in one pass (pairwise
-    on long axes).  A broadcast ``y`` adds k copies, not k times one."""
+    on long axes).  ``y``'s own axis is never broadcast: its bucket holds
+    its CPT or a distribution over it."""
     table = f.table
     i = f.scope.index(y)
     axis = table.ndim - len(f.scope) + i
     scope = f.scope[:i] + f.scope[i + 1 :]
     rest = table.shape[axis + 1 :]
-    if table.shape[axis] == 1 or set(rest) == {1}:  # else the full table's order
-        k, *later = diagram.domain_sizes(f.scope[i:])
-        broadcast = table.shape[axis] < k
-        if broadcast:
-            table = np.broadcast_to(table, table.shape[:axis] + (k,) + rest)
-        if math.prod(later) > 1 and (broadcast or math.prod(rest) == 1):
-            total = np.zeros(table.shape[:axis] + rest)
-            for part in np.moveaxis(table, axis, 0):
-                total += part
-            return Factor(scope, total)
+    # later axes all broadcast, standing for more than one cell: the full
+    # table's order is slice by slice
+    if set(rest) == {1} and math.prod(diagram.domain_sizes(f.scope[i + 1 :])) > 1:
+        total = np.zeros(table.shape[:axis] + rest)
+        for part in np.moveaxis(table, axis, 0):
+            total += part
+        return Factor(scope, total)
     return Factor(scope, table.sum(axis))
 
 
@@ -148,7 +146,7 @@ def factors(diagram: InfluenceDiagram, functions: Sequence) -> list[Factor]:
 
 def eliminate(
     diagram: InfluenceDiagram,
-    order: list[str],
+    order: Sequence[str],
     lambdas: Sequence[Factor],
     thetas: Sequence[Factor],
     chance_step: Callable[..., tuple],

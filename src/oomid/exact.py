@@ -62,7 +62,6 @@ from .diagram import (
     Policy,
     PolicyBatch,
     PolicyRule,
-    arcs,
     require_valid,
 )
 from .elimination import (
@@ -77,7 +76,7 @@ from .elimination import (
     reduce_out,
     sum_out,
 )
-from .ordering import checked_ordering
+from .ordering import checked_skeleton
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def solve_exact(diagram: InfluenceDiagram) -> ExactSolution:
     require_valid(diagram, qualitative=False)
     run = eliminate(
         diagram,
-        checked_ordering(diagram),
+        checked_skeleton(diagram).order,
         factors(diagram, diagram.cpts),
         factors(diagram, diagram.utilities),
         _chance_step,
@@ -244,38 +243,38 @@ def _stack(diagram: InfluenceDiagram, policies: Sequence[Policy]) -> PolicyBatch
 class PolicyEvaluator:
     """Exact policy evaluation with the diagram-side work done once.
 
-    Each utility is summed over its ancestors only, along CPT parents and
-    information sets.  No ancestor depends on the other variables, so summed
-    out children first, each barren chance variable's CPT rows add up to one
-    and each barren decision selects from a table of ones: dropping them is
-    exact up to those row sums' distance from one.  The ancestors are
-    eliminated along the diagram's recorded ordering restricted to them,
-    which stays legal: blocks that never decrease along the ordering never
-    decrease along a subsequence, and each kept decision's information set
-    is kept.  The chunk size is bounded by the largest bucket of the whole
-    ordering, which no ancestors' bucket exceeds: their graph is a subgraph
-    of the diagram's, so eliminating it adds no other fill.  The orderings,
-    the CPT factors and the chunk size depend on the diagram only.
+    Everything it reads of the graph is the diagram's recorded
+    ``ordering.Skeleton``.  Each utility is summed over its ancestors only,
+    along CPT parents and information sets (the skeleton's ``kept``).  No
+    ancestor depends on the other variables, so summed out children first,
+    each barren chance variable's CPT rows add up to one and each barren
+    decision selects from a table of ones: dropping them is exact up to
+    those row sums' distance from one.  The ancestors are eliminated along
+    the skeleton's ordering restricted to them, which stays legal: blocks
+    that never decrease along the ordering never decrease along a
+    subsequence, and each kept decision's information set is kept.  The
+    chunk size is bounded by the skeleton's largest bucket, which no
+    ancestors' bucket exceeds: their graph is a subgraph of the diagram's,
+    so eliminating it adds no other fill.  The orderings, the CPT factors
+    and the chunk size depend on the diagram only.
     """
 
     def __init__(self, diagram: InfluenceDiagram):
         require_valid(diagram, qualitative=False)
         self._diagram = diagram
-        self._order = checked_ordering(diagram)
-        self._chunk = max(1, _CHUNK_CELLS // diagram._largest_bucket)  # policies per chunk
-        parents = arcs(diagram)
-        kept = [_ancestors(u.scope, parents) for u in diagram.utilities]
-        cpts = [cpt for cpt in diagram.cpts if any(cpt.child in k for k in kept)]
+        skeleton = checked_skeleton(diagram)
+        self._chunk = max(1, _CHUNK_CELLS // skeleton.largest_bucket)  # policies per chunk
+        cpts = [cpt for cpt in diagram.cpts if any(cpt.child in k for k in skeleton.kept)]
         lambdas = dict(zip((c.child for c in cpts), factors(diagram, cpts)))
         utilities = factors(diagram, diagram.utilities)
         # per utility: the ordering of its ancestors, their CPTs and the utility
         self._parts = [
             (
-                [v for v in self._order if v in k],
+                [v for v in skeleton.order if v in k],
                 [f for child, f in lambdas.items() if child in k],
                 u,
             )
-            for k, u in zip(kept, utilities)
+            for k, u in zip(skeleton.kept, utilities)
         ]
 
     def evaluate(self, policy: Policy) -> float:
@@ -320,18 +319,6 @@ class PolicyEvaluator:
         ):
             raise DiagramError(f"rule for {d} has an action outside 0..{k - 1}")
         return Factor(info, actions.reshape((batch.size,) + sizes))
-
-
-def _ancestors(scope: tuple[str, ...], parents: Mapping[str, tuple[str, ...]]) -> set[str]:
-    """``scope`` and every variable it reaches along ``parents``."""
-    seen: set[str] = set()
-    stack = list(scope)
-    while stack:
-        v = stack.pop()
-        if v not in seen:
-            seen.add(v)
-            stack.extend(parents[v])
-    return seen
 
 
 def evaluate_policy(diagram: InfluenceDiagram, policy: Policy) -> float:

@@ -19,8 +19,9 @@ It numbers policies in mixed radix, one digit per cell, and ``sample``
 decodes all drawn indices at once into (s, cells) action arrays.
 
 ``brute_force_oom`` is the test oracle: the same elimination semantics
-applied to one joint table over all variables, with no bucket, scope, or
-message bookkeeping to get wrong.
+along ``legal_ordering``, as dict-based variable elimination that pulls
+every live factor mentioning each variable, with no buckets or strided
+tables to get wrong.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .elimination import (
     fold,
     reduce_out,
 )
-from .ordering import checked_ordering, legal_ordering
+from .ordering import checked_skeleton, legal_ordering
 from .sets import (
     OOMSet,
     ZERO_SET,
@@ -284,7 +285,7 @@ def elim_oom_id(diagram: OOMInfluenceDiagram) -> OOMSolution:
     require_valid(diagram, qualitative=True)
     run = eliminate(
         diagram,
-        checked_ordering(diagram),
+        checked_skeleton(diagram).order,
         factors(diagram, diagram.cpts),
         factors(diagram, diagram.utilities),
         _chance_step,

@@ -5,26 +5,38 @@ last-observed first: the never-observed chance variables, then the last
 decision, then the variables observed just before it, and so on.  Only the
 order *within* a chance block is free; min-fill over the interaction graph
 picks it, with ties broken by variable name (as strings) for determinism.
-Every solve and evaluation of a diagram object runs along this one ordering.
 
 The graph is one integer bitmask per variable, bit i standing for the i-th
 variable of ``diagram.variables``: the variable's neighbours.  Fill is
 counted with ``int.bit_count`` over masks, and ``_eliminate`` is the one
 graph update.  The min-fill walk keeps each variable's fill and recounts
 it only when an elimination can have changed it: eliminating u touches
-only u's neighbours and theirs.  ``legal_ordering`` records the walk's
-result on the diagram, so each diagram object is walked once.
-The walk also records the cells of the ordering's largest bucket, which
-``checked_ordering`` holds against ``diagram.CELL_LIMIT`` before a solve
-allocates.  ``induced_width`` and ``largest_bucket`` read the
-neighbourhoods of one walk along a given ordering.
+only u's neighbours and theirs.
+
+``skeleton`` records on a diagram, at its first walk, the one ``Skeleton``
+that every solve and evaluation of the diagram reads: the min-fill
+ordering, the cells of its largest bucket and each utility's ancestors.
+``checked_skeleton`` holds that bucket against ``diagram.CELL_LIMIT``
+before a solve allocates.  ``induced_width`` walks any given ordering.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Mapping
 
 from .diagram import CELL_LIMIT, DiagramError, InfluenceDiagram, arcs
+
+
+@dataclass(frozen=True)
+class Skeleton:
+    """What the solves and evaluations of a diagram read of its graph and
+    domains, found once per diagram object (see ``skeleton``)."""
+
+    order: tuple[str, ...]  # the min-fill legal ordering, first-eliminated first
+    largest_bucket: int  # cells of its largest bucket: a variable and its neighbours
+    kept: tuple[frozenset[str], ...]  # per utility: its scope and their ancestors
 
 
 def temporal_partition(diagram: InfluenceDiagram) -> list[tuple[str, ...]]:
@@ -88,16 +100,6 @@ def _graph(diagram: InfluenceDiagram) -> tuple[list[str], dict[str, int], list[i
     return names, index, [mask & ~(1 << i) for i, mask in enumerate(adj)]
 
 
-def interaction_graph(diagram: InfluenceDiagram) -> dict[str, set[str]]:
-    """Undirected graph connecting every pair of variables sharing a factor.
-
-    Kept as documented API: the readable view of the bitmask graph that
-    the orderings walk, which the ordering tests compare with an
-    independent oracle."""
-    names, _, adj = _graph(diagram)
-    return {v: {names[j] for j in _bits(adj[i])} for i, v in enumerate(names)}
-
-
 def _fill(adj: list[int], i: int) -> int:
     """Edges missing between the neighbours of ``i``."""
     neighbours = rest = adj[i]
@@ -110,44 +112,52 @@ def _fill(adj: list[int], i: int) -> int:
     return (degree * (degree - 1) - present) // 2
 
 
-def legal_ordering(diagram: InfluenceDiagram) -> list[str]:
-    """Deterministic legal elimination ordering (first-eliminated first).
-
-    It depends on the graph only, so it is computed once per diagram and
-    recorded on it, with the cells of its largest bucket, as
-    ``require_valid`` records validity; every solve and evaluation of the
-    diagram runs along it.  Each call returns a fresh list."""
-    if diagram._ordering is None:
+def skeleton(diagram: InfluenceDiagram) -> Skeleton:
+    """The diagram's ``Skeleton``.  It depends on the graph and the domains
+    only, so it is found once per diagram and recorded on it, as
+    ``require_valid`` records validity."""
+    if diagram._skeleton is None:
         order, cells = _min_fill(diagram)
-        object.__setattr__(diagram, "_ordering", tuple(order))
-        object.__setattr__(diagram, "_largest_bucket", cells)
-    return list(diagram._ordering)
+        parents = arcs(diagram)
+        kept = tuple(_ancestors(u.scope, parents) for u in diagram.utilities)
+        object.__setattr__(diagram, "_skeleton", Skeleton(tuple(order), cells, kept))
+    return diagram._skeleton
 
 
-def checked_ordering(diagram: InfluenceDiagram) -> list[str]:
-    """``legal_ordering(diagram)``, once the largest bucket along it is found
-    within ``CELL_LIMIT`` cells: no table of a solve along it is larger.
-    A diagram whose ordering was recorded some other way has its largest
-    bucket counted once, along that ordering."""
-    order = legal_ordering(diagram)
-    if diagram._largest_bucket is None:
-        object.__setattr__(diagram, "_largest_bucket", largest_bucket(diagram, order))
-    if diagram._largest_bucket > CELL_LIMIT:
+def checked_skeleton(diagram: InfluenceDiagram) -> Skeleton:
+    """``skeleton(diagram)``, once its largest bucket is found within
+    ``CELL_LIMIT`` cells: no table of a solve along its ordering is larger."""
+    recorded = skeleton(diagram)
+    if recorded.largest_bucket > CELL_LIMIT:
         raise DiagramError(
-            f"largest bucket of the elimination has {diagram._largest_bucket} cells,"
+            f"largest bucket of the elimination has {recorded.largest_bucket} cells,"
             f" more than the limit of {CELL_LIMIT}"
         )
-    return order
+    return recorded
 
 
-def _cells(sizes: list[int], i: int, neighbours: int) -> int:
-    """Cells of the bucket of variable ``i``: it and its neighbours."""
-    return sizes[i] * math.prod(sizes[j] for j in _bits(neighbours))
+def legal_ordering(diagram: InfluenceDiagram) -> list[str]:
+    """Deterministic legal elimination ordering (first-eliminated first):
+    the one every solve and evaluation of the diagram runs along, as a
+    fresh list on each call."""
+    return list(skeleton(diagram).order)
+
+
+def _ancestors(scope: tuple[str, ...], parents: Mapping[str, tuple[str, ...]]) -> frozenset[str]:
+    """``scope`` and every variable it reaches along ``parents``."""
+    seen: set[str] = set()
+    stack = list(scope)
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(parents[v])
+    return frozenset(seen)
 
 
 def _min_fill(diagram: InfluenceDiagram) -> tuple[list[str], int]:
-    """The min-fill walk of ``legal_ordering``, block by block, and the
-    cells of its largest bucket."""
+    """The min-fill ordering, walked block by block, and the cells of its
+    largest bucket."""
     names, index, adj = _graph(diagram)
     sizes = [len(v.domain) for v in diagram.variables]
     cells = 1
@@ -170,7 +180,8 @@ def _min_fill(diagram: InfluenceDiagram) -> tuple[list[str], int]:
             order.append(names[best])
             remaining.remove(best)
             neighbours = _eliminate(adj, best)
-            cells = max(cells, _cells(sizes, best, neighbours))
+            # the bucket of best: it and its neighbours
+            cells = max(cells, sizes[best] * math.prod(sizes[j] for j in _bits(neighbours)))
             stale |= neighbours
             if key[best] >= n:
                 # edges were added between the neighbours: the fill of a
@@ -199,27 +210,9 @@ def is_legal_ordering(diagram: InfluenceDiagram, order: list[str]) -> bool:
     return all(rank[a] <= rank[b] for a, b in zip(order, order[1:]))
 
 
-def _neighbourhoods(
-    diagram: InfluenceDiagram, order: list[str]
-) -> tuple[dict[str, int], list[int]]:
-    """The variables' bit indices, and the neighbour mask each variable of
-    ``order`` has when it is eliminated."""
+def induced_width(diagram: InfluenceDiagram, order: list[str]) -> int:
+    """Width of the ordering: the largest neighbourhood met when eliminating."""
     if not _is_permutation(diagram, order):
         raise DiagramError(f"not an ordering of the diagram's variables: {order}")
     _, index, adj = _graph(diagram)
-    return index, [_eliminate(adj, index[v]) for v in order]
-
-
-def induced_width(diagram: InfluenceDiagram, order: list[str]) -> int:
-    """Width of the ordering: the largest neighbourhood met when eliminating."""
-    _, masks = _neighbourhoods(diagram, order)
-    return max((mask.bit_count() for mask in masks), default=0)
-
-
-def largest_bucket(diagram: InfluenceDiagram, order: list[str]) -> int:
-    """Cells of the largest bucket along the ordering: a variable and its
-    neighbours when it is eliminated.  Every table of the elimination,
-    messages and decision rules included, spans at most these."""
-    index, masks = _neighbourhoods(diagram, order)
-    sizes = [len(v.domain) for v in diagram.variables]
-    return max((_cells(sizes, index[v], mask) for v, mask in zip(order, masks)), default=1)
+    return max((_eliminate(adj, index[v]).bit_count() for v in order), default=0)

@@ -24,7 +24,7 @@ from oomid.diagram import (
 )
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import brute_force_oom, elim_oom_id
-from oomid.ordering import legal_ordering
+from oomid.ordering import skeleton
 from oomid.sets import ZERO_SET, decode_set, decode_value, singleton
 from oomid.values import ZERO, OOMValue, Sign
 
@@ -427,12 +427,13 @@ def test_converted_diagrams_valid(params):
 
 @GENERATED
 def test_converted_diagrams_keep_ordering(params):
-    # convert hands over the numeric diagram's recorded ordering; a copy
-    # of the converted diagram computes its own, which must equal it
+    # convert hands over the numeric diagram's recorded skeleton, the same
+    # object at every epsilon; a copy of the converted diagram finds its
+    # own, which must equal it
     d = generate(params)
-    assert convert(d, E01)._ordering is None
-    order = legal_ordering(d)
+    assert convert(d, E01)._skeleton is None
+    record = skeleton(d)
     for eps in (0.5, 0.05, 0.005):
         oom = convert(d, ConversionConfig(eps))
-        assert oom._ordering == tuple(order)
-        assert legal_ordering(replace(oom)) == order
+        assert oom._skeleton is record
+        assert skeleton(replace(oom)) == record

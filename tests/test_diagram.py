@@ -37,7 +37,6 @@ from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
 from oomid.ordering import (
     induced_width,
-    interaction_graph,
     is_legal_ordering,
     legal_ordering,
     temporal_partition,
@@ -906,5 +905,3 @@ class TestOrdering:
     def test_width_counts_neighbours(self):
         d = wildcatter()
         assert induced_width(d, legal_ordering(d)) == 3
-        g = interaction_graph(d)
-        assert g["Oil"] == {"Seismic", "Test", "Drill"}

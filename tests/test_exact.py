@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -18,7 +17,6 @@ from oomid.diagram import (
     PolicyBatch,
     PolicyRule,
     apply_nonforgetting,
-    arcs,
     from_dict,
     mark_valid,
     to_dict,
@@ -46,12 +44,13 @@ from oomid.elimination import (
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
 from oomid.ordering import (
-    checked_ordering,
+    checked_skeleton,
     is_legal_ordering,
-    largest_bucket,
     legal_ordering,
+    skeleton,
     temporal_partition,
 )
+from test_ordering import along, oracle_largest_bucket
 
 
 def wildcatter_policy(diagram, test_action, drill_actions):
@@ -76,15 +75,6 @@ def small_params(i: int) -> GeneratorParams:
     ]
     shape = shapes[i % len(shapes)]
     return GeneratorParams(seed=1000 + i, utility_class="PM"[i % 2], **shape)
-
-
-def along(diagram, order):
-    """A copy of ``diagram`` whose recorded ordering, which every solve and
-    evaluation of it runs along, is the legal ``order``."""
-    assert is_legal_ordering(diagram, order), order
-    copy = dataclasses.replace(diagram)
-    object.__setattr__(copy, "_ordering", tuple(order))
-    return copy
 
 
 def random_policies(diagram, count: int, seed: int) -> list[Policy]:
@@ -498,6 +488,7 @@ class TestBarrenVariables:
         d = barren_diagram(nonforgetting)
         closure = apply_nonforgetting(d)
         assert (d.information_sets == closure.information_sets) == nonforgetting
+        assert list(skeleton(d).kept) == self.ANCESTORS
         calls = []
 
         def recorded(diagram, order, lambdas, thetas, *steps):
@@ -653,7 +644,7 @@ class TestRandomAgreement:
         )
         assert split == one_at_a_time
         # a smaller chunk bound: chunks of 3, 3 and 2 policies, then of one
-        largest = largest_bucket(d, legal_ordering(d))
+        largest = oracle_largest_bucket(d, legal_ordering(d))
         for cells, chunk in [(3 * largest, 3), (1, 1)]:
             monkeypatch.setattr(exact, "_CHUNK_CELLS", cells)
             chunked = PolicyEvaluator(d)
@@ -673,7 +664,7 @@ class TestRandomAgreement:
         # every table a step builds spans at most the largest bucket of the
         # diagram's ordering, once per policy of the chunk
         d = generate(params, nonforgetting=nonforgetting)
-        largest = largest_bucket(d, legal_ordering(d))
+        largest = oracle_largest_bucket(d, legal_ordering(d))
         sizes = []
 
         def recorded(fn, table_of):
@@ -749,35 +740,27 @@ def test_recorded_ordering_reaches_eliminate(monkeypatch):
     assert orders == [shuffled] * 3
     orders.clear()
     PolicyEvaluator(d).evaluate(policy)
-    parents = arcs(d)
-    kept = [exact._ancestors(u.scope, parents) for u in d.utilities]
-    assert orders == [[v for v in shuffled if v in k] for k in kept]
+    assert orders == [[v for v in shuffled if v in k] for k in skeleton(d).kept]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_largest_bucket_recorded_with_ordering(seed):
-    # min-fill counts the largest bucket of the ordering it records, convert
-    # hands both on, and a copy whose ordering is recorded by hand counts
-    # its own along that ordering
+    # min-fill counts the largest bucket of the ordering it records, which
+    # convert hands on, and the checked skeleton is that record
     d = generate(
         GeneratorParams(n_c=10 + 5 * seed, n_d=5, utility_class="PM"[seed % 2], seed=seed)
     )
-    order = legal_ordering(d)
-    assert d._largest_bucket == largest_bucket(d, order)
-    assert convert(d, ConversionConfig(0.1))._largest_bucket == d._largest_bucket
-    rng = random.Random(seed)
-    shuffled = [v for block in temporal_partition(d) for v in rng.sample(block, len(block))]
-    copy = along(d, shuffled)
-    assert copy._largest_bucket is None
-    assert checked_ordering(copy) == shuffled
-    assert copy._largest_bucket == largest_bucket(d, shuffled)
+    record = checked_skeleton(d)
+    assert record is d._skeleton
+    assert record.largest_bucket == oracle_largest_bucket(d, legal_ordering(d))
+    assert checked_skeleton(convert(d, ConversionConfig(0.1))) is record
 
 
 def test_cell_limit_checked_before_elimination(monkeypatch):
     # each solve holds its ordering's largest bucket against the limit: at
     # the limit it runs, one cell under it the diagram is rejected
     d = wildcatter()
-    largest = largest_bucket(d, legal_ordering(d))
+    largest = oracle_largest_bucket(d, legal_ordering(d))
     oom = convert(d, ConversionConfig(0.1))
     policy = solve_exact(d).policy
     runs = [
@@ -989,7 +972,7 @@ def oracle_decision_step(diagram, order_key, y, lambdas, thetas):
 
 def run_steps(d, chance_step, decision_step):
     lambdas, thetas = factors(d, d.cpts), factors(d, d.utilities)
-    return eliminate(d, checked_ordering(d), lambdas, thetas, chance_step, decision_step)
+    return eliminate(d, checked_skeleton(d).order, lambdas, thetas, chance_step, decision_step)
 
 
 def bits(d, run):
@@ -1135,14 +1118,16 @@ class Sizes:
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 17])
 @pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["no batch", "batch 1", "batch 3"])
 def test_sum_out_sums_as_materialized(k, lead):
-    # every pattern of broadcast axes, the bucket variable's own included,
-    # over later axes with one and with several cells, -0.0 entries too
+    # every pattern of broadcast axes after the bucket variable's own, which
+    # its CPT or a distribution over it always spans, over later axes with
+    # one and with several cells, -0.0 entries too
     rng = np.random.default_rng(k)
     sizes = Sizes(Y=k, X=3, Z=1, W=2)
     scopes = [("Y",), ("Y", "X"), ("Y", "Z"), ("Y", "Z", "X"), ("Y", "X", "W")]
     for scope, _ in itertools.product(scopes, range(10)):
         full = lead + sizes.domain_sizes(scope)
-        for mask in itertools.product([False, True], repeat=len(scope)):
+        for later in itertools.product([False, True], repeat=len(scope) - 1):
+            mask = (False, *later)
             shape = lead + tuple(1 if m else n for m, n in zip(mask, full[len(lead) :]))
             values = rng.random(shape) * 10.0 ** rng.integers(-17, 1, size=shape)
             table = np.where(rng.random(shape) < 0.2, -0.0, values)

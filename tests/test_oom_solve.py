@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -28,7 +27,6 @@ from oomid.oom_solve import PolicySet, brute_force_oom, elim_oom_id
 from oomid.ordering import (
     induced_width,
     is_legal_ordering,
-    largest_bucket,
     legal_ordering,
     temporal_partition,
 )
@@ -42,6 +40,7 @@ from oomid.sets import (
     singleton,
 )
 from oomid.values import INF, ZERO, OOMValue, Sign, add, mul
+from test_ordering import along
 
 
 def small_params(i: int) -> GeneratorParams:
@@ -54,15 +53,6 @@ def small_params(i: int) -> GeneratorParams:
     ]
     shape = shapes[i % len(shapes)]
     return GeneratorParams(seed=2000 + i, utility_class="PM"[i % 2], **shape)
-
-
-def along(diagram, order):
-    """A copy of ``diagram`` whose recorded ordering, which every solve and
-    evaluation of it runs along, is the legal ``order``."""
-    assert is_legal_ordering(diagram, order), order
-    copy = dataclasses.replace(diagram)
-    object.__setattr__(copy, "_ordering", tuple(order))
-    return copy
 
 
 # the order window of the acceptance tests
@@ -698,8 +688,6 @@ def test_width_of_non_permutation_rejected(order):
 @pytest.mark.parametrize("order", NOT_PERMUTATIONS.values(), ids=NOT_PERMUTATIONS.keys())
 def test_non_permutation_not_legal(order):
     assert is_legal_ordering(wildcatter(), order) is False
-    with pytest.raises(DiagramError, match="not an ordering of the diagram's variables"):
-        largest_bucket(wildcatter(), order)
 
 
 def test_width_of_illegal_permutation():

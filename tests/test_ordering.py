@@ -1,12 +1,14 @@
 """The bitset orderings against set-based reference oracles.
 
-The oracles are the set-based min-fill ordering, induced width, largest
-bucket and interaction graph that the bitset versions replaced: the pair
-loop that recounts every fill at every step.  Results must be equal,
-including every tie-break.  ``oracle_is_legal_ordering`` is the
-position-interval walk that the block-rank legality check replaced.
-``TestRecordedOrdering`` checks the ordering that ``legal_ordering``
-records on a diagram, and that the solvers walk each diagram's graph once.
+The oracles are the set-based min-fill ordering, induced width and
+largest bucket, over a set-based interaction graph, that the bitset
+versions replaced: the pair loop that recounts every fill at every step.
+Results must be equal, including every tie-break.
+``oracle_is_legal_ordering`` is the position-interval walk that the
+block-rank legality check replaced.  ``TestRecordedOrdering`` checks the
+``Skeleton`` that ``skeleton`` records on a diagram, and that the solvers
+walk each diagram's graph once.  ``along`` gives other test modules a
+diagram recorded along a hand-set ordering.
 """
 
 import math
@@ -24,10 +26,9 @@ from oomid.exact import PolicyEvaluator, evaluate_policy, solve_exact
 from oomid.generator import GeneratorParams, generate
 from oomid.ordering import (
     induced_width,
-    interaction_graph,
     is_legal_ordering,
-    largest_bucket,
     legal_ordering,
+    skeleton,
     temporal_partition,
 )
 
@@ -102,8 +103,19 @@ def assert_matches_oracles(diagram):
     order = legal_ordering(diagram)
     assert order == oracle_legal_ordering(diagram)
     assert induced_width(diagram, order) == oracle_induced_width(diagram, order)
-    assert largest_bucket(diagram, order) == oracle_largest_bucket(diagram, order)
-    assert interaction_graph(diagram) == oracle_interaction_graph(diagram)
+    assert skeleton(diagram).largest_bucket == oracle_largest_bucket(diagram, order)
+
+
+def along(diagram, order):
+    """A copy of ``diagram`` whose recorded skeleton, which every solve and
+    evaluation of it reads, has the legal ``order`` and its largest bucket
+    by the oracle; the utilities' ancestors do not depend on the order."""
+    assert is_legal_ordering(diagram, order), order
+    copy = replace(diagram)
+    largest = oracle_largest_bucket(diagram, order)
+    record = replace(skeleton(diagram), order=tuple(order), largest_bucket=largest)
+    object.__setattr__(copy, "_skeleton", record)
+    return copy
 
 
 def generated(i: int) -> GeneratorParams:
@@ -236,6 +248,19 @@ def counted_walks(monkeypatch) -> list:
     return walked
 
 
+def counted_ancestor_walks(monkeypatch) -> list:
+    """Patch the ancestor walk to record each utility scope it starts from."""
+    scopes = []
+    walk = ordering._ancestors
+
+    def counting(scope, parents):
+        scopes.append(scope)
+        return walk(scope, parents)
+
+    monkeypatch.setattr(ordering, "_ancestors", counting)
+    return scopes
+
+
 class TestRecordedOrdering:
     def test_fresh_list_each_call(self, monkeypatch):
         walked = counted_walks(monkeypatch)
@@ -254,6 +279,7 @@ class TestRecordedOrdering:
         d = wildcatter()
         order = legal_ordering(d)
         same = replace(d)
+        assert d._skeleton is not None and same._skeleton is None
         assert legal_ordering(same) == order
         # Drill no longer observes Seismic, which joins Oil's block
         changed = replace(d, information_sets={"Test": (), "Drill": ("Test",)})
@@ -272,11 +298,16 @@ class TestRecordedOrdering:
         assert walked == [id(d)]
 
     def test_solve_then_evaluate_walks_once(self, monkeypatch):
+        # the evaluators read the record: neither the min-fill nor the
+        # ancestor walk runs again
         walked = counted_walks(monkeypatch)
+        ancestors = counted_ancestor_walks(monkeypatch)
         d = generate(GeneratorParams(n_c=40, n_d=5, utility_class="P", seed=1))
         solution = solve_exact(d)
+        assert walked == [id(d)] and ancestors == [u.scope for u in d.utilities]
         assert evaluate_policy(d, solution.policy) == pytest.approx(solution.meu)
-        assert walked == [id(d)]
+        PolicyEvaluator(d).evaluate(solution.policy)
+        assert walked == [id(d)] and ancestors == [u.scope for u in d.utilities]
 
     def test_experiment_walks_once_per_instance(self, monkeypatch):
         walked = counted_walks(monkeypatch)
@@ -289,18 +320,11 @@ class TestRecordedOrdering:
         # the min-fill walk counts the largest bucket; the solves and the
         # evaluator's chunks read that count and walk the graph no second time
         walked = counted_walks(monkeypatch)
-        rewalked = []
-        neighbourhoods = ordering._neighbourhoods
-
-        def counting(diagram, order):
-            rewalked.append(id(diagram))
-            return neighbourhoods(diagram, order)
-
-        monkeypatch.setattr(ordering, "_neighbourhoods", counting)
         d = wildcatter()
         policy = solve_exact(d).policy
         evaluator = PolicyEvaluator(d)
         evaluator.evaluate_many([policy, policy])
         chunk = evaluator._chunk
-        assert walked == [id(d)] and rewalked == []
-        assert chunk == exact._CHUNK_CELLS // largest_bucket(d, legal_ordering(d))
+        assert walked == [id(d)]
+        largest = oracle_largest_bucket(d, legal_ordering(d))
+        assert chunk == exact._CHUNK_CELLS // largest
