@@ -1,41 +1,47 @@
 """Bucket elimination shared by the exact solver, its policy evaluator and
-the order-of-magnitude solver.
+the order-of-magnitude solver: a plan made once per skeleton, and the one
+executor that runs it.
 
 A ``Factor`` is a scope and a numeric table with one axis per scope
 variable, after any leading axes the table's encoding needs: float
 probabilities and utilities for a numeric diagram, with a leading batch
 axis once a table depends on the policies being evaluated; for a
 qualitative one, probability orders and (bit, end) utility set tables, the
-encoding of ``sets``.  ``factors`` reshapes the read-only tables of CPTs
-or utilities into factors as they are.  ``eliminate`` puts each
-probability factor (lambda) and utility factor (theta) into the bucket of
-its earliest variable in the ordering it is handed (``ordering`` checks
-legality), runs the algebra's chance or decision step on each bucket in
-turn, and puts each message into a later bucket the same way; messages
-over no variable are the root results.  Only the two steps know the
-algebra.
+encoding of ``sets``.
 
-``product`` is the one contraction kernel: it aligns tables over a scope
-and folds them left to right, by multiplication unless told otherwise;
-every step combines its bucket with ``fold``, a ``product`` over the
-union of the scopes, and takes its variable out with ``reduce_out``, which
-counts the variable's axis from the end so that leading axes pass through,
-or with ``sum_out``, which sums as numpy would over the table with every
-size-1 axis broadcast to its variable's domain.
-``align`` keeps leading axes, looks each target variable's axis up in one
-position table per target scope, takes each axis's size from the table's
-own shape, and transposes only when the scope is out of the target's order.
+``plan`` is the symbolic pass.  It walks an ordering over the scopes of the
+probability factors (lambdas) and utility factors (thetas) alone: it puts
+each into the bucket of its earliest variable, asks the solver's ``spans``
+which variables the bucket's messages keep, and puts each message into a
+later bucket the same way; messages over no variable are the root results.
+It records each bucket once, as a ``Bucket``.  ``planned`` keeps one plan
+per skeleton and solver, so later solves of a diagram, and of its
+conversions, run the same one.  ``eliminate`` executes a plan: it hands
+each bucket's record and input tables to the algebra's chance or decision
+step and files the messages where the plan put them.  Only the steps know
+the algebra.  The kernels they share: ``seen`` applies a ``view`` (a
+transpose, then an index that adds the axes a table lacks; leading axes
+pass through, so a stored one-cell table or a batch axis broadcasts),
+``fold`` folds tables seen over one union, and ``sum_out`` sums the bucket
+variable out as numpy would with every size-1 axis broadcast.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .diagram import DiagramError, InfluenceDiagram
+
+# a view: the permutation of a table's scope axes as negative axes (None:
+# none needed), then the index that adds the target's other axes
+View = tuple
+_ALL = slice(None)
+_SAME = (None, (Ellipsis,))
 
 
 @dataclass
@@ -50,83 +56,136 @@ def factor(diagram: InfluenceDiagram, scope: tuple[str, ...], table: np.ndarray)
     return Factor(scope, table.reshape(table.shape[:-1] + diagram.domain_sizes(scope)))
 
 
-def align(f: Factor, target: tuple[str, ...]) -> np.ndarray:
-    """View a factor's table as an array broadcastable over ``target``.
-
-    Leading axes beyond the scope's (a batch axis) are kept in front.
-    """
-    return _aligned(f, {v: i for i, v in enumerate(target)})
-
-
-def _aligned(f: Factor, position: dict[str, int]) -> np.ndarray:
-    """``align`` with each target variable's axis given by ``position``."""
-    table = f.table
-    where = [position[v] for v in f.scope]
-    lead = table.ndim - len(where)
-    if where != sorted(where):
-        perm = sorted(range(len(where)), key=where.__getitem__)
-        table = table.transpose(*range(lead), *(lead + i for i in perm))
-        where.sort()
-    shape = [1] * len(position)
-    for at, size in zip(where, table.shape[lead:]):
-        shape[at] = size
-    return table.reshape(table.shape[:lead] + tuple(shape))
+def view(source: Sequence[str], target: Sequence[str], rank: Mapping | None = None) -> View:
+    """How a table over ``source`` is seen over ``target``, which holds its
+    variables and is in ``rank`` order (in which ``source`` is, without it).
+    Neither half depends on sizes or on leading axes."""
+    if source == target:
+        return _SAME
+    index = (Ellipsis, *map(dict.fromkeys(source, _ALL).get, target))
+    if rank is not None:
+        ranks = [rank[v] for v in source]
+        if ranks != sorted(ranks):
+            n = len(ranks)
+            return tuple(i - n for i in sorted(range(n), key=ranks.__getitem__)), index
+    return None, index
 
 
-def product(
-    factors: Sequence[Factor], scope: tuple[str, ...], op: np.ufunc = np.multiply
-) -> np.ndarray:
-    """The factors' tables aligned over ``scope`` and folded by ``op``, left
-    to right.  Each result is laid out C-contiguous, whatever the strides
-    of a transposed input view."""
-    position = {v: i for i, v in enumerate(scope)}
-    table = _aligned(factors[0], position)
-    for f in factors[1:]:
-        table = op(table, _aligned(f, position), order="C")
+def seen(table: np.ndarray, view: View) -> np.ndarray:
+    """``table`` seen through ``view``; leading axes pass through."""
+    if view is _SAME:
+        return table
+    perm, index = view
+    if perm is not None:
+        table = table.transpose(*range(table.ndim - len(perm)), *perm)
+    return table[index]
+
+
+def fold(tables: Sequence, views: Sequence[View], op: np.ufunc = np.multiply) -> np.ndarray:
+    """The tables, each seen through its view over one union, folded by
+    ``op`` left to right.  Each result is laid out C-contiguous, whatever
+    the strides of a transposed input view; a lone table is only seen."""
+    table = seen(tables[0], views[0])
+    for i in range(1, len(tables)):
+        table = op(table, seen(tables[i], views[i]), order="C")
     return table
 
 
-def ordered(variables, order_key: dict[str, int]) -> tuple[str, ...]:
-    """``variables`` as a scope, in ``order_key`` order."""
-    return tuple(sorted(variables, key=order_key.__getitem__))
-
-
-def fold(
-    factors: Sequence[Factor], order_key: dict[str, int], op: np.ufunc = np.multiply
-) -> Factor:
-    """``product`` over the union of the factors' scopes, in ``order_key``
-    order."""
-    scope = ordered({v for f in factors for v in f.scope}, order_key)
-    return Factor(scope, product(factors, scope, op))
-
-
-def reduce_out(f: Factor, y: str, reduce: Callable) -> Factor:
-    """``f`` with ``y`` taken out by ``reduce(table, axis)``, ``axis`` being
-    ``y``'s axis counted from the end, so leading axes pass through."""
-    i = f.scope.index(y)
-    return Factor(f.scope[:i] + f.scope[i + 1 :], reduce(f.table, i - len(f.scope)))
-
-
-def sum_out(diagram: InfluenceDiagram, f: Factor, y: str) -> Factor:
-    """``f`` with ``y`` summed out, bit for bit as numpy sums it out of the
-    table with each size-1 axis broadcast to its variable's domain: slice
-    by slice from +0.0 along ``y``'s axis, the first of its bucket's scope,
-    while a later axis has more than one cell, else in one pass (pairwise
-    on long axes).  ``y``'s own axis is never broadcast: its bucket holds
-    its CPT or a distribution over it."""
-    table = f.table
-    i = f.scope.index(y)
-    axis = table.ndim - len(f.scope) + i
-    scope = f.scope[:i] + f.scope[i + 1 :]
-    rest = table.shape[axis + 1 :]
-    # later axes all broadcast, standing for more than one cell: the full
-    # table's order is slice by slice
-    if set(rest) == {1} and math.prod(diagram.domain_sizes(f.scope[i + 1 :])) > 1:
-        total = np.zeros(table.shape[:axis] + rest)
+def sum_out(table: np.ndarray, n: int, wide: bool) -> np.ndarray:
+    """``table`` over a union of ``n`` variables with the first, the bucket
+    variable, summed out, bit for bit as numpy sums it out of the table with
+    each size-1 axis broadcast to its variable's domain: slice by slice from
+    +0.0 when every later axis has one cell but stands for more (``wide``:
+    the later variables' domains hold more than one cell), else in one pass
+    (pairwise on long axes).  The variable's own axis is never broadcast:
+    its bucket holds its CPT or a distribution over it."""
+    axis = table.ndim - n
+    if wide and set(table.shape[axis + 1 :]) == {1}:
+        total = np.zeros(table.shape[:axis] + table.shape[axis + 1 :])
         for part in np.moveaxis(table, axis, 0):
             total += part
-        return Factor(scope, total)
-    return Factor(scope, table.sum(axis))
+        return total
+    return np.add.reduce(table, axis)  # ndarray.sum without its Python wrapper
+
+
+@dataclass
+class Bucket:
+    """One bucket of a plan.  Its unions are scopes in elimination order, so
+    ``var`` comes first in each, at axis ``-len(union)`` from the end."""
+
+    var: str
+    decision: bool
+    lambdas: list[int]  # slots of the lambda inputs, in arrival order
+    thetas: list[int]  # slots of the theta inputs
+    lam: tuple[str, ...]  # the lambda inputs' union
+    theta: tuple[str, ...]  # the theta inputs' union
+    scope: tuple[str, ...]  # the full union: lam, theta and the messages'
+    lam_in: list[View]  # each lambda input seen over lam
+    theta_in: list[View]  # each theta input seen over theta
+    up: tuple[View, View]  # lam and theta seen over scope
+    margin: tuple  # the index of lam less var over scope less var
+    wide: tuple[bool, bool]  # ``sum_out``'s static half, in lam and in scope
+    out: list[tuple[str, ...] | None]  # the lambda and theta messages' scopes
+
+
+@dataclass(frozen=True)
+class Plan:
+    shapes: tuple[tuple[int, ...], ...]  # each input's domain sizes, lambdas then thetas
+    buckets: tuple[Bucket, ...]
+
+
+def plan(diagram: InfluenceDiagram, order, lambdas, thetas, spans: Callable) -> Plan:
+    """The buckets of the CPTs or utilities ``lambdas`` and ``thetas`` along
+    ``order``, which the caller checked, from their scopes.
+
+    ``spans(diagram, var, decision, lam, theta)`` gives the variables of a
+    bucket's lambda and theta messages (None for no message) from the sets
+    of its lambda and theta inputs: each message keeps one of those sets
+    or all the bucket's variables.  Slots number the inputs, lambdas then
+    thetas, then each message with a variable as it is sent.
+    """
+    key = {v: i for i, v in enumerate(order)}
+    ones = {v for v, n in zip(order, diagram.domain_sizes(order)) if n == 1}
+    decisions = set(diagram.decision_vars)
+    # per bucket and kind: (slot, scope, rank), no rank for a message, whose
+    # scope is in elimination order
+    inputs: list[tuple[list, list]] = [([], []) for _ in order]
+    slots = itertools.count()
+    for kind, fs in enumerate((lambdas, thetas)):
+        for f in fs:
+            inputs[min(map(key.__getitem__, f.scope))][kind].append((next(slots), f.scope, key))
+    buckets = []
+    for y, (lams, ths) in zip(order, inputs):
+        lam = set().union(*[s for _, s, _ in lams])
+        theta = set().union(*[s for _, s, _ in ths])
+        msgs = spans(diagram, y, y in decisions, lam, theta)
+        scope = tuple(sorted(lam.union(theta, *[m for m in msgs if m]), key=key.__getitem__))
+        known = {  # each union in scope's order, by the set it is made from
+            id(u): scope if len(u) == len(scope) else tuple(filter(u.__contains__, scope))
+            for u in (lam, theta)
+        }
+        lam, theta = known.values()
+        out = [m and known.get(id(m), scope)[1:] for m in msgs]
+        up = view(lam, scope)
+        wide = len(scope) > 1 and not ones.issuperset(scope[1:])
+        lam_wide = wide and len(lam) > 1 and not ones.issuperset(lam[1:])
+        ins = [[view(s, u, r) for _, s, r in fs] for fs, u in zip((lams, ths), (lam, theta))]
+        buckets.append(Bucket(
+            y, y in decisions, [i for i, _, _ in lams], [i for i, _, _ in ths], lam, theta, scope,
+            *ins, (up, theta and view(theta, scope)), (Ellipsis, *up[1][2:]), (lam_wide, wide), out,
+        ))  # fmt: skip
+        for kind, s in enumerate(out):
+            if s:
+                inputs[key[s[0]]][kind].append((next(slots), s, None))
+    return Plan(tuple(diagram.domain_sizes(f.scope) for f in (*lambdas, *thetas)), tuple(buckets))
+
+
+def planned(skeleton, key, make: Callable[[], object]):
+    """``make()``, the plan of ``key``, made once per skeleton: the
+    skeleton's ordering and scopes are all a plan depends on."""
+    if key not in skeleton.plans:
+        skeleton.plans[key] = make()
+    return skeleton.plans[key]
 
 
 @dataclass
@@ -139,58 +198,32 @@ class Elimination:
     max_cells: int
 
 
-def factors(diagram: InfluenceDiagram, functions: Sequence) -> list[Factor]:
-    """CPTs or utilities as factors over their tables."""
-    return [factor(diagram, fn.scope, fn.table) for fn in functions]
-
-
 def eliminate(
-    diagram: InfluenceDiagram,
-    order: Sequence[str],
-    lambdas: Sequence[Factor],
-    thetas: Sequence[Factor],
-    chance_step: Callable[..., tuple],
-    decision_step: Callable[..., tuple],
+    diagram: InfluenceDiagram, plan: Plan, lambdas, thetas, chance_step, decision_step
 ) -> Elimination:
-    """Run the buckets of the probability (``lambdas``) and utility
-    (``thetas``) factors along ``order``, which the caller checked.
+    """Run ``plan`` on the tables of the CPTs or utilities it was made for.
 
-    Both steps get ``(diagram, order_key, variable, lambdas, thetas)``.  The
-    chance step returns the lambda and the theta message, the decision step
-    also the decision's rule as a factor over the theta message's scope; a
-    message may be None.
+    Both steps get ``(diagram, bucket, lambdas, thetas)``: the bucket's
+    record and its input tables.  The chance step returns the lambda and
+    the theta message, the decision step also the decision's rule as a
+    factor; a message is None where the plan has none.
     """
-    order_key = {v: i for i, v in enumerate(order)}
-    buckets: list[tuple[list[Factor], list[Factor]]] = [([], []) for _ in order]
-
-    def place(f: Factor, kind: int) -> None:
-        pos = min(order_key[v] for v in f.scope)
-        buckets[pos][kind].append(f)
-
-    for kind, factors in enumerate((lambdas, thetas)):
-        for f in factors:
-            place(f, kind)
-
+    inputs = zip((*lambdas, *thetas), plan.shapes)
+    tables = [f.table.reshape(f.table.shape[:-1] + shape) for f, shape in inputs]
     result = Elimination([], [], {}, 0)
     roots = (result.root_lambdas, result.root_thetas)
-    decisions = set(diagram.decision_vars)
-    for pos, y in enumerate(order):
-        lambdas, thetas = buckets[pos]
-        if y in decisions:
-            lam_msg, theta_msg, result.rules[y] = decision_step(
-                diagram, order_key, y, lambdas, thetas
-            )
+    cells = 0
+    for b in plan.buckets:
+        lams, ths = [*map(tables.__getitem__, b.lambdas)], [*map(tables.__getitem__, b.thetas)]
+        if b.decision:
+            *msgs, result.rules[b.var] = decision_step(diagram, b, lams, ths)
         else:
-            lam_msg, theta_msg = chance_step(diagram, order_key, y, lambdas, thetas)
-        for kind, msg in enumerate((lam_msg, theta_msg)):
-            if msg is None:
-                continue
-            cells = math.prod(msg.table.shape[msg.table.ndim - len(msg.scope) :])
-            result.max_cells = max(result.max_cells, cells)
-            if msg.scope:
-                place(msg, kind)
-            else:
-                roots[kind].append(msg.table)
+            msgs = chance_step(diagram, b, lams, ths)
+        for kind, (msg, scope) in enumerate(zip(msgs, b.out)):
+            if scope is not None:
+                cells = max(cells, math.prod(msg.shape[msg.ndim - len(scope) :]))
+                (tables if scope else roots[kind]).append(msg)
+    result.max_cells = cells
     return result
 
 
@@ -204,7 +237,7 @@ def expand_rule(
     extra = [v for v in rule.scope if v not in info]
     if extra:  # the rule reads a variable the decision does not observe
         raise DiagramError(f"decision {decision}: rule depends on unobserved {extra}")
-    table = align(rule, info)
+    table = seen(rule.table, view(rule.scope, info, {v: i for i, v in enumerate(info)}))
     lead = table.shape[: table.ndim - len(info)]
     full = np.broadcast_to(table, lead + diagram.domain_sizes(info))
     return info, full.reshape(lead + (-1,))

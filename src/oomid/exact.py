@@ -1,17 +1,18 @@
 """Exact solving of numeric influence diagrams.
 
-``solve_exact`` runs the shared bucket elimination of ``elimination`` on
-float tables; this module supplies its two steps, which combine tables
-with ``fold`` and reduce them with ``sum_out`` and ``reduce_out``.  The
-chance step marginalizes the bucket variable out of the probability
+``solve_exact`` runs the diagram's exact plan (see ``elimination``, made
+at the first solve) on float tables.  This module supplies the plan's
+``_spans`` and its two steps, which fold a bucket's tables through the
+views it records and reduce them with ``sum_out`` or a max.  The chance
+step marginalizes the bucket variable out of the probability
 product and renormalizes the utility by that marginal (zero-probability
 configurations contribute zero).  The decision step maximizes the
 utility, keeps the first maximizing action in domain order, and checks
 that the probability part is constant in the decision, within what the
 CPT rows' tolerance allows.
 
-``PolicyEvaluator`` scores fixed policies with the same ``eliminate``,
-per utility over that utility's ancestors only (see the class).  A
+``PolicyEvaluator`` scores fixed policies with the same executor, per
+utility along a plan of that utility's ancestors only (see the class).  A
 chance step sums its variable out; a decision step selects each policy's
 action along the decision's axis where the solver takes the max.  Tables
 gain a leading batch axis, one entry per policy, only at the first
@@ -32,7 +33,7 @@ which ``expand_rule`` rejects; ``PolicyEvaluator`` scores any policy.
 ``solve_exact`` stores a probability message over two or more variables
 that is exactly 1.0 in every cell, as a barren subtree whose rows sum to
 exactly one sends, as one cell with every axis broadcast; it keeps its
-scope, so buckets, folds and values stay as they are.  ``sum_out`` sums in
+scope, so the plan, folds and values stay as they are.  ``sum_out`` sums in
 numpy's order over the full tables, and the max, min or argmax of a
 broadcast axis reads one cell equal to all it stands for (argmax: the
 first action, as on a tie), so MEU and policy are those of full tables bit
@@ -64,18 +65,7 @@ from .diagram import (
     PolicyRule,
     require_valid,
 )
-from .elimination import (
-    Factor,
-    align,
-    eliminate,
-    expand_rule,
-    factors,
-    fold,
-    ordered,
-    product,
-    reduce_out,
-    sum_out,
-)
+from .elimination import Factor, eliminate, expand_rule, fold, plan, planned, seen, sum_out, view
 from .ordering import checked_skeleton
 
 
@@ -88,14 +78,10 @@ class ExactSolution:
 def solve_exact(diagram: InfluenceDiagram) -> ExactSolution:
     """Maximum expected utility and one optimal policy (first-action ties)."""
     require_valid(diagram, qualitative=False)
-    run = eliminate(
-        diagram,
-        checked_skeleton(diagram).order,
-        factors(diagram, diagram.cpts),
-        factors(diagram, diagram.utilities),
-        _chance_step,
-        _decision_step,
-    )
+    skeleton = checked_skeleton(diagram)
+    lambdas, thetas = diagram.cpts, diagram.utilities
+    made = planned(skeleton, _spans, lambda: plan(diagram, skeleton.order, lambdas, thetas, _spans))
+    run = eliminate(diagram, made, lambdas, thetas, _chance_step, _decision_step)
     # exactly normalized rows give root masses of 1 (see _mass_tolerance),
     # so only a solver fault fails this
     for lam in run.root_lambdas:
@@ -126,28 +112,36 @@ def _mass_tolerance(diagram: InfluenceDiagram) -> float:
     return ((1 + t) / (1 - t)) ** len(diagram.cpts) - 1 + t
 
 
-def _chance_step(diagram, order_key, y, lambdas, thetas):
+def _spans(diagram, y, decision, lam, theta):
+    """The variables of a bucket's messages (see ``elimination.plan``): the
+    decision step keeps the probability part out of the utility message."""
+    return lam or None, (theta if decision else lam | theta) if theta else None
+
+
+def _chance_step(diagram, b, lambdas, thetas):
     # y's CPT sits in the bucket of its earliest variable, and every bucket
     # with a probability factor sends one on, so only a solver fault fails this
-    assert lambdas, f"chance bucket {y} has no probability component"
-    lam = fold(lambdas, order_key)
-    lam_msg = sum_out(diagram, lam, y)
+    assert lambdas, f"chance bucket {b.var} has no probability component"
+    lam = fold(lambdas, b.lam_in)
+    lam_msg = sum_out(lam, len(b.lam), b.wide[0])
     theta_msg = None
     if thetas:
-        theta = thetas[0] if len(thetas) == 1 else fold(thetas, order_key, np.add)
-        num = sum_out(diagram, fold([lam, theta], order_key), y)
-        marginal = align(lam_msg, num.scope)
-        table = np.asarray(num.table)  # a sum over every axis is a scalar
-        with np.errstate(divide="ignore", invalid="ignore"):
+        theta = fold(thetas, b.theta_in, np.add)
+        table = np.asarray(sum_out(fold([lam, theta], b.up), len(b.scope), b.wide[1]))
+        marginal = lam_msg[b.margin]  # a sum over every axis is a scalar
+        if marginal.all():
             np.divide(table, marginal, out=table)
-        # +0.0 where the marginal is zero; num there is a sum of 0 * theta,
-        # 0/0 gives nan, and -0.0 for a negative theta would keep its sign
-        np.copyto(table, 0.0, where=marginal == 0)
-        theta_msg = Factor(num.scope, table)
-    return _stored(lam_msg), theta_msg
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(table, marginal, out=table)
+            # +0.0 where the marginal is zero; num there is a sum of 0 * theta,
+            # 0/0 gives nan, and -0.0 for a negative theta would keep its sign
+            np.copyto(table, 0.0, where=marginal == 0)
+        theta_msg = table
+    return _stored(lam_msg, len(b.lam) - 1), theta_msg
 
 
-def _decision_step(diagram, order_key, y, lambdas, thetas):
+def _decision_step(diagram, b, lambdas, thetas):
     # The bucket's probability product is constant in the decision (checked
     # below), so the utility message keeps its conditional-expectation
     # meaning only if that constant is NOT folded in: the probability
@@ -156,30 +150,30 @@ def _decision_step(diagram, order_key, y, lambdas, thetas):
     # valid diagram the spread stays within _mass_tolerance.
     lam_msg = None
     if lambdas:
-        lam = fold(lambdas, order_key)
-        lam_msg = reduce_out(lam, y, np.ndarray.max)
-        spread = lam_msg.table - reduce_out(lam, y, np.ndarray.min).table
-        bound = _mass_tolerance(diagram) * max(1.0, np.abs(lam.table).max())
+        lam = fold(lambdas, b.lam_in)
+        lam_msg = lam.max(-len(b.lam))
+        spread = lam_msg - lam.min(-len(b.lam))
+        bound = _mass_tolerance(diagram) * max(1.0, np.abs(lam).max())
         if not np.all(spread <= bound):
             raise DiagramError(
-                f"probability component in decision bucket {y} varies with {y}"
+                f"probability component in decision bucket {b.var} varies with {b.var}"
             )
-        lam_msg = _stored(lam_msg)
+        lam_msg = _stored(lam_msg, len(b.lam) - 1)
     if not thetas:
         # nothing downstream distinguishes the actions
         return lam_msg, None, Factor((), np.zeros((), dtype=int))
-    combined = fold(thetas, order_key, np.add)
-    theta_msg = reduce_out(combined, y, np.ndarray.max)
+    combined = fold(thetas, b.theta_in, np.add)
     # first maximizing action in domain order: 0 on a broadcast axis, whose
     # actions all tie
-    return lam_msg, theta_msg, reduce_out(combined, y, np.ndarray.argmax)
+    axis = -len(b.theta)
+    return lam_msg, combined.max(axis), Factor(b.out[1], combined.argmax(axis))
 
 
-def _stored(msg: Factor) -> Factor:
-    """A probability message as stored: one over two or more variables that
-    is exactly 1.0 in every cell as a single cell, each axis broadcast."""
-    if len(msg.scope) > 1 and msg.table.item(0) == 1.0 and (msg.table == 1.0).all():
-        return Factor(msg.scope, np.ones((1,) * len(msg.scope)))
+def _stored(msg: np.ndarray, n: int) -> np.ndarray:
+    """A probability message over ``n`` variables as stored: one over two or
+    more that is exactly 1.0 in every cell as one cell, each axis broadcast."""
+    if n > 1 and msg.item(0) == 1.0 and (msg == 1.0).all():
+        return np.ones((1,) * n)
     return msg
 
 
@@ -190,31 +184,48 @@ def _stored(msg: Factor) -> Factor:
 _CHUNK_CELLS = 1 << 22
 
 
-def _sum_step(diagram, order_key, y, lambdas, thetas):
-    """Sum ``y`` out of the bucket's product; the message carries the
-    utility if the bucket does."""
-    msg = sum_out(diagram, fold(lambdas + thetas, order_key), y)
+def _evaluated(diagram, y, decision, lam, theta):
+    """The variables of a bucket's one message, which carries the utility if
+    the bucket does: the bucket's and those its decision's rule reads."""
+    if not (lam or theta):
+        return None, None
+    msg = lam | theta | set(diagram.information_sets.get(y, ()))
+    return (None, msg) if theta else (msg, None)
+
+
+def _product(b, lambdas, thetas):
+    """The bucket's product over its full union, lambdas first."""
+    kinds = zip((lambdas, thetas), (b.lam_in, b.theta_in), b.up)
+    return fold(*zip(*[(fold(tables, views), up) for tables, views, up in kinds if tables]))
+
+
+def _part_plan(diagram, order, kept, lambdas, utility):
+    """The plan of one utility's part, along ``order`` restricted to the
+    ``kept`` ancestors, and the view of each decision's rule over its
+    bucket's union less the decision."""
+    made = plan(diagram, [v for v in order if v in kept], lambdas, [utility], _evaluated)
+    info, rank = diagram.information_sets, {v: i for i, v in enumerate(order)}
+    rules = [b for b in made.buckets if b.decision and b.scope]
+    return made, {b.var: view(info.get(b.var, ()), b.scope[1:], rank) for b in rules}
+
+
+def _sum_step(diagram, b, lambdas, thetas):
+    """Sum the bucket variable out of the bucket's product; the message
+    carries the utility if the bucket does."""
+    msg = sum_out(_product(b, lambdas, thetas), len(b.scope), b.wide[1])
     return (None, msg) if thetas else (msg, None)
 
 
-def _select_step(rules, diagram, order_key, y, lambdas, thetas):
-    """Take each policy's action out of the bucket's product: along ``y``,
-    at the entry its rule gives for the decision's information set."""
+def _select_step(rules, diagram, b, lambdas, thetas):
+    """Take each policy's action out of the bucket's product, as its rule
+    (seen over the bucket's union less the decision) gives it."""
     if not lambdas and not thetas:
         return None, None, None
-    rule = rules[y]
-    seen = {v for f in lambdas + thetas for v in f.scope}
-    scope = ordered(seen | set(rule.scope), order_key)
-
-    def select(table, axis):
-        choice = align(rule, scope).squeeze(axis)
-        actions = np.moveaxis(table, axis, 0)
-        chosen = actions[0]
-        for a in range(1, len(actions)):
-            chosen = np.where(choice == a, actions[a], chosen)
-        return chosen
-
-    msg = reduce_out(Factor(scope, product(lambdas + thetas, scope)), y, select)
+    choice = rules[b.var]
+    actions = np.moveaxis(_product(b, lambdas, thetas), -len(b.scope), 0)
+    msg = actions[0]
+    for a in range(1, len(actions)):
+        msg = np.where(choice == a, actions[a], msg)
     return (None, msg, None) if thetas else (msg, None, None)
 
 
@@ -255,8 +266,9 @@ class PolicyEvaluator:
     subsequence, and each kept decision's information set is kept.  The
     chunk size is bounded by the skeleton's largest bucket, which no
     ancestors' bucket exceeds: their graph is a subgraph of the diagram's,
-    so eliminating it adds no other fill.  The orderings, the CPT factors
-    and the chunk size depend on the diagram only.
+    so eliminating it adds no other fill.  Each utility's plan, with the
+    view of each decision's rule over its bucket, is made once per
+    skeleton, by the first evaluator; every later one reads it.
     """
 
     def __init__(self, diagram: InfluenceDiagram):
@@ -265,17 +277,12 @@ class PolicyEvaluator:
         skeleton = checked_skeleton(diagram)
         self._chunk = max(1, _CHUNK_CELLS // skeleton.largest_bucket)  # policies per chunk
         cpts = [cpt for cpt in diagram.cpts if any(cpt.child in k for k in skeleton.kept)]
-        lambdas = dict(zip((c.child for c in cpts), factors(diagram, cpts)))
-        utilities = factors(diagram, diagram.utilities)
-        # per utility: the ordering of its ancestors, their CPTs and the utility
-        self._parts = [
-            (
-                [v for v in skeleton.order if v in k],
-                [f for child, f in lambdas.items() if child in k],
-                u,
-            )
-            for k, u in zip(skeleton.kept, utilities)
-        ]
+        # per utility: the plan along its ancestors, their CPTs and the utility
+        self._parts = []
+        for i, (k, u) in enumerate(zip(skeleton.kept, diagram.utilities)):
+            part = [c for c in cpts if c.child in k]
+            make = functools.partial(_part_plan, diagram, skeleton.order, k, part, u)
+            self._parts.append((planned(skeleton, (_evaluated, i), make), part, u))
 
     def evaluate(self, policy: Policy) -> float:
         return self.evaluate_many([policy])[0]
@@ -288,11 +295,12 @@ class PolicyEvaluator:
         values: list[float] = []
         for start in range(0, policies.size, self._chunk):
             stop = min(start + self._chunk, policies.size)
-            chunk = {d: Factor(r.scope, r.table[start:stop]) for d, r in rules.items()}
-            select = functools.partial(_select_step, chunk)
+            chunk = {d: r.table[start:stop] for d, r in rules.items()}
             total = np.zeros(stop - start)
-            for order, lambdas, utility in self._parts:
-                run = eliminate(self._diagram, order, lambdas, [utility], _sum_step, select)
+            for (made, views), lambdas, utility in self._parts:
+                seen_rules = {d: seen(chunk[d], v) for d, v in views.items()}
+                select = functools.partial(_select_step, seen_rules)
+                run = eliminate(self._diagram, made, lambdas, [utility], _sum_step, select)
                 value = run.root_thetas[0]
                 for lam in run.root_lambdas:
                     value = value * lam

@@ -1,12 +1,15 @@
 """Variable elimination for order-of-magnitude influence diagrams.
 
-``elim_oom_id`` runs the shared bucket elimination of ``elimination`` on
-the diagram's own tables: probabilities as orders, utility sets as the
-orders of their two ends, one order per sign bit (the encoding of
-``sets``; the algebra on it is described with the array kernels below).
-Every step is a few whole-table numpy operations; the scalar
-``values``/``sets`` calculus only decodes the MEU and serves the oracle.
-This module supplies the two steps and their kernels.  The chance step
+``elim_oom_id`` runs the qualitative plan of ``elimination``, made once
+per skeleton and so shared by every epsilon's conversion of a numeric
+diagram, on the diagram's own tables: probabilities as orders, utility
+sets as the orders of their two ends, one order per sign bit (the
+encoding of ``sets``; the algebra on it is described with the array
+kernels below).  Every step is a few whole-table numpy operations; the
+scalar ``values``/``sets`` calculus only decodes the MEU and serves the
+oracle.  This module supplies the plan's ``_spans``, the two steps and
+their kernels.  Both steps fold the probability part into the utility
+message, so the plan is not the exact solver's.  The chance step
 sums out the bucket variable from the probability product and
 renormalizes the utility message by that marginal (qualitatively
 impossible configurations get the zero utility).  The decision step
@@ -42,16 +45,7 @@ from .diagram import (
     PolicyBatch,
     require_valid,
 )
-from .elimination import (
-    Factor,
-    align,
-    eliminate,
-    expand_rule,
-    factor,
-    factors,
-    fold,
-    reduce_out,
-)
+from .elimination import Factor, eliminate, expand_rule, factor, fold, plan, planned
 from .ordering import checked_skeleton, legal_ordering
 from .sets import (
     OOMSet,
@@ -283,53 +277,55 @@ class OOMSolution:
 
 def elim_oom_id(diagram: OOMInfluenceDiagram) -> OOMSolution:
     require_valid(diagram, qualitative=True)
-    run = eliminate(
-        diagram,
-        checked_skeleton(diagram).order,
-        factors(diagram, diagram.cpts),
-        factors(diagram, diagram.utilities),
-        _chance_step,
-        _decision_step,
-    )
+    skeleton = checked_skeleton(diagram)
+    lambdas, thetas = diagram.cpts, diagram.utilities
+    made = planned(skeleton, _spans, lambda: plan(diagram, skeleton.order, lambdas, thetas, _spans))
+    run = eliminate(diagram, made, lambdas, thetas, _chance_step, _decision_step)
     roots = run.root_thetas
     meu = decode_set(sum_ends(np.stack(roots, -1), -1)) if roots else ZERO_SET
     policies = _expand_policy_set(diagram, run.rules)
     return OOMSolution(meu=meu, policies=policies, max_table_cells=run.max_cells)
 
 
-def _utility(thetas, lam, order_key) -> Factor:
+def _spans(diagram, y, decision, lam, theta):
+    """The variables of a bucket's messages (see ``elimination.plan``): both
+    steps fold the probability part into the utility message."""
+    return lam or None, lam | theta if theta else None
+
+
+def _utility(b, thetas, lam) -> np.ndarray:
     """The bucket's utility sum, scaled by its probability product if any."""
-    theta = fold(thetas, order_key, np.minimum)
+    theta = fold(thetas, b.theta_in, np.minimum)
     if len(thetas) > 1:  # one theta is canonical: a utility table, or a shifted message
-        theta = Factor(theta.scope, sum_ends(theta.table))
-    return theta if lam is None else fold([theta, lam], order_key, np.add)
+        theta = sum_ends(theta)
+    return theta if lam is None else fold([theta, lam], b.up[::-1], np.add)
 
 
-def _chance_step(diagram, order_key, y, lambdas, thetas):
+def _chance_step(diagram, b, lambdas, thetas):
     # as in the exact solver, only a solver fault leaves a chance bucket
     # without a probability factor
-    assert lambdas, f"chance bucket {y} has no probability component"
-    lam = fold(lambdas, order_key, np.add)
-    lam_msg = reduce_out(lam, y, np.ndarray.min)  # a sum of probabilities
+    assert lambdas, f"chance bucket {b.var} has no probability component"
+    lam = fold(lambdas, b.lam_in, np.add)
+    lam_msg = lam.min(-len(b.lam))  # a sum of probabilities
     theta_msg = None
     if thetas:
-        sums = reduce_out(_utility(thetas, lam, order_key), y, sum_ends)
+        sums = sum_ends(_utility(b, thetas, lam), -len(b.scope))
         # divided by the probability mass; where the mass is zero, so is
         # every scaled term, and the sum stays zero
-        total = align(lam_msg, sums.scope)
-        theta_msg = Factor(sums.scope, sums.table - np.where(total < INF, total, 0.0))
+        total = lam_msg[b.margin]
+        theta_msg = sums - np.where(total < INF, total, 0.0)
     return lam_msg, theta_msg
 
 
-def _decision_step(diagram, order_key, y, lambdas, thetas):
-    lam = fold(lambdas, order_key, np.add) if lambdas else None
-    lam_msg = reduce_out(lam, y, np.ndarray.min) if lam is not None else None
+def _decision_step(diagram, b, lambdas, thetas):
+    lam = fold(lambdas, b.lam_in, np.add) if lambdas else None
+    lam_msg = lam.min(-len(b.lam)) if lam is not None else None
     if not thetas:
         # nothing downstream distinguishes the actions: keep them all
-        return lam_msg, None, Factor((), np.ones(len(diagram.domain(y)), dtype=bool))
-    combined = _utility(thetas, lam, order_key)
-    theta_msg = reduce_out(combined, y, max_ends)
-    return lam_msg, theta_msg, reduce_out(combined, y, maximal_mask)
+        return lam_msg, None, Factor((), np.ones(len(diagram.domain(b.var)), dtype=bool))
+    combined = _utility(b, thetas, lam)
+    axis = -len(b.scope)
+    return lam_msg, max_ends(combined, axis), Factor(b.out[1], maximal_mask(combined, axis))
 
 
 def _expand_policy_set(

@@ -15,7 +15,8 @@ only u's neighbours and theirs.
 
 ``skeleton`` records on a diagram, at its first walk, the one ``Skeleton``
 that every solve and evaluation of the diagram reads: the min-fill
-ordering, the cells of its largest bucket and each utility's ancestors.
+ordering, the cells of its largest bucket, each utility's ancestors and
+the elimination plans along the ordering, each made at its first use.
 ``checked_skeleton`` holds that bucket against ``diagram.CELL_LIMIT``
 before a solve allocates.  ``induced_width`` walks any given ordering.
 """
@@ -23,7 +24,7 @@ before a solve allocates.  ``induced_width`` walks any given ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .diagram import CELL_LIMIT, DiagramError, InfluenceDiagram, arcs
@@ -37,6 +38,8 @@ class Skeleton:
     order: tuple[str, ...]  # the min-fill legal ordering, first-eliminated first
     largest_bucket: int  # cells of its largest bucket: a variable and its neighbours
     kept: tuple[frozenset[str], ...]  # per utility: its scope and their ancestors
+    # elimination plans along order, each made at first use; a copy has none
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def temporal_partition(diagram: InfluenceDiagram) -> list[tuple[str, ...]]:

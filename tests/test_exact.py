@@ -32,14 +32,12 @@ from oomid.exact import (
 from oomid.convert import ConversionConfig, convert
 from oomid.elimination import (
     Factor,
-    align,
     eliminate,
     expand_rule,
-    factors,
-    fold,
-    product,
-    reduce_out,
+    plan,
+    seen,
     sum_out,
+    view,
 )
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
@@ -50,6 +48,15 @@ from oomid.ordering import (
     skeleton,
     temporal_partition,
 )
+from oracle_elimination import (
+    align,
+    fold,
+    product,
+    reduce_out,
+    stored_chance_step,
+    stored_decision_step,
+)
+from oracle_elimination import run as run_steps
 from test_ordering import along, oracle_largest_bucket
 
 
@@ -491,10 +498,10 @@ class TestBarrenVariables:
         assert list(skeleton(d).kept) == self.ANCESTORS
         calls = []
 
-        def recorded(diagram, order, lambdas, thetas, *steps):
+        def recorded(diagram, made, lambdas, thetas, *steps):
             assert diagram is d  # no second diagram, such as the closure
-            calls.append((list(order), lambdas, thetas))
-            return eliminate(diagram, order, lambdas, thetas, *steps)
+            calls.append(([b.var for b in made.buckets], lambdas, thetas))
+            return eliminate(diagram, made, lambdas, thetas, *steps)
 
         monkeypatch.setattr(exact, "eliminate", recorded)
         policies = random_policies(d, 12, seed=3)
@@ -675,8 +682,7 @@ class TestRandomAgreement:
 
             return wrapper
 
-        monkeypatch.setattr(exact, "fold", recorded(exact.fold, lambda f: f.table))
-        monkeypatch.setattr(exact, "product", recorded(exact.product, lambda t: t))
+        monkeypatch.setattr(exact, "fold", recorded(exact.fold, lambda t: t))
         monkeypatch.setattr(exact, "_CHUNK_CELLS", 3 * largest)
         PolicyEvaluator(d).evaluate_many(random_policies(d, 8, seed=params.seed))
         assert sizes and max(sizes) <= 3 * largest
@@ -710,9 +716,9 @@ class TestRandomAgreement:
 
 
 def test_recorded_ordering_reaches_eliminate(monkeypatch):
-    # a shuffled legal ordering recorded on a copy reaches eliminate from every
-    # solve of the copy and of its conversion, and from its evaluator as
-    # restricted to each utility's ancestors
+    # a shuffled legal ordering recorded on a copy reaches eliminate, as the
+    # plans' buckets, from every solve of the copy and of its conversion, and
+    # from its evaluator as restricted to each utility's ancestors
     base = generate(GeneratorParams(n_c=20, n_d=5, utility_class="M", seed=6))
     rng = random.Random(6)
     blocks = temporal_partition(base)
@@ -726,9 +732,9 @@ def test_recorded_ordering_reaches_eliminate(monkeypatch):
     def spy(module):
         run = module.eliminate
 
-        def recorded(diagram, order, *rest):
-            orders.append(list(order))
-            return run(diagram, order, *rest)
+        def recorded(diagram, made, *rest):
+            orders.append([b.var for b in made.buckets])
+            return run(diagram, made, *rest)
 
         monkeypatch.setattr(module, "eliminate", recorded)
 
@@ -778,6 +784,19 @@ def test_cell_limit_checked_before_elimination(monkeypatch):
             run()
 
 
+class Sizes:
+    """Domain sizes by variable, and the decisions with their information
+    sets: all ``elimination.plan`` reads of a diagram."""
+
+    def __init__(self, information_sets=None, **sizes):
+        self.sizes = sizes
+        self.information_sets = information_sets or {}
+        self.decision_vars = tuple(self.information_sets)
+
+    def domain_sizes(self, scope):
+        return tuple(self.sizes[v] for v in scope)
+
+
 @pytest.mark.parametrize(
     "lam, theta, expected",
     [
@@ -791,10 +810,10 @@ def test_chance_step_zero_marginal_gives_positive_zero(lam, theta, expected):
     # division warns of nothing (pytest turns warnings into errors)
     lam, theta = np.array(lam), np.array(theta)
     scope = ("X", "Y")[2 - lam.ndim :]
-    _, msg = exact._chance_step(
-        None, {"Y": 0, "X": 1}, "Y", [Factor(scope, lam)], [Factor(scope, theta)]
-    )
-    assert msg.table.tobytes() == np.array(expected).tobytes()
+    sizes = Sizes(Y=2, X=2)
+    made = plan(sizes, ("Y", "X"), [Factor(scope, lam)], [Factor(scope, theta)], exact._spans)
+    _, msg = exact._chance_step(None, made.buckets[0], [lam], [theta])
+    assert msg.tobytes() == np.array(expected).tobytes()
 
 
 def take_along_reference(rule, order_key, y, lambdas, thetas):
@@ -845,17 +864,21 @@ class TestSelectStep:
     def test_matches_take_along_axis(self, k, batch, rule_scope):
         rng = np.random.default_rng(k * 10 + batch)
         rule, lambdas, thetas = self.tables(rng, k, batch, rule_scope)
+        sizes = Sizes({"D": rule_scope}, D=k, **self.SIZES)
         for lams, ths in [(lambdas, thetas), (lambdas, []), ([], thetas)]:
+            bucket = plan(sizes, tuple(self.ORDER_KEY), lams, ths, exact._evaluated).buckets[0]
+            rank = {v: i for i, v in enumerate(bucket.scope)}
+            choice = seen(rule.table, view(rule_scope, bucket.scope[1:], rank))
             lam_msg, theta_msg, none = exact._select_step(
-                {"D": rule}, None, self.ORDER_KEY, "D", lams, ths
+                {"D": choice}, None, bucket, [f.table for f in lams], [f.table for f in ths]
             )
             assert none is None
             msg = theta_msg if ths else lam_msg
             assert (lam_msg if ths else theta_msg) is None
             scope, expected = take_along_reference(rule, self.ORDER_KEY, "D", lams, ths)
-            assert msg.scope == scope
-            assert msg.table.shape == expected.shape
-            assert np.array_equal(msg.table, expected)
+            assert bucket.out[1 if ths else 0] == scope
+            assert msg.shape == expected.shape
+            assert np.array_equal(msg, expected)
 
     def test_k3_policies_match_oracle(self):
         checked = 0
@@ -970,9 +993,11 @@ def oracle_decision_step(diagram, order_key, y, lambdas, thetas):
     )
 
 
-def run_steps(d, chance_step, decision_step):
-    lambdas, thetas = factors(d, d.cpts), factors(d, d.utilities)
-    return eliminate(d, checked_skeleton(d).order, lambdas, thetas, chance_step, decision_step)
+def executed(d):
+    """``solve_exact``'s steps run on the diagram's recorded exact plan."""
+    solve_exact(d)  # records the plan
+    made = checked_skeleton(d).plans[exact._spans]
+    return eliminate(d, made, d.cpts, d.utilities, exact._chance_step, exact._decision_step)
 
 
 def bits(d, run):
@@ -984,12 +1009,14 @@ def bits(d, run):
 
 
 def assert_matches_oracle(d) -> tuple[int, int]:
-    """``solve_exact``'s MEU and actions are the oracle steps' bit for bit;
-    returns the cells of the largest message each stores."""
-    run = run_steps(d, exact._chance_step, exact._decision_step)
+    """``solve_exact``'s MEU and actions are the oracle steps' bit for bit,
+    and its plan stores the largest message the per-call driver stored;
+    returns the cells of the largest message it and the oracle steps store."""
+    run = executed(d)
     oracle = run_steps(d, oracle_chance_step, oracle_decision_step)
     expected = bits(d, oracle)
     assert bits(d, run) == expected
+    assert run.max_cells == run_steps(d, stored_chance_step, stored_decision_step).max_cells
     meu = 0.0
     for theta in oracle.root_thetas:
         meu += float(theta)
@@ -1105,16 +1132,6 @@ def test_wide_root_matches_oracle(k):
         assert stored < full == 2 * k
 
 
-class Sizes:
-    """Domain sizes by variable, all ``sum_out`` reads of a diagram."""
-
-    def __init__(self, **sizes):
-        self.sizes = sizes
-
-    def domain_sizes(self, scope):
-        return tuple(self.sizes[v] for v in scope)
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 17])
 @pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["no batch", "batch 1", "batch 3"])
 def test_sum_out_sums_as_materialized(k, lead):
@@ -1132,9 +1149,8 @@ def test_sum_out_sums_as_materialized(k, lead):
             values = rng.random(shape) * 10.0 ** rng.integers(-17, 1, size=shape)
             table = np.where(rng.random(shape) < 0.2, -0.0, values)
             expected = np.broadcast_to(table, full).copy().sum(len(lead))
-            got = sum_out(sizes, Factor(scope, table), "Y")
-            assert got.scope == scope[1:]
-            got = np.broadcast_to(got.table, expected.shape)
+            wide = math.prod(sizes.domain_sizes(scope[1:])) > 1
+            got = np.broadcast_to(sum_out(table, len(scope), wide), expected.shape)
             assert got.tobytes() == expected.tobytes(), (scope, mask)
 
 
