@@ -341,17 +341,17 @@ def require_valid(diagram: InfluenceDiagram, qualitative: bool) -> InfluenceDiag
 def mark_valid(diagram: InfluenceDiagram) -> InfluenceDiagram:
     """Record ``diagram`` as valid, so ``require_valid`` does not check it.
 
-    Besides ``require_valid``, the one caller is ``convert``, whose output
-    is valid by construction: it starts from a valid numeric diagram and
-    keeps its variables, scopes, decision order and information sets, so
-    every structural and graph check passes as before.  Each probability
-    p becomes zero or the ``(+,k)`` with ``eps**(k+1) < p <= eps**k``, and
+    Besides ``require_valid``, the callers are ``generator.generate`` (see
+    there) and ``convert``, whose outputs are valid by construction.
+    ``convert`` starts from a valid numeric diagram and keeps its
+    variables, scopes, decision order and information sets, so every
+    structural and graph check passes as before.  Each probability p
+    becomes zero or the ``(+,k)`` with ``eps**(k+1) < p <= eps**k``, and
     p <= 1 gives k >= 0; a numeric row sums to 1, so it has a positive
     entry, which becomes non-zero.  Each utility becomes the (bit, end)
-    table of a singleton, which is canonical.
-    ``convert`` checks the bound of ``order_limit`` itself.
-    ``test_convert`` checks ``validate`` on converted diagrams to keep this
-    argument honest.
+    table of a singleton, which is canonical.  ``convert`` checks the bound
+    of ``order_limit`` itself.  ``test_convert`` and ``test_generator``
+    check ``validate`` on their outputs to keep these arguments honest.
     """
     object.__setattr__(diagram, "_valid", True)
     return diagram

@@ -14,16 +14,17 @@ probability factors (lambdas) and utility factors (thetas) alone: it puts
 each into the bucket of its earliest variable, asks the solver's ``spans``
 which variables the bucket's messages keep, and puts each message into a
 later bucket the same way; messages over no variable are the root results.
-It records each bucket once, as a ``Bucket``.  ``planned`` keeps one plan
-per skeleton and solver, so later solves of a diagram, and of its
-conversions, run the same one.  ``eliminate`` executes a plan: it hands
-each bucket's record and input tables to the algebra's chance or decision
-step and files the messages where the plan put them.  Only the steps know
-the algebra.  The kernels they share: ``seen`` applies a ``view`` (a
-transpose, then an index that adds the axes a table lacks; leading axes
-pass through, so a stored one-cell table or a batch axis broadcasts),
-``fold`` folds tables seen over one union, and ``sum_out`` sums the bucket
-variable out as numpy would with every size-1 axis broadcast.
+It records each bucket once, as a ``Bucket`` over one scope, the bucket's
+variables.  ``planned`` keeps one plan per skeleton and solver, so later
+solves of a diagram, and of its conversions, run the same one.
+``eliminate`` executes a plan: it lines each bucket's inputs up over its
+scope for the algebra's chance or decision step, cuts each message down to
+its own scope and files it where the plan put it.  Only the steps know the
+algebra.  The kernels they share: ``seen`` applies a ``view`` (a transpose,
+then an index that adds the axes a table lacks; leading axes pass through,
+so a stored one-cell table or a batch axis broadcasts), ``fold`` folds
+tables seen over one scope, and ``sum_out`` sums the bucket variable out as
+numpy would with every size-1 axis broadcast.
 """
 
 from __future__ import annotations
@@ -81,23 +82,24 @@ def seen(table: np.ndarray, view: View) -> np.ndarray:
     return table[index]
 
 
-def fold(tables: Sequence, views: Sequence[View], op: np.ufunc = np.multiply) -> np.ndarray:
-    """The tables, each seen through its view over one union, folded by
-    ``op`` left to right.  Each result is laid out C-contiguous, whatever
-    the strides of a transposed input view; a lone table is only seen."""
-    table = seen(tables[0], views[0])
-    for i in range(1, len(tables)):
-        table = op(table, seen(tables[i], views[i]), order="C")
+def fold(tables: Sequence, op: np.ufunc = np.multiply) -> np.ndarray:
+    """The tables, seen over one scope, folded by ``op`` left to right.
+    Each result is laid out C-contiguous, whatever the strides of a
+    transposed input view; a lone table is returned as it is."""
+    table = tables[0]
+    for other in tables[1:]:
+        table = op(table, other, order="C")
     return table
 
 
 def sum_out(table: np.ndarray, n: int, wide: bool) -> np.ndarray:
-    """``table`` over a union of ``n`` variables with the first, the bucket
-    variable, summed out, bit for bit as numpy sums it out of the table with
-    each size-1 axis broadcast to its variable's domain: slice by slice from
-    +0.0 when every later axis has one cell but stands for more (``wide``:
-    the later variables' domains hold more than one cell), else in one pass
-    (pairwise on long axes).  The variable's own axis is never broadcast:
+    """``table`` over a bucket scope of ``n`` variables with the first, the
+    bucket variable, summed out, bit for bit as numpy sums it out of the
+    table with each size-1 axis broadcast to its variable's domain: slice by
+    slice from +0.0 when every later axis has one cell but stands for more
+    (``wide``: the domains of the later variables the table spans, all of
+    the scope or the lambdas' alone, hold more than one cell), else in one
+    pass (pairwise on long axes).  The variable's own axis is never broadcast:
     its bucket holds its CPT or a distribution over it."""
     axis = table.ndim - n
     if wide and set(table.shape[axis + 1 :]) == {1}:
@@ -110,22 +112,18 @@ def sum_out(table: np.ndarray, n: int, wide: bool) -> np.ndarray:
 
 @dataclass
 class Bucket:
-    """One bucket of a plan.  Its unions are scopes in elimination order, so
-    ``var`` comes first in each, at axis ``-len(union)`` from the end."""
+    """One bucket of a plan.  Its scope is in elimination order, so ``var``
+    comes first, at axis ``-len(scope)`` from the end; every input and
+    message is seen over it."""
 
     var: str
     decision: bool
-    lambdas: list[int]  # slots of the lambda inputs, in arrival order
-    thetas: list[int]  # slots of the theta inputs
-    lam: tuple[str, ...]  # the lambda inputs' union
-    theta: tuple[str, ...]  # the theta inputs' union
-    scope: tuple[str, ...]  # the full union: lam, theta and the messages'
-    lam_in: list[View]  # each lambda input seen over lam
-    theta_in: list[View]  # each theta input seen over theta
-    up: tuple[View, View]  # lam and theta seen over scope
-    margin: tuple  # the index of lam less var over scope less var
-    wide: tuple[bool, bool]  # ``sum_out``'s static half, in lam and in scope
+    lambdas: list[tuple[int, View]]  # each lambda input's slot and view, in arrival order
+    thetas: list[tuple[int, View]]  # each theta input's slot and view
+    scope: tuple[str, ...]  # the inputs' and the messages' variables
+    wide: tuple[bool, bool]  # ``sum_out``'s static half, for the lambda variables and scope
     out: list[tuple[str, ...] | None]  # the lambda and theta messages' scopes
+    down: list[tuple | None]  # each message's index from scope[1:] to its scope, None: uncut
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,10 @@ def plan(diagram: InfluenceDiagram, order, lambdas, thetas, spans: Callable) -> 
 
     ``spans(diagram, var, decision, lam, theta)`` gives the variables of a
     bucket's lambda and theta messages (None for no message) from the sets
-    of its lambda and theta inputs: each message keeps one of those sets
-    or all the bucket's variables.  Slots number the inputs, lambdas then
-    thetas, then each message with a variable as it is sent.
+    of its lambda and theta inputs; a message's scope is the subsequence of
+    the bucket's scope less ``var`` that it keeps.  Slots number the
+    inputs, lambdas then thetas, then each message with a variable as it is
+    sent.
     """
     key = {v: i for i, v in enumerate(order)}
     ones = {v for v, n in zip(order, diagram.domain_sizes(order)) if n == 1}
@@ -160,20 +159,15 @@ def plan(diagram: InfluenceDiagram, order, lambdas, thetas, spans: Callable) -> 
         theta = set().union(*[s for _, s, _ in ths])
         msgs = spans(diagram, y, y in decisions, lam, theta)
         scope = tuple(sorted(lam.union(theta, *[m for m in msgs if m]), key=key.__getitem__))
-        known = {  # each union in scope's order, by the set it is made from
-            id(u): scope if len(u) == len(scope) else tuple(filter(u.__contains__, scope))
-            for u in (lam, theta)
-        }
-        lam, theta = known.values()
-        out = [m and known.get(id(m), scope)[1:] for m in msgs]
-        up = view(lam, scope)
-        wide = len(scope) > 1 and not ones.issuperset(scope[1:])
-        lam_wide = wide and len(lam) > 1 and not ones.issuperset(lam[1:])
-        ins = [[view(s, u, r) for _, s, r in fs] for fs, u in zip((lams, ths), (lam, theta))]
-        buckets.append(Bucket(
-            y, y in decisions, [i for i, _, _ in lams], [i for i, _, _ in ths], lam, theta, scope,
-            *ins, (up, theta and view(theta, scope)), (Ellipsis, *up[1][2:]), (lam_wide, wide), out,
-        ))  # fmt: skip
+        rest = scope[1:]
+        out = [m and tuple(filter(m.__contains__, rest)) for m in msgs]
+        down = [
+            (Ellipsis, *[_ALL if v in m else 0 for v in rest]) if m and len(s) < len(rest) else None
+            for m, s in zip(msgs, out)
+        ]
+        ins = [[(i, view(s, scope, r)) for i, s, r in fs] for fs in (lams, ths)]
+        wide = (not ones.issuperset(lam - {y}), not ones.issuperset(rest))
+        buckets.append(Bucket(y, y in decisions, *ins, scope, wide, out, down))
         for kind, s in enumerate(out):
             if s:
                 inputs[key[s[0]]][kind].append((next(slots), s, None))
@@ -204,9 +198,11 @@ def eliminate(
     """Run ``plan`` on the tables of the CPTs or utilities it was made for.
 
     Both steps get ``(diagram, bucket, lambdas, thetas)``: the bucket's
-    record and its input tables.  The chance step returns the lambda and
-    the theta message, the decision step also the decision's rule as a
-    factor; a message is None where the plan has none.
+    record and its input tables, each seen over the bucket's scope.  The
+    chance step returns the lambda and the theta message, the decision step
+    also the decision's rule as a factor; a message is None where the plan
+    has none, else a table over the scope less the bucket variable, which
+    the executor cuts down to the message's own scope.
     """
     inputs = zip((*lambdas, *thetas), plan.shapes)
     tables = [f.table.reshape(f.table.shape[:-1] + shape) for f, shape in inputs]
@@ -214,13 +210,15 @@ def eliminate(
     roots = (result.root_lambdas, result.root_thetas)
     cells = 0
     for b in plan.buckets:
-        lams, ths = [*map(tables.__getitem__, b.lambdas)], [*map(tables.__getitem__, b.thetas)]
+        lams, ths = ([seen(tables[i], v) for i, v in ins] for ins in (b.lambdas, b.thetas))
         if b.decision:
             *msgs, result.rules[b.var] = decision_step(diagram, b, lams, ths)
         else:
             msgs = chance_step(diagram, b, lams, ths)
-        for kind, (msg, scope) in enumerate(zip(msgs, b.out)):
+        for kind, (msg, scope, down) in enumerate(zip(msgs, b.out, b.down)):
             if scope is not None:
+                if down is not None:
+                    msg = msg[down]
                 cells = max(cells, math.prod(msg.shape[msg.ndim - len(scope) :]))
                 (tables if scope else roots[kind]).append(msg)
     result.max_cells = cells

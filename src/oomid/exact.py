@@ -1,15 +1,14 @@
 """Exact solving of numeric influence diagrams.
 
-``solve_exact`` runs the diagram's exact plan (see ``elimination``, made
-at the first solve) on float tables.  This module supplies the plan's
-``_spans`` and its two steps, which fold a bucket's tables through the
-views it records and reduce them with ``sum_out`` or a max.  The chance
-step marginalizes the bucket variable out of the probability
-product and renormalizes the utility by that marginal (zero-probability
-configurations contribute zero).  The decision step maximizes the
-utility, keeps the first maximizing action in domain order, and checks
-that the probability part is constant in the decision, within what the
-CPT rows' tolerance allows.
+``solve_exact`` runs the diagram's exact plan (see ``elimination``, made at
+the first solve) on float tables.  This module supplies the plan's
+``_spans`` and its two steps, which fold a bucket's tables, each seen over
+the bucket's scope, and reduce them with ``sum_out`` or a max.  The chance
+step marginalizes the bucket variable out of the probability product and
+renormalizes the utility by that marginal (zero-probability configurations
+contribute zero).  The decision step maximizes the utility, keeps the first
+maximizing action in domain order, and checks that the probability part is
+constant in the decision, within what the CPT rows' tolerance allows.
 
 ``PolicyEvaluator`` scores fixed policies with the same executor, per
 utility along a plan of that utility's ancestors only (see the class).  A
@@ -122,23 +121,21 @@ def _chance_step(diagram, b, lambdas, thetas):
     # y's CPT sits in the bucket of its earliest variable, and every bucket
     # with a probability factor sends one on, so only a solver fault fails this
     assert lambdas, f"chance bucket {b.var} has no probability component"
-    lam = fold(lambdas, b.lam_in)
-    lam_msg = sum_out(lam, len(b.lam), b.wide[0])
+    lam = fold(lambdas)
+    lam_msg = sum_out(lam, len(b.scope), b.wide[0])
     theta_msg = None
     if thetas:
-        theta = fold(thetas, b.theta_in, np.add)
-        table = np.asarray(sum_out(fold([lam, theta], b.up), len(b.scope), b.wide[1]))
-        marginal = lam_msg[b.margin]  # a sum over every axis is a scalar
-        if marginal.all():
-            np.divide(table, marginal, out=table)
+        table = np.asarray(sum_out(fold([lam, fold(thetas, np.add)]), len(b.scope), b.wide[1]))
+        if lam_msg.all():
+            np.divide(table, lam_msg, out=table)
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(table, marginal, out=table)
+                np.divide(table, lam_msg, out=table)
             # +0.0 where the marginal is zero; num there is a sum of 0 * theta,
             # 0/0 gives nan, and -0.0 for a negative theta would keep its sign
-            np.copyto(table, 0.0, where=marginal == 0)
+            np.copyto(table, 0.0, where=lam_msg == 0)
         theta_msg = table
-    return _stored(lam_msg, len(b.lam) - 1), theta_msg
+    return _stored(lam_msg, len(b.out[0])), theta_msg
 
 
 def _decision_step(diagram, b, lambdas, thetas):
@@ -149,31 +146,34 @@ def _decision_step(diagram, b, lambdas, thetas):
     # With exactly normalized rows it is constant up to rounding, so on a
     # valid diagram the spread stays within _mass_tolerance.
     lam_msg = None
+    axis = -len(b.scope)
     if lambdas:
-        lam = fold(lambdas, b.lam_in)
-        lam_msg = lam.max(-len(b.lam))
-        spread = lam_msg - lam.min(-len(b.lam))
+        lam = fold(lambdas)
+        lam_msg = lam.max(axis)
+        spread = lam_msg - lam.min(axis)
         bound = _mass_tolerance(diagram) * max(1.0, np.abs(lam).max())
         if not np.all(spread <= bound):
             raise DiagramError(
                 f"probability component in decision bucket {b.var} varies with {b.var}"
             )
-        lam_msg = _stored(lam_msg, len(b.lam) - 1)
+        lam_msg = _stored(lam_msg, len(b.out[0]))
     if not thetas:
         # nothing downstream distinguishes the actions
         return lam_msg, None, Factor((), np.zeros((), dtype=int))
-    combined = fold(thetas, b.theta_in, np.add)
+    combined = fold(thetas, np.add)
     # first maximizing action in domain order: 0 on a broadcast axis, whose
     # actions all tie
-    axis = -len(b.theta)
-    return lam_msg, combined.max(axis), Factor(b.out[1], combined.argmax(axis))
+    rule = combined.argmax(axis)
+    if b.down[1] is not None:
+        rule = rule[b.down[1]]
+    return lam_msg, combined.max(axis), Factor(b.out[1], rule)
 
 
 def _stored(msg: np.ndarray, n: int) -> np.ndarray:
     """A probability message over ``n`` variables as stored: one over two or
     more that is exactly 1.0 in every cell as one cell, each axis broadcast."""
     if n > 1 and msg.item(0) == 1.0 and (msg == 1.0).all():
-        return np.ones((1,) * n)
+        return np.ones((1,) * msg.ndim)
     return msg
 
 
@@ -193,16 +193,10 @@ def _evaluated(diagram, y, decision, lam, theta):
     return (None, msg) if theta else (msg, None)
 
 
-def _product(b, lambdas, thetas):
-    """The bucket's product over its full union, lambdas first."""
-    kinds = zip((lambdas, thetas), (b.lam_in, b.theta_in), b.up)
-    return fold(*zip(*[(fold(tables, views), up) for tables, views, up in kinds if tables]))
-
-
 def _part_plan(diagram, order, kept, lambdas, utility):
     """The plan of one utility's part, along ``order`` restricted to the
     ``kept`` ancestors, and the view of each decision's rule over its
-    bucket's union less the decision."""
+    bucket's scope less the decision."""
     made = plan(diagram, [v for v in order if v in kept], lambdas, [utility], _evaluated)
     info, rank = diagram.information_sets, {v: i for i, v in enumerate(order)}
     rules = [b for b in made.buckets if b.decision and b.scope]
@@ -212,17 +206,17 @@ def _part_plan(diagram, order, kept, lambdas, utility):
 def _sum_step(diagram, b, lambdas, thetas):
     """Sum the bucket variable out of the bucket's product; the message
     carries the utility if the bucket does."""
-    msg = sum_out(_product(b, lambdas, thetas), len(b.scope), b.wide[1])
+    msg = sum_out(fold(lambdas + thetas), len(b.scope), b.wide[1])
     return (None, msg) if thetas else (msg, None)
 
 
 def _select_step(rules, diagram, b, lambdas, thetas):
     """Take each policy's action out of the bucket's product, as its rule
-    (seen over the bucket's union less the decision) gives it."""
+    (seen over the bucket's scope less the decision) gives it."""
     if not lambdas and not thetas:
         return None, None, None
     choice = rules[b.var]
-    actions = np.moveaxis(_product(b, lambdas, thetas), -len(b.scope), 0)
+    actions = np.moveaxis(fold(lambdas + thetas), -len(b.scope), 0)
     msg = actions[0]
     for a in range(1, len(actions)):
         msg = np.where(choice == a, actions[a], msg)

@@ -27,6 +27,7 @@ from .diagram import (
     UtilityFunction,
     Variable,
     apply_nonforgetting,
+    mark_valid,
 )
 
 
@@ -53,8 +54,8 @@ class GeneratorParams:
             raise ValueError("parent count must not exceed the root count")
         if not 1 <= self.a <= total:
             raise ValueError("utility arity must be in [1, n_c + n_d]")
-        if self.k < 2:
-            raise ValueError("domain size bound must be at least 2")
+        if not 2 <= self.k <= 10_000:  # k - 1 entries below EXTREME_HIGH sum below 1
+            raise ValueError("domain size bound must be in [2, 10000]")
         if self.n_d > 0 and self.n_c < self.r:
             raise ValueError("needs n_c >= r so decisions can be non-roots")
         if self.utility_class not in ("P", "M"):
@@ -99,6 +100,14 @@ def _samples(
 
 
 def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDiagram:
+    """The diagram of ``params``, its information sets closed if
+    ``nonforgetting``, marked valid (``diagram.mark_valid``): ids, labels
+    and scopes are distinct strings in tuples, domains hold two or more
+    labels, tables are float arrays of their scopes' cells, the utility is
+    finite on a non-empty scope, each chance variable has one CPT, and
+    parents and information sets are earlier variables, so every arc, the
+    closure's too, runs forward.  Rows are divided by their sums or end in 1
+    minus their other entries, which the bound on ``k`` keeps positive."""
     rng = np.random.default_rng(params.seed)
     total = params.n_c + params.n_d
     decision_positions = {params.r + i for i in _samples(rng, [total - params.r], params.n_d)[0]}
@@ -195,4 +204,4 @@ def generate(params: GeneratorParams, nonforgetting: bool = True) -> InfluenceDi
     )
     if nonforgetting:
         diagram = apply_nonforgetting(diagram)
-    return diagram
+    return mark_valid(diagram)

@@ -293,38 +293,37 @@ def _spans(diagram, y, decision, lam, theta):
     return lam or None, lam | theta if theta else None
 
 
-def _utility(b, thetas, lam) -> np.ndarray:
+def _utility(thetas, lam) -> np.ndarray:
     """The bucket's utility sum, scaled by its probability product if any."""
-    theta = fold(thetas, b.theta_in, np.minimum)
+    theta = fold(thetas, np.minimum)
     if len(thetas) > 1:  # one theta is canonical: a utility table, or a shifted message
         theta = sum_ends(theta)
-    return theta if lam is None else fold([theta, lam], b.up[::-1], np.add)
+    return theta if lam is None else theta + lam
 
 
 def _chance_step(diagram, b, lambdas, thetas):
     # as in the exact solver, only a solver fault leaves a chance bucket
     # without a probability factor
     assert lambdas, f"chance bucket {b.var} has no probability component"
-    lam = fold(lambdas, b.lam_in, np.add)
-    lam_msg = lam.min(-len(b.lam))  # a sum of probabilities
+    lam = fold(lambdas, np.add)
+    lam_msg = lam.min(-len(b.scope))  # a sum of probabilities
     theta_msg = None
     if thetas:
-        sums = sum_ends(_utility(b, thetas, lam), -len(b.scope))
+        sums = sum_ends(_utility(thetas, lam), -len(b.scope))
         # divided by the probability mass; where the mass is zero, so is
         # every scaled term, and the sum stays zero
-        total = lam_msg[b.margin]
-        theta_msg = sums - np.where(total < INF, total, 0.0)
+        theta_msg = sums - np.where(lam_msg < INF, lam_msg, 0.0)
     return lam_msg, theta_msg
 
 
 def _decision_step(diagram, b, lambdas, thetas):
-    lam = fold(lambdas, b.lam_in, np.add) if lambdas else None
-    lam_msg = lam.min(-len(b.lam)) if lam is not None else None
+    axis = -len(b.scope)
+    lam = fold(lambdas, np.add) if lambdas else None
+    lam_msg = lam.min(axis) if lam is not None else None
     if not thetas:
         # nothing downstream distinguishes the actions: keep them all
         return lam_msg, None, Factor((), np.ones(len(diagram.domain(b.var)), dtype=bool))
-    combined = _utility(b, thetas, lam)
-    axis = -len(b.scope)
+    combined = _utility(thetas, lam)
     return lam_msg, max_ends(combined, axis), Factor(b.out[1], maximal_mask(combined, axis))
 
 

@@ -7,16 +7,19 @@ skeleton is, and bound each plan's buckets and messages from their scopes
 alone, before any table is built.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import oracle_elimination as oracle
 from oomid import elimination, exact, oom_solve
 from oomid.convert import ConversionConfig, convert
-from oomid.exact import PolicyEvaluator, evaluate_policy, solve_exact
+from oomid.diagram import from_dict
+from oomid.exact import PolicyEvaluator, brute_force_meu, evaluate_policy, solve_exact
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
 from oomid.ordering import checked_skeleton, skeleton
@@ -165,9 +168,10 @@ def cells(d, scope) -> int:
     return math.prod(d.domain_sizes(scope))
 
 
-@pytest.mark.parametrize("n, utility_class, seed", GENERATED, ids=lambda x: str(x))
-def test_planned_buckets_within_largest_bucket(n, utility_class, seed):
-    # the plans as the solvers and the evaluator make them, without a table
+@functools.cache
+def planned_without_tables(n, utility_class, seed):
+    """A generated diagram and its plans as the solvers and the evaluator
+    make them, without a table: exact, qualitative, then each part."""
     d = generated(n, utility_class, seed)
     record = checked_skeleton(d)
     spans = (exact._spans, oom_solve._spans)
@@ -176,10 +180,69 @@ def test_planned_buckets_within_largest_bucket(n, utility_class, seed):
         exact._part_plan(d, record.order, k, [c for c in d.cpts if c.child in k], u)[0]
         for k, u in zip(record.kept, d.utilities)
     ]
+    return d, plans
+
+
+@pytest.mark.parametrize("n, utility_class, seed", GENERATED, ids=lambda x: str(x))
+def test_planned_buckets_within_largest_bucket(n, utility_class, seed):
+    d, plans = planned_without_tables(n, utility_class, seed)
+    record = checked_skeleton(d)
     for made in plans:
         assert max(cells(d, b.scope) for b in made.buckets) <= record.largest_bucket
+        for b in made.buckets:
+            rest = b.scope[1:]
+            for scope, down in zip(b.out, b.down):
+                if scope is None:
+                    assert down is None
+                    continue
+                # an ordered subsequence, cut to where it is shorter: a
+                # table over rest with one cell where scope lacks the
+                # variable comes out over scope
+                assert scope == tuple(v for v in rest if v in scope)
+                assert (down is not None) == (len(scope) < len(rest))
+                table = np.zeros([len(d.domain(v)) if v in scope else 1 for v in rest])
+                assert (table if down is None else table[down]).shape == d.domain_sizes(scope)
+    # not vacuous: across GENERATED, some chance bucket and some decision
+    # bucket cut their lambda message
+    cut = set()
+    for p in GENERATED:
+        for made in planned_without_tables(*p)[1]:
+            cut.update(b.decision for b in made.buckets if b.down[0] is not None)
+    assert cut == {False, True}
     # the qualitative solver stores every message at its scope's size
     qualitative = plans[1]
     largest = max(cells(d, s) for b in qualitative.buckets for s in b.out if s is not None)
     for eps in EPSILONS:
         assert elim_oom_id(convert(d, ConversionConfig(eps))).max_table_cells == largest
+
+
+def test_decision_bucket_cuts_utility_message_and_rule():
+    # Y, never observed, is summed out first and sends a probability message
+    # over (D, X) to D's bucket, whose utility is over D alone: the utility
+    # message and the rule are cut from (X,) to ()
+    data = {
+        "variables": [
+            {"id": "X", "kind": "chance", "domain": ["a", "b"]},
+            {"id": "D", "kind": "decision", "domain": ["l", "m", "r"]},
+            {"id": "Y", "kind": "chance", "domain": ["a", "b"]},
+        ],
+        "cpts": [
+            {"child": "X", "parents": [], "table": [0.3, 0.7]},
+            {
+                "child": "Y",
+                "parents": ["D", "X"],
+                "table": [0.1, 0.9, 0.3, 0.7, 0.6, 0.4, 0.2, 0.8, 0.5, 0.5, 0.9, 0.1],
+            },
+        ],
+        "utilities": [{"scope": ["D"], "table": [2.0, 5.5, 3.25]}],
+        "decision_order": ["D"],
+        "information_sets": {"D": ["X"]},
+    }
+    d = from_dict(data)
+    solution = solve_exact(d)
+    (bucket,) = [b for b in skeleton(d).plans[exact._spans].buckets if b.var == "D"]
+    assert bucket.scope == ("D", "X") and bucket.out[1] == () and bucket.down[1] is not None
+    meu, rules, _ = oracle.solve(d)
+    assert solution.meu.hex() == meu.hex()
+    assert actions(solution.policy) == rules == {"D": [1, 1]}
+    assert abs(solution.meu - brute_force_meu(d)[0]) <= 1e-9

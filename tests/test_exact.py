@@ -812,7 +812,9 @@ def test_chance_step_zero_marginal_gives_positive_zero(lam, theta, expected):
     scope = ("X", "Y")[2 - lam.ndim :]
     sizes = Sizes(Y=2, X=2)
     made = plan(sizes, ("Y", "X"), [Factor(scope, lam)], [Factor(scope, theta)], exact._spans)
-    _, msg = exact._chance_step(None, made.buckets[0], [lam], [theta])
+    b = made.buckets[0]
+    lam, theta = seen(lam, b.lambdas[0][1]), seen(theta, b.thetas[0][1])
+    _, msg = exact._chance_step(None, b, [lam], [theta])
     assert msg.tobytes() == np.array(expected).tobytes()
 
 
@@ -870,7 +872,11 @@ class TestSelectStep:
             rank = {v: i for i, v in enumerate(bucket.scope)}
             choice = seen(rule.table, view(rule_scope, bucket.scope[1:], rank))
             lam_msg, theta_msg, none = exact._select_step(
-                {"D": choice}, None, bucket, [f.table for f in lams], [f.table for f in ths]
+                {"D": choice},
+                None,
+                bucket,
+                [seen(f.table, v) for f, (_, v) in zip(lams, bucket.lambdas)],
+                [seen(f.table, v) for f, (_, v) in zip(ths, bucket.thetas)],
             )
             assert none is None
             msg = theta_msg if ths else lam_msg

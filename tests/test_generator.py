@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oomid.diagram import Kind, validate
+from oomid.diagram import Kind, apply_nonforgetting, validate
 from oomid.generator import EXTREME_HIGH, EXTREME_LOW, GeneratorParams, _samples, generate
 
 
@@ -26,6 +26,7 @@ class TestParams:
             (dict(n_c=5, n_d=0, a=0), "utility arity"),
             (dict(n_c=5, n_d=1, a=7), "utility arity"),
             (dict(n_c=5, n_d=1, k=1), "domain size bound"),
+            (dict(n_c=5, n_d=1, k=10_001), "domain size bound"),
             (dict(n_c=4, n_d=2, r=5), "needs n_c >= r"),
             (dict(n_c=5, n_d=1, utility_class="Q"), "utility class"),
         ]
@@ -35,12 +36,29 @@ class TestParams:
 
 
 class TestStructure:
-    def test_generated_diagram_validates_and_solves(self):
+    @pytest.mark.parametrize("nonforgetting", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("utility_class", "PM")
+    @pytest.mark.parametrize("n", [25, 45, 80])
+    def test_generated_diagram_validates_and_solves(self, n, utility_class, seed, nonforgetting):
+        # generate records its output as valid without checking it: this
+        # keeps the argument in its docstring honest.  A forgetting
+        # diagram's optimal rule may read a variable its decision does not
+        # observe, which solve_exact rejects, so its closure is solved.
         from oomid.exact import solve_exact
 
-        d = generate(bench_params(seed=0))
+        d = generate(bench_params(seed, utility_class, n), nonforgetting=nonforgetting)
+        assert d._valid
         assert validate(d) == []
-        assert np.isfinite(solve_exact(d).meu)
+        assert np.isfinite(solve_exact(apply_nonforgetting(d)).meu)
+
+    def test_valid_at_the_domain_size_bound(self):
+        # k - 1 near-deterministic entries below EXTREME_HIGH leave the last
+        # one positive; past the bound a generated row went negative
+        for seed in range(3):
+            d = generate(GeneratorParams(n_c=5, n_d=0, k=10_000, p=0, r=5, a=1, seed=seed))
+            assert max(len(v.domain) for v in d.variables) > 5_000
+            assert validate(d) == []
 
     def test_deterministic(self):
         a = generate(bench_params(seed=42))
