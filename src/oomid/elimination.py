@@ -20,11 +20,10 @@ solves of a diagram, and of its conversions, run the same one.
 ``eliminate`` executes a plan: it lines each bucket's inputs up over its
 scope for the algebra's chance or decision step, cuts each message down to
 its own scope and files it where the plan put it.  Only the steps know the
-algebra.  The kernels they share: ``seen`` applies a ``view`` (a transpose,
-then an index that adds the axes a table lacks; leading axes pass through,
-so a stored one-cell table or a batch axis broadcasts), ``fold`` folds
-tables seen over one scope, and ``sum_out`` sums the bucket variable out as
-numpy would with every size-1 axis broadcast.
+algebra: a bucket records scopes, views and cuts only.  The kernels they
+share: ``seen`` applies a ``view`` (a transpose, then an index that adds
+the axes a table lacks; leading axes pass through, so a size-1 axis or a
+batch axis broadcasts), and ``fold`` folds tables seen over one scope.
 """
 
 from __future__ import annotations
@@ -92,36 +91,18 @@ def fold(tables: Sequence, op: np.ufunc = np.multiply) -> np.ndarray:
     return table
 
 
-def sum_out(table: np.ndarray, n: int, wide: bool) -> np.ndarray:
-    """``table`` over a bucket scope of ``n`` variables with the first, the
-    bucket variable, summed out, bit for bit as numpy sums it out of the
-    table with each size-1 axis broadcast to its variable's domain: slice by
-    slice from +0.0 when every later axis has one cell but stands for more
-    (``wide``: the domains of the later variables the table spans, all of
-    the scope or the lambdas' alone, hold more than one cell), else in one
-    pass (pairwise on long axes).  The variable's own axis is never broadcast:
-    its bucket holds its CPT or a distribution over it."""
-    axis = table.ndim - n
-    if wide and set(table.shape[axis + 1 :]) == {1}:
-        total = np.zeros(table.shape[:axis] + table.shape[axis + 1 :])
-        for part in np.moveaxis(table, axis, 0):
-            total += part
-        return total
-    return np.add.reduce(table, axis)  # ndarray.sum without its Python wrapper
-
-
 @dataclass
 class Bucket:
     """One bucket of a plan.  Its scope is in elimination order, so ``var``
     comes first, at axis ``-len(scope)`` from the end; every input and
-    message is seen over it."""
+    message is seen over it.  It records scopes, views and cuts only, no
+    domain size: a step that needs one reads it off the diagram."""
 
     var: str
     decision: bool
     lambdas: list[tuple[int, View]]  # each lambda input's slot and view, in arrival order
     thetas: list[tuple[int, View]]  # each theta input's slot and view
     scope: tuple[str, ...]  # the inputs' and the messages' variables
-    wide: tuple[bool, bool]  # ``sum_out``'s static half, for the lambda variables and scope
     out: list[tuple[str, ...] | None]  # the lambda and theta messages' scopes
     down: list[tuple | None]  # each message's index from scope[1:] to its scope, None: uncut
 
@@ -141,10 +122,9 @@ def plan(diagram: InfluenceDiagram, order, lambdas, thetas, spans: Callable) -> 
     of its lambda and theta inputs; a message's scope is the subsequence of
     the bucket's scope less ``var`` that it keeps.  Slots number the
     inputs, lambdas then thetas, then each message with a variable as it is
-    sent.
+    sent.  Of the domain sizes, only the inputs' shapes are read.
     """
     key = {v: i for i, v in enumerate(order)}
-    ones = {v for v, n in zip(order, diagram.domain_sizes(order)) if n == 1}
     decisions = set(diagram.decision_vars)
     # per bucket and kind: (slot, scope, rank), no rank for a message, whose
     # scope is in elimination order
@@ -166,8 +146,7 @@ def plan(diagram: InfluenceDiagram, order, lambdas, thetas, spans: Callable) -> 
             for m, s in zip(msgs, out)
         ]
         ins = [[(i, view(s, scope, r)) for i, s, r in fs] for fs in (lams, ths)]
-        wide = (not ones.issuperset(lam - {y}), not ones.issuperset(rest))
-        buckets.append(Bucket(y, y in decisions, *ins, scope, wide, out, down))
+        buckets.append(Bucket(y, y in decisions, *ins, scope, out, down))
         for kind, s in enumerate(out):
             if s:
                 inputs[key[s[0]]][kind].append((next(slots), s, None))

@@ -31,16 +31,16 @@ which ``expand_rule`` rejects; ``PolicyEvaluator`` scores any policy.
 ``solve_exact`` and ``oom_solve.elim_oom_id`` eliminate every variable.
 ``solve_exact`` stores a probability message over two or more variables
 that is exactly 1.0 in every cell, as a barren subtree whose rows sum to
-exactly one sends, as one cell with every axis broadcast; it keeps its
-scope, so the plan, folds and values stay as they are.  ``sum_out`` sums in
-numpy's order over the full tables, and the max, min or argmax of a
-broadcast axis reads one cell equal to all it stands for (argmax: the
-first action, as on a tie), so MEU and policy are those of full tables bit
-for bit.  Dropping barren variables would move MEU bits that tests pin:
-most of their messages are one only up to rounding.  In the
-order-of-magnitude algebra a CPT row's mass need not be of order 0: at
-eps = 0.5 each entry of the row (0.34, 0.33, 0.33) is of order 1, and so
-is their sum, so pruning would change qualitative results.
+exactly one sends, as one cell with every axis broadcast (``_stored``); it
+keeps its scope, so the plan, folds and values stay as they are.  Its
+``sum_out`` sums a product with such a cell in numpy's order over the full
+table, and the max, min or argmax of a broadcast axis reads one cell equal
+to all it stands for (argmax: the first action, as on a tie), so MEU and
+policy are those of full tables bit for bit.  Dropping barren variables
+would move MEU bits that tests pin: most of their messages are one only up
+to rounding.  In the order-of-magnitude algebra a CPT row's mass need not
+be of order 0: at eps = 0.5 each entry of the row (0.34, 0.33, 0.33) is of
+order 1, and so is their sum, so pruning would change qualitative results.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .diagram import (
     PolicyRule,
     require_valid,
 )
-from .elimination import Factor, eliminate, expand_rule, fold, plan, planned, seen, sum_out, view
+from .elimination import Factor, eliminate, expand_rule, fold, plan, planned, seen, view
 from .ordering import checked_skeleton
 
 
@@ -122,10 +122,11 @@ def _chance_step(diagram, b, lambdas, thetas):
     # with a probability factor sends one on, so only a solver fault fails this
     assert lambdas, f"chance bucket {b.var} has no probability component"
     lam = fold(lambdas)
-    lam_msg = sum_out(lam, len(b.scope), b.wide[0])
+    lam_msg = sum_out(diagram, lam, len(b.scope), b.out[0])
     theta_msg = None
     if thetas:
-        table = np.asarray(sum_out(fold([lam, fold(thetas, np.add)]), len(b.scope), b.wide[1]))
+        utility = fold([lam, fold(thetas, np.add)])
+        table = np.asarray(sum_out(diagram, utility, len(b.scope), b.scope[1:]))
         if lam_msg.all():
             np.divide(table, lam_msg, out=table)
         else:
@@ -177,6 +178,24 @@ def _stored(msg: np.ndarray, n: int) -> np.ndarray:
     return msg
 
 
+def sum_out(diagram, table: np.ndarray, n: int, later: Sequence[str]) -> np.ndarray:
+    """``table`` over a bucket scope of ``n`` variables with the first, the
+    bucket variable, summed out, bit for bit as numpy sums it out of the
+    table with each size-1 axis broadcast.  Where every later axis has one
+    cell but ``later``, the variables there, have more (a product with a
+    stored message; their sizes are read only then), numpy sums slice by
+    slice from +0.0, else in one pass (pairwise on long axes).  The bucket
+    variable's own axis is never broadcast: its CPT or a distribution over
+    it is in its bucket."""
+    axis = table.ndim - n
+    if set(table.shape[axis + 1 :]) == {1} and math.prod(diagram.domain_sizes(later)) > 1:
+        total = np.zeros(table.shape[:axis] + table.shape[axis + 1 :])
+        for part in np.moveaxis(table, axis, 0):
+            total += part
+        return total
+    return np.add.reduce(table, axis)  # ndarray.sum without its Python wrapper
+
+
 # Cells of the largest table of one chunk of policies: every table of the
 # evaluator's elimination spans at most one bucket, and carries at most one
 # entry per policy.  Bounds the memory of ``evaluate_many`` (32 MiB of
@@ -187,8 +206,6 @@ _CHUNK_CELLS = 1 << 22
 def _evaluated(diagram, y, decision, lam, theta):
     """The variables of a bucket's one message, which carries the utility if
     the bucket does: the bucket's and those its decision's rule reads."""
-    if not (lam or theta):
-        return None, None
     msg = lam | theta | set(diagram.information_sets.get(y, ()))
     return (None, msg) if theta else (msg, None)
 
@@ -199,26 +216,24 @@ def _part_plan(diagram, order, kept, lambdas, utility):
     bucket's scope less the decision."""
     made = plan(diagram, [v for v in order if v in kept], lambdas, [utility], _evaluated)
     info, rank = diagram.information_sets, {v: i for i, v in enumerate(order)}
-    rules = [b for b in made.buckets if b.decision and b.scope]
+    rules = [b for b in made.buckets if b.decision]
     return made, {b.var: view(info.get(b.var, ()), b.scope[1:], rank) for b in rules}
 
 
 def _sum_step(diagram, b, lambdas, thetas):
     """Sum the bucket variable out of the bucket's product; the message
     carries the utility if the bucket does."""
-    msg = sum_out(fold(lambdas + thetas), len(b.scope), b.wide[1])
+    msg = np.add.reduce(fold(lambdas + thetas), -len(b.scope))
     return (None, msg) if thetas else (msg, None)
 
 
 def _select_step(rules, diagram, b, lambdas, thetas):
     """Take each policy's action out of the bucket's product, as its rule
     (seen over the bucket's scope less the decision) gives it."""
-    if not lambdas and not thetas:
-        return None, None, None
     choice = rules[b.var]
     actions = np.moveaxis(fold(lambdas + thetas), -len(b.scope), 0)
-    msg = actions[0]
-    for a in range(1, len(actions)):
+    msg = np.where(choice == 0, actions[0], actions[-1])
+    for a in range(1, len(actions) - 1):
         msg = np.where(choice == a, actions[a], msg)
     return (None, msg, None) if thetas else (msg, None, None)
 
@@ -263,6 +278,14 @@ class PolicyEvaluator:
     so eliminating it adds no other fill.  Each utility's plan, with the
     view of each decision's rule over its bucket, is made once per
     skeleton, by the first evaluator; every later one reads it.
+
+    A part's variables are its utility's scope and their ancestors, joined
+    to it through CPT scopes and information sets (a decision's message
+    keeps its set).  So no bucket is empty, and only the last sends a
+    message over no variable: the utility's, as a bucket holding the
+    utility sends nothing else.  Each table spans its scope at full size (a
+    selection broadcasts over its rule's variables), so a sum needs none of
+    ``sum_out``'s care for stored cells.
     """
 
     def __init__(self, diagram: InfluenceDiagram):
@@ -270,11 +293,10 @@ class PolicyEvaluator:
         self._diagram = diagram
         skeleton = checked_skeleton(diagram)
         self._chunk = max(1, _CHUNK_CELLS // skeleton.largest_bucket)  # policies per chunk
-        cpts = [cpt for cpt in diagram.cpts if any(cpt.child in k for k in skeleton.kept)]
         # per utility: the plan along its ancestors, their CPTs and the utility
         self._parts = []
         for i, (k, u) in enumerate(zip(skeleton.kept, diagram.utilities)):
-            part = [c for c in cpts if c.child in k]
+            part = [c for c in diagram.cpts if c.child in k]
             make = functools.partial(_part_plan, diagram, skeleton.order, k, part, u)
             self._parts.append((planned(skeleton, (_evaluated, i), make), part, u))
 
@@ -295,10 +317,7 @@ class PolicyEvaluator:
                 seen_rules = {d: seen(chunk[d], v) for d, v in views.items()}
                 select = functools.partial(_select_step, seen_rules)
                 run = eliminate(self._diagram, made, lambdas, [utility], _sum_step, select)
-                value = run.root_thetas[0]
-                for lam in run.root_lambdas:
-                    value = value * lam
-                total += value
+                total += run.root_thetas[0]
             values.extend(total.tolist())
         return values
 
@@ -351,8 +370,6 @@ def policy_value(diagram: InfluenceDiagram, actions: Mapping[str, Sequence[int]]
     for chance_config in itertools.product(*[range(len(v.domain)) for v in chance]):
         assignment: dict[str, int] = {v.id: val for v, val in zip(chance, chance_config)}
         for d in diagram.decision_order:
-            if d in assignment:
-                continue
             info = tuple(diagram.information_sets.get(d, ()))
             idx = 0
             for p in info:

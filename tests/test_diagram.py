@@ -276,6 +276,25 @@ class TestValidate:
             f"{utility_name}: entries must be order-of-magnitude sets"
         ]
 
+    def test_non_float_tables_of_the_right_shape(self):
+        # a qualitative table laid out as its kind needs, holding text or
+        # objects where orders belong, is named by its kind, and the
+        # solver rejects it before elimination
+        oom = convert(tiny_chain(), ConversionConfig(0.1))
+        text_cpt = CPT("X", (), ("a", "b"))
+        object_utility = UtilityFunction(("D", "Y"), oom.utilities[0].table.astype(object))
+        cases = [
+            (replace(oom, cpts=(text_cpt, oom.cpts[1])), f"cpt for X: {PROBABILITY_MESSAGE}"),
+            (
+                replace(oom, utilities=(object_utility,)),
+                "utility 0 over ['D', 'Y']: entries must be order-of-magnitude sets",
+            ),
+        ]
+        for edited, message in cases:
+            assert validate(edited) == [message]
+            with pytest.raises(DiagramError, match=re.escape(message)):
+                elim_oom_id(edited)
+
     def test_orders_within_the_float64_bound(self):
         oom = convert(tiny_chain(), ConversionConfig(0.1))
         limit = order_limit(oom)

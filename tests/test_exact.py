@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -16,6 +18,7 @@ from oomid.diagram import (
     Policy,
     PolicyBatch,
     PolicyRule,
+    UtilityFunction,
     apply_nonforgetting,
     from_dict,
     mark_valid,
@@ -28,6 +31,7 @@ from oomid.exact import (
     evaluate_policy,
     policy_value,
     solve_exact,
+    sum_out,
 )
 from oomid.convert import ConversionConfig, convert
 from oomid.elimination import (
@@ -36,7 +40,6 @@ from oomid.elimination import (
     expand_rule,
     plan,
     seen,
-    sum_out,
     view,
 )
 from oomid.generator import GeneratorParams, generate
@@ -238,8 +241,9 @@ class TestEdgeCases:
         assert evaluate_policy(d, policy) == pytest.approx(3.0)
 
     def test_utility_without_decision_scores_every_policy(self):
-        # D's bucket is empty: no table ever gains a batch axis, and the
-        # batch still gets one value per policy
+        # D is no ancestor of the utility, so no bucket selects: no table
+        # ever gains a batch axis, and the batch still gets one value per
+        # policy
         data = {
             "variables": [
                 {"id": "X", "kind": "chance", "domain": ["a", "b"]},
@@ -263,6 +267,36 @@ class TestEdgeCases:
         values = PolicyEvaluator(d).evaluate_many(policies)
         assert values == pytest.approx([expected] * 3, rel=1e-12)
         assert values == [policy_value(d, {"D": p.rules["D"].actions}) for p in policies]
+
+    def test_zero_probability_configurations(self):
+        # policy_value skips a configuration once a CPT entry zeroes its
+        # probability (X = a, and Y's zero entries); the oracle still
+        # agrees with the solver and the evaluator
+        data = {
+            "variables": [
+                {"id": "X", "kind": "chance", "domain": ["a", "b", "c"]},
+                {"id": "D", "kind": "decision", "domain": ["l", "r"]},
+                {"id": "Y", "kind": "chance", "domain": ["t", "f"]},
+            ],
+            "cpts": [
+                {"child": "X", "parents": [], "table": [0.0, 0.25, 0.75]},
+                {
+                    "child": "Y",
+                    "parents": ["X", "D"],
+                    "table": [1.0, 0.0, 0.5, 0.5, 0.0, 1.0, 0.25, 0.75, 0.125, 0.875, 0.75, 0.25],
+                },
+            ],
+            "utilities": [{"scope": ["D", "Y"], "table": [4.0, -1.0, 2.0, 3.0]}],
+            "decision_order": ["D"],
+            "information_sets": {"D": ["X"]},
+        }
+        d = from_dict(data)
+        meu, winners = brute_force_meu(d)
+        sol = solve_exact(d)
+        assert abs(sol.meu - meu) <= 1e-9 * max(1.0, abs(meu))
+        assert sol.policy in winners
+        actions = {x: r.actions for x, r in sol.policy.rules.items()}
+        assert policy_value(d, actions) == pytest.approx(evaluate_policy(d, sol.policy), rel=1e-12)
 
     def test_incomplete_policy_rejected(self):
         d = wildcatter()
@@ -955,6 +989,135 @@ def test_optimal_policy_evaluates_to_meu():
         assert abs(value - sol.meu) <= 1e-12 * abs(sol.meu)
 
 
+def first_action_policy(d) -> Policy:
+    """The policy whose every rule takes each decision's first action."""
+    rules = {}
+    for x in d.decision_vars:
+        info = d.information_sets[x]
+        rules[x] = PolicyRule(x, info, (0,) * math.prod(d.domain_sizes(info)))
+    return Policy(rules=rules)
+
+
+def one_action_diagram(k: int, seed: int):
+    """D has one action and observes Z and V, which no table of its bucket
+    spans; E observes both and D.  V has ``k`` values, so a sum over V with
+    Z's axis broadcast would sum pairwise where numpy sums the full table
+    slice by slice."""
+    rng = np.random.default_rng(seed)
+    data = {
+        "variables": [
+            {"id": v, "kind": kind, "domain": [str(i) for i in range(n)]}
+            for v, kind, n in [("D", "decision", 1), ("Z", "chance", 3), ("V", "chance", k),
+                               ("E", "decision", 2)]
+        ],
+        "cpts": [
+            {"child": "Z", "parents": [], "table": rng.dirichlet([1.0] * 3).tolist()},
+            {"child": "V", "parents": [], "table": rng.dirichlet([1.0] * k).tolist()},
+        ],
+        "utilities": [
+            {"scope": ["D"], "table": [rng.normal()]},
+            {"scope": ["E", "Z"], "table": rng.normal(size=6).tolist()},
+        ],
+        "decision_order": ["D", "E"],
+        "information_sets": {"D": ["Z", "V"], "E": ["Z", "V", "D"]},
+    }
+    return from_dict(data)
+
+
+@functools.cache
+def evaluator_cases() -> tuple:
+    """Diagrams with a policy to score: the pinned ones and generated ones
+    at n = 6 to 80 with 0 to 3 parents (3 only to n = 25: wider ones pass
+    the cell limit at n = 80), closed at their optimum, forgetting at the
+    first action; the wildcatter both ways; and one-action decisions."""
+    cases = [(d, solve_exact(d).policy) for d in pinned_diagrams()]
+    for nonforgetting in (True, False):
+        d = wildcatter(nonforgetting)
+        cases.append((d, solve_exact(d).policy if nonforgetting else first_action_policy(d)))
+    for n, p, seed in itertools.product((6, 12, 25, 45, 80), range(4), range(2)):
+        if p == 3 and n > 25:
+            continue
+        n_d = min(5, n // 3)
+        params = GeneratorParams(
+            n_c=n - n_d, n_d=n_d, p=p, r=min(5, n - n_d), a=min(5, n),
+            utility_class="PM"[seed], seed=100 * n + 10 * p + seed,
+        )
+        closed = generate(params)
+        forgetting = generate(params, nonforgetting=False)
+        cases.append((closed, solve_exact(closed).policy))
+        cases.append((forgetting, first_action_policy(forgetting)))
+    for k, seed in itertools.product((3, 9, 17), range(2)):
+        d = one_action_diagram(k, seed)
+        cases.append((d, solve_exact(d).policy))
+    return tuple(cases)
+
+
+def score_every_case():
+    for d, policy in evaluator_cases():
+        evaluate_policy(d, policy)
+        PolicyEvaluator(d).evaluate_many(random_policies(d, 3, seed=0))
+
+
+def test_evaluator_parts_end_in_one_utility(monkeypatch):
+    # as the PolicyEvaluator docstring argues: each part ends in the one
+    # root message of its utility and sends no probability message to the
+    # root, and no planned bucket, decisions' included, is empty; so
+    # evaluate_many adds root utilities alone and _select_step needs no
+    # branch for a bucket without tables
+    evaluator_cases()  # its solves run eliminate too: made before the spy
+    runs = []
+    real = exact.eliminate
+
+    def spy(diagram, made, lambdas, thetas, chance_step, decision_step):
+        run = real(diagram, made, lambdas, thetas, chance_step, decision_step)
+        runs.append((made, run))
+        return run
+
+    monkeypatch.setattr(exact, "eliminate", spy)
+    score_every_case()
+    assert len(runs) >= 2 * len(evaluator_cases())
+    decisions = 0
+    for made, run in runs:
+        assert len(run.root_thetas) == 1 and run.root_lambdas == []
+        assert all(b.lambdas or b.thetas for b in made.buckets)
+        decisions += sum(b.decision for b in made.buckets)
+    assert decisions
+
+
+def test_evaluator_tables_span_their_scopes(monkeypatch):
+    # every product the evaluator sums spans its bucket's scope at full
+    # size, so np.add.reduce sums it as numpy sums the full table: no
+    # size-1 axis stands for more cells, as a stored message's would in
+    # solve_exact.  A one-action decision's message too is broadcast over
+    # the variables its rule reads.
+    evaluator_cases()
+    real = exact._sum_step
+    sums = []
+
+    def spy(diagram, b, lambdas, thetas):
+        shape = np.broadcast_shapes(*[t.shape for t in lambdas + thetas])
+        sums.append(shape[len(shape) - len(b.scope) :] == diagram.domain_sizes(b.scope))
+        return real(diagram, b, lambdas, thetas)
+
+    monkeypatch.setattr(exact, "_sum_step", spy)
+    score_every_case()
+    assert sums and all(sums)
+
+
+@pytest.mark.parametrize("n, cls", itertools.product((25, 45, 80), "PM"))
+def test_scaled_utilities_scale_the_meu(n, cls):
+    # multiplying every utility by a power of two multiplies every sum,
+    # quotient and max of the elimination by it exactly
+    for seed in range(2):
+        d = generate(GeneratorParams(n_c=n - 5, n_d=5, utility_class=cls, seed=seed))
+        sol = solve_exact(d)
+        for factor in (2.0, 0.25, 1024.0):
+            utilities = tuple(UtilityFunction(u.scope, u.table * factor) for u in d.utilities)
+            scaled = solve_exact(dataclasses.replace(d, utilities=utilities))
+            assert scaled.meu.hex() == (sol.meu * factor).hex()
+            assert scaled.policy == sol.policy
+
+
 # ---------------------------------------------------------------------------
 # solve_exact stores probability messages that are one in every cell as a
 # single broadcast cell; it must agree bit for bit with steps that keep
@@ -1155,8 +1318,7 @@ def test_sum_out_sums_as_materialized(k, lead):
             values = rng.random(shape) * 10.0 ** rng.integers(-17, 1, size=shape)
             table = np.where(rng.random(shape) < 0.2, -0.0, values)
             expected = np.broadcast_to(table, full).copy().sum(len(lead))
-            wide = math.prod(sizes.domain_sizes(scope[1:])) > 1
-            got = np.broadcast_to(sum_out(table, len(scope), wide), expected.shape)
+            got = np.broadcast_to(sum_out(sizes, table, len(scope), scope[1:]), expected.shape)
             assert got.tobytes() == expected.tobytes(), (scope, mask)
 
 

@@ -9,7 +9,9 @@ imports must be exactly its ``__all__``.
 
 Tables are arrays from the generator and the loader to the solvers, so
 the modules of that path import nothing from ``values`` or ``sets``;
-``convert`` only their codec, which ``sets`` alone defines.
+``convert`` only their codec, which ``sets`` alone defines.  The
+elimination engine both solvers share imports only ``diagram`` of the
+package, so no algebra or solver code reaches it.
 """
 
 import ast
@@ -86,6 +88,25 @@ def calculus_imports(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("name", ["elimination", "exact", "generator", "bench"])
 def test_solve_path_imports_no_calculus(name):
     assert calculus_imports(tree_of(name)) == set()
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The ``oomid`` modules any import of ``tree``, at any depth, reads
+    from, and those it imports whole."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "oomid":
+                module = module.removeprefix("oomid").removeprefix(".")
+                modules |= {module} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {a.name for a in node.names if a.name.split(".")[0] == "oomid"}
+    return modules
+
+
+def test_elimination_imports_only_diagram():
+    assert package_imports(tree_of("elimination")) == {"diagram"}
 
 
 def test_convert_imports_only_the_codec():

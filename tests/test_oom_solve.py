@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -461,6 +462,29 @@ def test_paper_grid_solves_pinned():
                     record = (str(sol.meu), cells, ps.count(), sol.max_table_cells)
                     digest.update(repr(record).encode())
     assert digest.hexdigest() == PAPER_GRID_DIGEST
+
+
+@pytest.mark.parametrize("n, cls", itertools.product((25, 45, 80), "PM"))
+def test_shifted_utility_orders_shift_the_meu(n, cls):
+    # adding s to every finite utility order scales every utility by eps^s:
+    # sums and maxima of utilities shift by s, and every comparison of them
+    # stays as it was, so the policy set stays too
+    for seed in range(2):
+        d = generate(GeneratorParams(n_c=n - 5, n_d=5, utility_class=cls, seed=seed))
+        for eps in (0.5, 0.05, 0.005):
+            o = convert(d, ConversionConfig(eps))
+            sol = elim_oom_id(o)
+            for shift in (-3, 2):
+                utilities = tuple(
+                    UtilityFunction(u.scope, np.where(np.isinf(u.table), u.table, u.table + shift))
+                    for u in o.utilities
+                )
+                shifted = elim_oom_id(replace(o, utilities=utilities))
+                assert [(v.sign, v.order) for v in shifted.meu] == [
+                    (v.sign, v.order + shift) for v in sol.meu
+                ]
+                assert shifted.policies == sol.policies
+                assert shifted.policies.count() == sol.policies.count()
 
 
 def block_shuffle(d, order: list[str], rng: random.Random, window: int = 5) -> list[str]:
