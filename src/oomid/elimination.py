@@ -15,21 +15,22 @@ each into the bucket of its earliest variable, asks the solver's ``spans``
 which variables the bucket's messages keep, and puts each message into a
 later bucket the same way; messages over no variable are the root results.
 It records each bucket once, as a ``Bucket`` over one scope, the bucket's
-variables.  ``planned`` keeps one plan per skeleton and solver, so later
-solves of a diagram, and of its conversions, run the same one.
-``eliminate`` executes a plan: it lines each bucket's inputs up over its
-scope for the algebra's chance or decision step, cuts each message down to
-its own scope and files it where the plan put it.  Only the steps know the
-algebra: a bucket records scopes, views and cuts only.  The kernels they
-share: ``seen`` applies a ``view`` (a transpose, then an index that adds
-the axes a table lacks; leading axes pass through, so a size-1 axis or a
-batch axis broadcasts), and ``fold`` folds tables seen over one scope.
+variables.  ``planned`` caches one plan per skeleton and key (a solver, or
+an evaluated utility), so later solves of a diagram, and of its
+conversions, run the same one.  ``eliminate`` only executes a plan: it
+lines each bucket's inputs up over its scope for the algebra's chance or
+decision step, cuts each message down to its own scope, files it where the
+plan put it and returns the root tables and the rules.  Only the steps
+know the algebra: a bucket records scopes, views and cuts only.  The
+kernels they share: ``seen`` applies a ``view`` (a transpose, then an
+index that adds the axes a table lacks; leading axes pass through, so a
+size-1 axis or a batch axis broadcasts), and ``fold`` folds tables seen
+over one scope.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -153,8 +154,8 @@ def plan(diagram: InfluenceDiagram, order, lambdas, thetas, spans: Callable) -> 
     return Plan(tuple(diagram.domain_sizes(f.scope) for f in (*lambdas, *thetas)), tuple(buckets))
 
 
-def planned(skeleton, key, make: Callable[[], object]):
-    """``make()``, the plan of ``key``, made once per skeleton: the
+def planned(skeleton, key, make: Callable[[], Plan]) -> Plan:
+    """``make()``, the ``Plan`` of ``key``, made once per skeleton: the
     skeleton's ordering and scopes are all a plan depends on."""
     if key not in skeleton.plans:
         skeleton.plans[key] = make()
@@ -163,12 +164,11 @@ def planned(skeleton, key, make: Callable[[], object]):
 
 @dataclass
 class Elimination:
+    """What a run of a plan returns: its root tables and its rules."""
+
     root_lambdas: list[np.ndarray]  # tables over no variable, in the order they arrived
     root_thetas: list[np.ndarray]
     rules: dict[str, Factor]
-    # cells stored by the largest message, read off its trailing axes: a
-    # broadcast axis stores one
-    max_cells: int
 
 
 def eliminate(
@@ -181,13 +181,13 @@ def eliminate(
     chance step returns the lambda and the theta message, the decision step
     also the decision's rule as a factor; a message is None where the plan
     has none, else a table over the scope less the bucket variable, which
-    the executor cuts down to the message's own scope.
+    the executor cuts down to the message's own scope.  Returns the root
+    tables and the rules; a run counts nothing.
     """
     inputs = zip((*lambdas, *thetas), plan.shapes)
     tables = [f.table.reshape(f.table.shape[:-1] + shape) for f, shape in inputs]
-    result = Elimination([], [], {}, 0)
+    result = Elimination([], [], {})
     roots = (result.root_lambdas, result.root_thetas)
-    cells = 0
     for b in plan.buckets:
         lams, ths = ([seen(tables[i], v) for i, v in ins] for ins in (b.lambdas, b.thetas))
         if b.decision:
@@ -198,9 +198,7 @@ def eliminate(
             if scope is not None:
                 if down is not None:
                     msg = msg[down]
-                cells = max(cells, math.prod(msg.shape[msg.ndim - len(scope) :]))
                 (tables if scope else roots[kind]).append(msg)
-    result.max_cells = cells
     return result
 
 

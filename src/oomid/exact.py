@@ -210,16 +210,6 @@ def _evaluated(diagram, y, decision, lam, theta):
     return (None, msg) if theta else (msg, None)
 
 
-def _part_plan(diagram, order, kept, lambdas, utility):
-    """The plan of one utility's part, along ``order`` restricted to the
-    ``kept`` ancestors, and the view of each decision's rule over its
-    bucket's scope less the decision."""
-    made = plan(diagram, [v for v in order if v in kept], lambdas, [utility], _evaluated)
-    info, rank = diagram.information_sets, {v: i for i, v in enumerate(order)}
-    rules = [b for b in made.buckets if b.decision]
-    return made, {b.var: view(info.get(b.var, ()), b.scope[1:], rank) for b in rules}
-
-
 def _sum_step(diagram, b, lambdas, thetas):
     """Sum the bucket variable out of the bucket's product; the message
     carries the utility if the bucket does."""
@@ -229,8 +219,11 @@ def _sum_step(diagram, b, lambdas, thetas):
 
 def _select_step(rules, diagram, b, lambdas, thetas):
     """Take each policy's action out of the bucket's product, as its rule
-    (seen over the bucket's scope less the decision) gives it."""
-    choice = rules[b.var]
+    gives it: a table over the decision's information set, after the batch
+    axis, seen over the bucket's scope less the decision, which holds the
+    set (``_evaluated``)."""
+    info = diagram.information_sets.get(b.var, ())
+    choice = seen(rules[b.var], view(info, b.scope[1:], {v: i for i, v in enumerate(b.scope)}))
     actions = np.moveaxis(fold(lambdas + thetas), -len(b.scope), 0)
     msg = np.where(choice == 0, actions[0], actions[-1])
     for a in range(1, len(actions) - 1):
@@ -275,9 +268,8 @@ class PolicyEvaluator:
     subsequence, and each kept decision's information set is kept.  The
     chunk size is bounded by the skeleton's largest bucket, which no
     ancestors' bucket exceeds: their graph is a subgraph of the diagram's,
-    so eliminating it adds no other fill.  Each utility's plan, with the
-    view of each decision's rule over its bucket, is made once per
-    skeleton, by the first evaluator; every later one reads it.
+    so eliminating it adds no other fill.  Each utility's plan is made
+    once per skeleton, by the first evaluator; every later one reads it.
 
     A part's variables are its utility's scope and their ancestors, joined
     to it through CPT scopes and information sets (a decision's message
@@ -297,7 +289,8 @@ class PolicyEvaluator:
         self._parts = []
         for i, (k, u) in enumerate(zip(skeleton.kept, diagram.utilities)):
             part = [c for c in diagram.cpts if c.child in k]
-            make = functools.partial(_part_plan, diagram, skeleton.order, k, part, u)
+            order = [v for v in skeleton.order if v in k]
+            make = functools.partial(plan, diagram, order, part, [u], _evaluated)
             self._parts.append((planned(skeleton, (_evaluated, i), make), part, u))
 
     def evaluate(self, policy: Policy) -> float:
@@ -311,20 +304,18 @@ class PolicyEvaluator:
         values: list[float] = []
         for start in range(0, policies.size, self._chunk):
             stop = min(start + self._chunk, policies.size)
-            chunk = {d: r.table[start:stop] for d, r in rules.items()}
+            select = functools.partial(_select_step, {d: r[start:stop] for d, r in rules.items()})
             total = np.zeros(stop - start)
-            for (made, views), lambdas, utility in self._parts:
-                seen_rules = {d: seen(chunk[d], v) for d, v in views.items()}
-                select = functools.partial(_select_step, seen_rules)
+            for made, lambdas, utility in self._parts:
                 run = eliminate(self._diagram, made, lambdas, [utility], _sum_step, select)
                 total += run.root_thetas[0]
             values.extend(total.tolist())
         return values
 
-    def _checked(self, batch: PolicyBatch, d: str) -> Factor:
-        """The batch's rule for decision ``d`` as a factor over its
-        information set, with a leading batch axis, after checking the set
-        and the actions' shape, type and range."""
+    def _checked(self, batch: PolicyBatch, d: str) -> np.ndarray:
+        """The batch's rule for decision ``d`` as a table over its
+        information set, after a leading batch axis, once the set and the
+        actions' shape, type and range are checked."""
         info = self._diagram.information_sets.get(d, ())
         if d not in batch.actions or d not in batch.scopes:
             raise DiagramError(f"policy has no rule for decision {d}")
@@ -339,7 +330,7 @@ class PolicyEvaluator:
             actions.size and not (0 <= actions.min() and actions.max() < k)
         ):
             raise DiagramError(f"rule for {d} has an action outside 0..{k - 1}")
-        return Factor(info, actions.reshape((batch.size,) + sizes))
+        return actions.reshape((batch.size,) + sizes)
 
 
 def evaluate_policy(diagram: InfluenceDiagram, policy: Policy) -> float:

@@ -119,7 +119,9 @@ class PolicySet:
         if not isinstance(other, PolicySet):
             return NotImplemented
         mine, theirs = (self.decisions, self.scopes), (other.decisions, other.scopes)
-        return mine == theirs and self.cells == other.cells
+        return mine == theirs and all(
+            np.array_equal(self.masks[d], other.masks[d]) for d in self.decisions
+        )
 
     @cached_property
     def cells(self) -> dict[str, tuple[frozenset[int], ...]]:
@@ -138,21 +140,18 @@ class PolicySet:
         Distinct policies (by rejection) when the set is large enough;
         otherwise the draw is with replacement and flagged as such.
         """
-        if s < 1:
-            raise ValueError("sample size must be at least 1")
+        if not isinstance(s, (int, np.integer)) or s < 1:
+            raise ValueError(f"sample size must be an integer of at least 1, not {s!r}")
         rng = random.Random(seed)
         count = self.count()
         with_replacement = count < s
         indices: list[int] = []
-        if with_replacement:
-            indices = [rng.randrange(count) for _ in range(s)]
-        else:
-            seen: set[int] = set()
-            while len(indices) < s:
-                i = rng.randrange(count)
-                if i not in seen:
-                    seen.add(i)
-                    indices.append(i)
+        seen: set[int] = set()
+        while len(indices) < s:
+            i = rng.randrange(count)
+            if with_replacement or i not in seen:
+                seen.add(i)
+                indices.append(i)
         return self._batch(indices), with_replacement
 
     def _batch(self, indices: Sequence[int]) -> PolicyBatch:
@@ -281,10 +280,12 @@ def elim_oom_id(diagram: OOMInfluenceDiagram) -> OOMSolution:
     lambdas, thetas = diagram.cpts, diagram.utilities
     made = planned(skeleton, _spans, lambda: plan(diagram, skeleton.order, lambdas, thetas, _spans))
     run = eliminate(diagram, made, lambdas, thetas, _chance_step, _decision_step)
-    roots = run.root_thetas
-    meu = decode_set(sum_ends(np.stack(roots, -1), -1)) if roots else ZERO_SET
+    meu = decode_set(sum_ends(np.stack(run.root_thetas, -1), -1))
     policies = _expand_policy_set(diagram, run.rules)
-    return OOMSolution(meu=meu, policies=policies, max_table_cells=run.max_cells)
+    # every qualitative message is stored at its scope's size
+    size = {v.id: len(v.domain) for v in diagram.variables}
+    cells = max(math.prod(map(size.get, s)) for b in made.buckets for s in b.out if s is not None)
+    return OOMSolution(meu=meu, policies=policies, max_table_cells=cells)
 
 
 def _spans(diagram, y, decision, lam, theta):

@@ -38,7 +38,8 @@ class Skeleton:
     order: tuple[str, ...]  # the min-fill legal ordering, first-eliminated first
     largest_bucket: int  # cells of its largest bucket: a variable and its neighbours
     kept: tuple[frozenset[str], ...]  # per utility: its scope and their ancestors
-    # elimination plans along order, each made at first use; a copy has none
+    # only elimination.Plans along order, per solver and evaluated utility,
+    # each made at first use; a copy has none
     plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,7 +91,14 @@ def sum_out(diagram, f: Factor, y: str) -> Factor:
     return Factor(scope, table.sum(axis))
 
 
-def oracle_eliminate(diagram, order, lambdas, thetas, chance_step, decision_step):
+@dataclass
+class Run(Elimination):
+    # cells stored by the largest message, read off its trailing axes: a
+    # broadcast axis stores one
+    max_cells: int = 0
+
+
+def oracle_eliminate(diagram, order, lambdas, thetas, chance_step, decision_step) -> Run:
     """Buckets placed, scopes united and tables aligned on every call."""
     order_key = {v: i for i, v in enumerate(order)}
     buckets: list[tuple[list[Factor], list[Factor]]] = [([], []) for _ in order]
@@ -103,7 +111,7 @@ def oracle_eliminate(diagram, order, lambdas, thetas, chance_step, decision_step
         for f in fs:
             place(f, kind)
 
-    result = Elimination([], [], {}, 0)
+    result = Run([], [], {})
     roots = (result.root_lambdas, result.root_thetas)
     decisions = set(diagram.decision_vars)
     for pos, y in enumerate(order):
@@ -172,14 +180,14 @@ def stored_decision_step(diagram, order_key, y, lambdas, thetas):
     )
 
 
-def run(d, chance_step, decision_step) -> Elimination:
+def run(d, chance_step, decision_step) -> Run:
     """The steps on the oracle driver, along the diagram's recorded ordering."""
     lambdas, thetas = factors(d, d.cpts), factors(d, d.utilities)
     order = checked_skeleton(d).order
     return oracle_eliminate(d, order, lambdas, thetas, chance_step, decision_step)
 
 
-def solve(d) -> tuple[float, dict[str, list[int]], Elimination]:
+def solve(d) -> tuple[float, dict[str, list[int]], Run]:
     """``solve_exact``'s MEU and actions per decision, and its run."""
     result = run(d, stored_chance_step, stored_decision_step)
     meu = 0.0

@@ -584,6 +584,7 @@ class TestTables:
     def test_equal_tables_compare_equal_and_are_unhashable(self):
         a, b = CPT("X", (), (0.4, 0.6)), CPT("X", (), np.array([0.4, 0.6]))
         assert a == b and a != CPT("X", (), (0.6, 0.4))
+        assert a.__eq__((0.4, 0.6)) is NotImplemented and (a == (0.4, 0.6)) is False
         with pytest.raises(TypeError):
             hash(a)
 

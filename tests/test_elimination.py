@@ -23,7 +23,7 @@ from oomid.exact import PolicyEvaluator, brute_force_meu, evaluate_policy, solve
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
 from oomid.ordering import checked_skeleton, skeleton
-from test_exact import random_policies
+from test_exact import executed, random_policies
 
 EPSILONS = (0.5, 0.05, 0.005)
 
@@ -48,11 +48,7 @@ def assert_exact_matches_oracle(d) -> None:
     solution = solve_exact(d)
     assert solution.meu.hex() == meu.hex()
     assert actions(solution.policy) == rules
-    made = skeleton(d).plans[exact._spans]
-    executed = elimination.eliminate(
-        d, made, d.cpts, d.utilities, exact._chance_step, exact._decision_step
-    )
-    assert executed.max_cells == run.max_cells
+    assert executed(d)[1] == run.max_cells
 
 
 def assert_evaluations_match_oracle(d, batch) -> None:
@@ -177,7 +173,10 @@ def planned_without_tables(n, utility_class, seed):
     spans = (exact._spans, oom_solve._spans)
     plans = [elimination.plan(d, record.order, d.cpts, d.utilities, s) for s in spans]
     plans += [
-        exact._part_plan(d, record.order, k, [c for c in d.cpts if c.child in k], u)[0]
+        elimination.plan(
+            d, [v for v in record.order if v in k], [c for c in d.cpts if c.child in k], [u],
+            exact._evaluated,
+        )
         for k, u in zip(record.kept, d.utilities)
     ]
     return d, plans

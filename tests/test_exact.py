@@ -36,11 +36,11 @@ from oomid.exact import (
 from oomid.convert import ConversionConfig, convert
 from oomid.elimination import (
     Factor,
+    Plan,
     eliminate,
     expand_rule,
     plan,
     seen,
-    view,
 )
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
@@ -903,11 +903,9 @@ class TestSelectStep:
         sizes = Sizes({"D": rule_scope}, D=k, **self.SIZES)
         for lams, ths in [(lambdas, thetas), (lambdas, []), ([], thetas)]:
             bucket = plan(sizes, tuple(self.ORDER_KEY), lams, ths, exact._evaluated).buckets[0]
-            rank = {v: i for i, v in enumerate(bucket.scope)}
-            choice = seen(rule.table, view(rule_scope, bucket.scope[1:], rank))
             lam_msg, theta_msg, none = exact._select_step(
-                {"D": choice},
-                None,
+                {"D": rule.table},
+                sizes,
                 bucket,
                 [seen(f.table, v) for f, (_, v) in zip(lams, bucket.lambdas)],
                 [seen(f.table, v) for f, (_, v) in zip(ths, bucket.thetas)],
@@ -1084,6 +1082,29 @@ def test_evaluator_parts_end_in_one_utility(monkeypatch):
     assert decisions
 
 
+def test_evaluator_decision_buckets_hold_their_information_sets():
+    # _select_step views each rule, a table over its decision's information
+    # set, over the decision bucket's scope less the decision, so that scope
+    # must hold the whole set; and a skeleton caches plans and nothing else
+    decisions = 0
+    for d, _ in evaluator_cases():
+        PolicyEvaluator(d)
+        for solve in (solve_exact, lambda d: elim_oom_id(convert(d, ConversionConfig(0.5)))):
+            try:
+                solve(d)
+            except DiagramError as e:  # a forgetting diagram's optimal rule, after the plan
+                assert "rule depends on unobserved" in str(e)
+        plans = ordering.skeleton(d).plans
+        assert len(plans) == 2 + len(d.utilities)
+        assert all(isinstance(made, Plan) for made in plans.values())
+        for i, _ in enumerate(d.utilities):
+            for b in plans[exact._evaluated, i].buckets:
+                if b.decision:
+                    assert set(d.information_sets.get(b.var, ())) <= set(b.scope[1:])
+                    decisions += 1
+    assert decisions
+
+
 def test_evaluator_tables_span_their_scopes(monkeypatch):
     # every product the evaluator sums spans its bucket's scope at full
     # size, so np.add.reduce sums it as numpy sums the full table: no
@@ -1163,10 +1184,26 @@ def oracle_decision_step(diagram, order_key, y, lambdas, thetas):
 
 
 def executed(d):
-    """``solve_exact``'s steps run on the diagram's recorded exact plan."""
+    """``solve_exact``'s steps run on the diagram's recorded exact plan, and
+    the cells of the largest message they return, read off its trailing
+    axes: a broadcast axis stores one.  The executor's cut drops only
+    size-1 axes, so the message it files stores as many."""
     solve_exact(d)  # records the plan
     made = checked_skeleton(d).plans[exact._spans]
-    return eliminate(d, made, d.cpts, d.utilities, exact._chance_step, exact._decision_step)
+    cells = [0]
+
+    def tallied(step):
+        def run(diagram, b, lambdas, thetas):
+            out = step(diagram, b, lambdas, thetas)
+            for msg, scope in zip(out, b.out):  # the messages, not the rule
+                if scope is not None:
+                    cells.append(math.prod(msg.shape[msg.ndim - len(b.scope) + 1 :]))
+            return out
+
+        return run
+
+    steps = tallied(exact._chance_step), tallied(exact._decision_step)
+    return eliminate(d, made, d.cpts, d.utilities, *steps), max(cells)
 
 
 def bits(d, run):
@@ -1181,11 +1218,11 @@ def assert_matches_oracle(d) -> tuple[int, int]:
     """``solve_exact``'s MEU and actions are the oracle steps' bit for bit,
     and its plan stores the largest message the per-call driver stored;
     returns the cells of the largest message it and the oracle steps store."""
-    run = executed(d)
+    run, cells = executed(d)
     oracle = run_steps(d, oracle_chance_step, oracle_decision_step)
     expected = bits(d, oracle)
     assert bits(d, run) == expected
-    assert run.max_cells == run_steps(d, stored_chance_step, stored_decision_step).max_cells
+    assert cells == run_steps(d, stored_chance_step, stored_decision_step).max_cells
     meu = 0.0
     for theta in oracle.root_thetas:
         meu += float(theta)
@@ -1193,7 +1230,7 @@ def assert_matches_oracle(d) -> tuple[int, int]:
     assert sol.meu.hex() == meu.hex()
     for v, actions in expected[1].items():
         assert list(sol.policy.rules[v].actions) == actions
-    return run.max_cells, oracle.max_cells
+    return cells, oracle.max_cells
 
 
 def test_generated_match_oracle():

@@ -487,6 +487,47 @@ def test_shifted_utility_orders_shift_the_meu(n, cls):
                 assert shifted.policies.count() == sol.policies.count()
 
 
+def reversed_labels(d, v: str):
+    """``d`` with the values of ``v`` in reverse order in every CPT and
+    utility table that holds it."""
+
+    def flipped(f):
+        table = f.table.reshape(d.domain_sizes(f.scope))
+        return replace(f, table=np.flip(table, f.scope.index(v)).reshape(-1))
+
+    cpts = tuple(flipped(c) if v in c.scope else c for c in d.cpts)
+    utilities = tuple(flipped(u) if v in u.scope else u for u in d.utilities)
+    return replace(d, cpts=cpts, utilities=utilities)
+
+
+@pytest.mark.parametrize("n, cls", itertools.product((25, 45, 80), "PM"))
+def test_reversed_labels_reverse_the_policy_set(n, cls):
+    # renaming a chance variable's values moves no sum, max or comparison of
+    # the elimination: the MEU, count and largest message stay, and each
+    # rule that reads the variable is reversed along its axis
+    for seed in range(2):
+        d = generate(GeneratorParams(n_c=n - 5, n_d=5, utility_class=cls, seed=seed))
+        observed = set().union(*d.information_sets.values())
+        relabelled = [
+            next(v for v in d.chance_vars if v in observed),
+            next(v for v in d.chance_vars if v not in observed),
+        ]
+        for eps in (0.5, 0.05, 0.005):
+            sol = elim_oom_id(convert(d, ConversionConfig(eps)))
+            ps = sol.policies
+            for v in relabelled:
+                got = elim_oom_id(convert(reversed_labels(d, v), ConversionConfig(eps)))
+                assert got.meu == sol.meu
+                assert got.policies.count() == ps.count()
+                assert got.max_table_cells == sol.max_table_cells
+                for x in ps.decisions:
+                    scope = ps.scopes[x]
+                    mask = ps.masks[x].reshape((-1,) + d.domain_sizes(scope))
+                    if v in scope:
+                        mask = np.flip(mask, 1 + scope.index(v))
+                    assert np.array_equal(got.policies.masks[x], mask.reshape(len(mask), -1))
+
+
 def block_shuffle(d, order: list[str], rng: random.Random, window: int = 5) -> list[str]:
     """``order`` with its variables shuffled inside each run of ``window``
     consecutive variables of one temporal block: a legal ordering whose
@@ -621,6 +662,26 @@ class TestPolicySet:
         _, ps = self.make()
         with pytest.raises(ValueError):
             ps.sample(0)
+
+    @pytest.mark.parametrize("s", [1.5, 2.5])
+    def test_rejects_fractional_sample_size(self, s):
+        # below and above the set's two policies: neither rounds, nor fails
+        # in range()
+        _, ps = self.make(eps=0.1)
+        assert ps.count() == 2
+        with pytest.raises(ValueError, match="integer"):
+            ps.sample(s)
+
+    def test_equality_on_masks(self):
+        _, ps = self.make()
+        assert ps == self.make()[1]
+        # the first of a cell's tied actions dropped
+        drill = ps.masks["Drill"].copy()
+        cell = np.flatnonzero(drill.sum(0) > 1)[0]
+        drill[drill[:, cell].argmax(), cell] = False
+        assert ps != PolicySet(ps.decisions, ps.scopes, dict(ps.masks, Drill=drill))
+        assert ps != self.make(eps=0.1)[1]
+        assert ps.__eq__(ps.masks) is NotImplemented and (ps == ps.masks) is False
 
 
 def reference_decode(ps: PolicySet, index: int) -> dict[str, tuple[int, ...]]:

@@ -138,6 +138,10 @@ class TestMaxSets:
     def test_negative_singletons(self):
         assert max_sets(oset(("-", 0)), oset(("-", 3))) == oset(("-", 3))
 
+    def test_needs_a_set(self):
+        with pytest.raises(ValueError, match="at least one set"):
+            max_sets()
+
     @given(canonical_sets_st, canonical_sets_st, canonical_sets_st)
     def test_commutative_associative_idempotent(self, a, b, c):
         assert max_sets(a, b) == max_sets(b, a)
@@ -161,6 +165,10 @@ class TestSumSets:
     def test_collapse_when_signed_low_end(self):
         # a (+-,0)/(+,0) pair cannot stay a pair: the positive end absorbs it
         assert sum_sets(oset(("+-", 0), ("+", 3)), oset(("+", 0))) == oset(("+", 0))
+
+    def test_needs_a_set(self):
+        with pytest.raises(ValueError, match="at least one set"):
+            sum_sets()
 
     @given(canonical_sets_st, canonical_sets_st, canonical_sets_st)
     def test_commutative_associative(self, a, b, c):
@@ -194,6 +202,10 @@ class TestConvexClosureBounded:
     def test_singleton(self):
         for bound in (0, 1, 3):
             assert convex_closure_bounded([v("+", 1)], bound) == {v("+", 1)}
+
+    def test_rejects_negative_bound(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            convex_closure_bounded([v("+", 1)], -1)
 
     def test_opposite_pair_bound_two(self):
         # combinations of two order-1 elements stay at order 1: a nonzero
@@ -277,6 +289,7 @@ class TestSerialization:
     def test_str_forms(self):
         assert str(oset(("+", 2))) == "{(+,2)}"
         assert str(oset(("+-", 3), ("-", 5))) == "{(+-,3),(-,5)}"
+        assert repr(oset(("+-", 3), ("-", 5))) == "OOMSet{(+-,3),(-,5)}"
 
     def test_parse_helper(self):
         from oomid.sets import parse_set

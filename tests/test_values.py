@@ -195,6 +195,9 @@ class TestSerialization:
         assert str(value) == text
         assert parse_value(str(value)) == value
 
+    def test_sign_repr(self):
+        assert [repr(s) for s in Sign] == ["Sign('+')", "Sign('-')", "Sign('+-')"]
+
     def test_signed_inf_normalizes(self):
         assert parse_value("(+,inf)") == ZERO
         assert parse_value("(-,inf)") == ZERO
