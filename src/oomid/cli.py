@@ -117,8 +117,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bench(args) -> int:
     sizes = [int(x) for x in args.n.split(",") if x]
-    if not sizes:
-        raise ValueError("--n needs at least one size")
+    if not sizes or min(sizes) < 10:
+        raise ValueError(f"--n needs sizes of 10 or more (5 decisions, 5+ chance), not {args.n!r}")
     epsilons = [float(x) for x in args.epsilons.split(",") if x]
     for eps in epsilons:
         ConversionConfig(eps)  # range check up front

@@ -19,9 +19,8 @@ decision bucket, so everything eliminated before it is computed once for
 the whole batch.  ``evaluate_many`` takes a ``PolicyBatch``, per decision
 an (s, cells) array of action indices, checked once per decision, barren
 ones too; a list of ``Policy`` is stacked into one first.  ``evaluate``
-and ``evaluate_policy`` are batches of one.  ``brute_force_meu``
-enumerates every policy and scores each with ``policy_value``, an
-independent oracle for testing.
+and ``evaluate_policy`` are batches of one.  ``tests/oracles.py`` checks
+them by enumeration (``policy_value``, ``brute_force_meu``).
 
 A forgetting diagram is solved and evaluated as it is, not as its
 non-forgetting closure.  ``solve_exact`` returns the closure's optimum
@@ -46,19 +45,16 @@ order 1, and so is their sum, so pruning would change qualitative results.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .diagram import (
     ROW_TOLERANCE,
     DiagramError,
-    GuardExceeded,
     InfluenceDiagram,
-    Kind,
     Policy,
     PolicyBatch,
     PolicyRule,
@@ -336,95 +332,3 @@ class PolicyEvaluator:
 def evaluate_policy(diagram: InfluenceDiagram, policy: Policy) -> float:
     """Expected utility of a fully specified policy, by exact summation."""
     return PolicyEvaluator(diagram).evaluate(policy)
-
-
-def _policy_space(diagram: InfluenceDiagram) -> list[tuple[str, tuple[str, ...], int, int]]:
-    """Per decision: (id, info scope, number of cells, domain size)."""
-    out = []
-    for d in diagram.decision_vars:
-        info = diagram.information_sets.get(d, ())
-        n_cells = math.prod(diagram.domain_sizes(info))
-        out.append((d, info, n_cells, len(diagram.domain(d))))
-    return out
-
-
-def policy_value(diagram: InfluenceDiagram, actions: Mapping[str, Sequence[int]]) -> float:
-    """Expected utility of the policy whose rule for each decision ``d`` is
-    ``actions[d]``, row-major over its information set: the sum over every
-    configuration of the chance variables, the decisions set by the rules.
-    """
-    chance = [v for v in diagram.variables if v.kind is Kind.CHANCE]
-    # each table read once, as Python floats
-    cpts = [(cpt.scope, cpt.table.tolist()) for cpt in diagram.cpts]
-    utilities = [(u.scope, u.table.tolist()) for u in diagram.utilities]
-    total = 0.0
-    for chance_config in itertools.product(*[range(len(v.domain)) for v in chance]):
-        assignment: dict[str, int] = {v.id: val for v, val in zip(chance, chance_config)}
-        for d in diagram.decision_order:
-            info = tuple(diagram.information_sets.get(d, ()))
-            idx = 0
-            for p in info:
-                idx = idx * len(diagram.domain(p)) + assignment[p]
-            assignment[d] = actions[d][idx]
-        prob = 1.0
-        for scope, table in cpts:
-            pos = 0
-            for s in scope:
-                pos = pos * len(diagram.domain(s)) + assignment[s]
-            prob *= table[pos]
-            if prob == 0.0:
-                break
-        if prob == 0.0:
-            continue
-        util = 0.0
-        for scope, table in utilities:
-            pos = 0
-            for s in scope:
-                pos = pos * len(diagram.domain(s)) + assignment[s]
-            util += table[pos]
-        total += prob * util
-    return total
-
-
-def brute_force_meu(
-    diagram: InfluenceDiagram, guard: int = 10**6
-) -> tuple[float, list[Policy]]:
-    """Enumerate every policy; return the MEU and all optimal policies.
-
-    Ties within 1e-9 (relative) of the best are collected.  Refuses
-    instances whose policy space exceeds ``guard``.
-    """
-    require_valid(diagram, qualitative=False)
-    space = _policy_space(diagram)
-    count = 1
-    for _, _, n_cells, k in space:
-        # k**n_cells can have billions of digits; k > 1 already exceeds the
-        # guard at exponent guard.bit_length(), so the exponent stops there
-        count *= k ** min(n_cells, guard.bit_length())
-        if count > guard:
-            raise GuardExceeded(
-                f"policy space exceeds the brute-force guard of {guard}"
-            )
-
-    def all_policies():
-        per_decision_tables = [
-            itertools.product(range(k), repeat=n_cells) for _, _, n_cells, k in space
-        ]
-        for combo in itertools.product(*per_decision_tables):
-            yield {space[i][0]: combo[i] for i in range(len(space))}
-
-    values = [policy_value(diagram, actions) for actions in all_policies()]
-    best = max(values)
-    tol = 1e-9 * max(1.0, abs(best))
-    winners = []
-    for value, actions in zip(values, all_policies()):
-        if best - value <= tol:
-            winners.append(
-                Policy(
-                    rules={
-                        d: PolicyRule(decision=d, scope=info, actions=actions[d])
-                        for d, info, _, _ in space
-                    }
-                )
-            )
-    return best, winners

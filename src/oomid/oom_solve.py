@@ -283,8 +283,8 @@ def elim_oom_id(diagram: OOMInfluenceDiagram) -> OOMSolution:
     meu = decode_set(sum_ends(np.stack(run.root_thetas, -1), -1))
     policies = _expand_policy_set(diagram, run.rules)
     # every qualitative message is stored at its scope's size
-    size = {v.id: len(v.domain) for v in diagram.variables}
-    cells = max(math.prod(map(size.get, s)) for b in made.buckets for s in b.out if s is not None)
+    scopes = [s for b in made.buckets for s in b.out if s is not None]
+    cells = max(math.prod(diagram.domain_sizes(s)) for s in scopes)
     return OOMSolution(meu=meu, policies=policies, max_table_cells=cells)
 
 

@@ -205,15 +205,6 @@ def _is_permutation(diagram: InfluenceDiagram, order: list[str]) -> bool:
     return all(isinstance(v, str) for v in order) and sorted(order) == ids
 
 
-def is_legal_ordering(diagram: InfluenceDiagram, order: list[str]) -> bool:
-    """True iff ``order`` is a permutation of the variables along which
-    their blocks' positions in ``temporal_partition`` never decrease."""
-    if not _is_permutation(diagram, order):
-        return False
-    rank = {v: k for k, block in enumerate(temporal_partition(diagram)) for v in block}
-    return all(rank[a] <= rank[b] for a, b in zip(order, order[1:]))
-
-
 def induced_width(diagram: InfluenceDiagram, order: list[str]) -> int:
     """Width of the ordering: the largest neighbourhood met when eliminating."""
     if not _is_permutation(diagram, order):

@@ -148,7 +148,7 @@ def set_dominates(
 
 
 def equiv(a: OOMSet, b: OOMSet) -> bool:
-    """Equivalence of canonical sets is plain equality."""
+    """Equality of canonical forms, finer than closure equivalence (ROADMAP item 14)."""
     return a.elements == b.elements
 
 
@@ -162,33 +162,6 @@ def parse_set(text: str) -> OOMSet:
         raise ValueError("empty order-of-magnitude set")
     values = [parse_value(p if p.endswith(")") else p + ")") for p in parts]
     return canonicalize(values)
-
-
-def convex_closure_bounded(
-    values: Sequence[OOMValue], max_coeff_order: int
-) -> set[OOMValue]:
-    """All combinations ``sum_i q_i * a_i`` with positive coefficients
-    summing to one, coefficient orders capped at ``max_coeff_order``.
-
-    Each combination picks a sub-multiset of ``values`` and gives every
-    pick a coefficient ``(+,k)`` with ``0 <= k <= max_coeff_order``; the
-    coefficients sum to one exactly when the minimum ``k`` is zero.  Since
-    addition is associative and commutative, the reachable sums are
-    computed by a scan over the input elements, carrying the partial sum
-    and whether a zero-order coefficient has been used yet.
-    """
-    if max_coeff_order < 0:
-        raise ValueError("max_coeff_order must be nonnegative")
-    # state: (partial sum, a coefficient of order 0 was used)
-    states: set[tuple[OOMValue, bool]] = {(ZERO, False)}
-    for a in values:
-        terms = [(mul(OOMValue(Sign.PLUS, k), a), k == 0) for k in range(max_coeff_order + 1)]
-        new_states = set(states)  # skipping the element is allowed
-        for acc, min_used in states:
-            for term, zero_order in terms:
-                new_states.add((add(acc, term), min_used or zero_order))
-        states = new_states
-    return {acc for acc, min_used in states if min_used}
 
 
 # ---------------------------------------------------------------------------

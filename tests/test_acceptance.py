@@ -9,13 +9,12 @@ import time
 from oomid.bench import run_experiment, summarize
 from oomid.convert import ConversionConfig, convert
 from oomid.diagram import Policy, PolicyRule, to_dict, wildcatter
-from oomid.exact import brute_force_meu, evaluate_policy, solve_exact
+from oomid.exact import evaluate_policy, solve_exact
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import brute_force_oom, elim_oom_id
 from oomid.sets import (
     OOMSet,
     canonicalize,
-    convex_closure_bounded,
     equiv,
     max_sets,
     scale,
@@ -30,6 +29,7 @@ from oomid.values import (
     maximal_set,
     mul,
 )
+from oracles import brute_force_meu, convex_closure_bounded
 
 
 def v(sign: str, order) -> OOMValue:

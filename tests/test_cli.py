@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oomid
+from oomid import cli
 from oomid.cli import main
 from oomid.convert import ConversionConfig, convert
 from oomid.diagram import ROW_TOLERANCE, save, to_dict, wildcatter
@@ -626,4 +627,19 @@ class TestBench:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sizes", ["3", "9", "-1", "25,9"])
+    def test_size_below_10_exit_2(self, sizes, tmp_path, capsys, monkeypatch):
+        # 5 decisions and at least r = 5 chance variables; no instance runs
+        def run_experiment(*args, **kwargs):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        out = tmp_path / "x.csv"
+        args = ["bench", "--n", sizes, "--instances", "1", "--samples", "1"]
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: --n ")
         assert not out.exists()

@@ -37,12 +37,12 @@ from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
 from oomid.ordering import (
     induced_width,
-    is_legal_ordering,
     legal_ordering,
     temporal_partition,
 )
 from oomid.sets import ZERO_SET, encode_orders, encode_sets, singleton
 from oomid.values import ZERO, OOMValue, Sign
+from oracles import is_legal_ordering
 
 PROBABILITY_MESSAGE = "entries must be positive or zero order-of-magnitude values"
 

@@ -19,10 +19,11 @@ import oracle_elimination as oracle
 from oomid import elimination, exact, oom_solve
 from oomid.convert import ConversionConfig, convert
 from oomid.diagram import from_dict
-from oomid.exact import PolicyEvaluator, brute_force_meu, evaluate_policy, solve_exact
+from oomid.exact import PolicyEvaluator, evaluate_policy, solve_exact
 from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
 from oomid.ordering import checked_skeleton, skeleton
+from oracles import brute_force_meu
 from test_exact import executed, random_policies
 
 EPSILONS = (0.5, 0.05, 0.005)

@@ -25,14 +25,7 @@ from oomid.diagram import (
     to_dict,
     wildcatter,
 )
-from oomid.exact import (
-    PolicyEvaluator,
-    brute_force_meu,
-    evaluate_policy,
-    policy_value,
-    solve_exact,
-    sum_out,
-)
+from oomid.exact import PolicyEvaluator, evaluate_policy, solve_exact, sum_out
 from oomid.convert import ConversionConfig, convert
 from oomid.elimination import (
     Factor,
@@ -46,7 +39,6 @@ from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import elim_oom_id
 from oomid.ordering import (
     checked_skeleton,
-    is_legal_ordering,
     legal_ordering,
     skeleton,
     temporal_partition,
@@ -60,6 +52,7 @@ from oracle_elimination import (
     stored_decision_step,
 )
 from oracle_elimination import run as run_steps
+from oracles import brute_force_meu, is_legal_ordering, policy_value
 from test_ordering import along, oracle_largest_bucket
 
 

@@ -1,17 +1,21 @@
-"""Every name a source module imports at module level is used, and the
-scalar calculus stays off the solve path.
+"""Every name a source or oracle module imports at module level is used,
+the scalar calculus stays off the solve path, and the oracles off the
+solvers.
 
 No linter is a dependency of the project, so this reads the modules with
 ``ast``: a module-level import must be read in its module, as a name or
 as the base of an attribute (``np.ndarray``); ``__future__`` imports are
 exempt.  The package's ``__init__`` re-exports instead, so the names it
-imports must be exactly its ``__all__``.
+imports must be exactly its ``__all__``.  The test oracle modules are
+held to the same rule.
 
 Tables are arrays from the generator and the loader to the solvers, so
 the modules of that path import nothing from ``values`` or ``sets``;
 ``convert`` only their codec, which ``sets`` alone defines.  The
 elimination engine both solvers share imports only ``diagram`` of the
-package, so no algebra or solver code reaches it.
+package, so no algebra or solver code reaches it.  ``oracles`` imports
+nothing of the elimination engine or the solvers, so agreeing with it
+checks them.
 """
 
 import ast
@@ -22,6 +26,7 @@ import pytest
 import oomid
 
 SOURCES = sorted(Path(oomid.__file__).parent.glob("*.py"))
+ORACLES = [Path(__file__).parent / name for name in ("oracles.py", "oracle_elimination.py")]
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -51,7 +56,7 @@ def exported_names(tree: ast.Module) -> set[str]:
     raise AssertionError("no __all__")
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + ORACLES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     if path.name == "__init__.py":
@@ -107,6 +112,11 @@ def package_imports(tree: ast.Module) -> set[str]:
 
 def test_elimination_imports_only_diagram():
     assert package_imports(tree_of("elimination")) == {"diagram"}
+
+
+def test_oracles_import_no_solver():
+    tree = ast.parse(ORACLES[0].read_text(), filename=str(ORACLES[0]))
+    assert package_imports(tree) & {"elimination", "exact", "oom_solve"} == set()
 
 
 def test_convert_imports_only_the_codec():

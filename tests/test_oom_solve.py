@@ -27,7 +27,6 @@ from oomid.generator import GeneratorParams, generate
 from oomid.oom_solve import PolicySet, brute_force_oom, elim_oom_id
 from oomid.ordering import (
     induced_width,
-    is_legal_ordering,
     legal_ordering,
     temporal_partition,
 )
@@ -41,6 +40,7 @@ from oomid.sets import (
     singleton,
 )
 from oomid.values import INF, ZERO, OOMValue, Sign, add, mul
+from oracles import is_legal_ordering
 from test_ordering import along
 
 

@@ -26,11 +26,11 @@ from oomid.exact import PolicyEvaluator, evaluate_policy, solve_exact
 from oomid.generator import GeneratorParams, generate
 from oomid.ordering import (
     induced_width,
-    is_legal_ordering,
     legal_ordering,
     skeleton,
     temporal_partition,
 )
+from oracles import is_legal_ordering
 
 
 def oracle_scope_graph(scopes):

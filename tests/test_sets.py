@@ -10,7 +10,6 @@ from oomid.sets import (
     OOMSet,
     ZERO_SET,
     canonicalize,
-    convex_closure_bounded,
     equiv,
     max_sets,
     scale,
@@ -18,6 +17,7 @@ from oomid.sets import (
     singleton,
     sum_sets,
 )
+from oracles import convex_closure_bounded
 
 
 def v(sign: str, order) -> OOMValue:
@@ -173,6 +173,19 @@ class TestSumSets:
     @given(canonical_sets_st, canonical_sets_st, canonical_sets_st)
     def test_commutative_associative(self, a, b, c):
         assert sum_sets(a, b) == sum_sets(b, a)
+        assert sum_sets(sum_sets(a, b), c) == sum_sets(a, sum_sets(b, c))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 14: {(+-,m),(-,n)} and {(+-,m),(+-,n)}, m < n, are one "
+        "closure class with two canonical forms, so sums are not associative",
+    )
+    def test_associative_on_two_forms_of_one_class(self):
+        # (a+b)+c is {(+-,-2),(+-,-1)} and a+(b+c) is {(+-,-2),(-,-1)}: equal
+        # under the convex-closure oracle, unequal as canonical sets
+        a = oset(("+-", -1), ("+", 0))
+        b = oset(("-", -1))
+        c = oset(("+-", -2), ("+", 0))
         assert sum_sets(sum_sets(a, b), c) == sum_sets(a, sum_sets(b, c))
 
 
