@@ -85,6 +85,8 @@ def run_experiment(
 ) -> list[ExperimentResult]:
     if instances < 1 or s < 1 or not epsilons:
         raise ValueError("need at least one instance, sample and epsilon")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, not {seed}")
     results: list[ExperimentResult] = []
     n = params.n_c + params.n_d
     for i in range(instances):

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .sets import decode_set, decode_value, encode_orders, encode_sets, parse_set
+from .sets import canonical, decode_set, decode_value, encode_orders, encode_sets, parse_set
 from .values import parse_value
 
 if TYPE_CHECKING:
@@ -413,25 +413,17 @@ def _utility_problem(table: np.ndarray, qualitative: bool, limit: int) -> str | 
     """The entry problem of a float utility table of the right shape."""
     if not qualitative:
         return None if np.isfinite(table).all() else "non-finite entries"
-    if not _canonical_sets(table):
+    if not _canonical_sets(table).all():
         return _NOT_SETS
-    orders = np.minimum(table[0], table[1])
-    return _orders_beyond(limit) if (np.abs(orders[orders < math.inf]) > limit).any() else None
+    return _orders_beyond(limit) if (np.abs(table[table < math.inf]) > limit).any() else None
 
 
-def _canonical_sets(table: np.ndarray) -> bool:
-    """Whether every cell of a (bit, end, cell) table encodes a canonical
-    set, as the solver's kernels assume: each end a value, zero, (k, k) for
-    +-, or (k, inf) or (inf, k) for a signed one, and the ends equal or a
-    +- value below the other."""
-    plus, minus = table
-    order = np.minimum(plus, minus)
-    integral = np.isfinite(order) & (order == np.floor(order))
-    signed = (plus == minus) | (np.maximum(plus, minus) == math.inf)
-    values = ((plus == math.inf) & (minus == math.inf)) | (integral & signed)
-    singleton = (plus[0] == plus[1]) & (minus[0] == minus[1])
-    pair = (plus[0] == minus[0]) & (order[0] < order[1])
-    return bool((values.all(0) & (singleton | pair)).all())
+def _canonical_sets(table: np.ndarray) -> np.ndarray:
+    """Which cells of a (bit, end, cell) table hold a canonical set, as the
+    kernels assume: every order an integer or ``inf`` (``canonical`` keeps a
+    ``(+,0.5)`` or ``(+,-inf)`` singleton), and the cell its own ``canonical``."""
+    integral = (table == np.floor(table)) & (table > -math.inf)  # drops nan
+    return (integral & (canonical(table[0], table[1], 0) == table)).all((0, 1))
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,12 @@ class GeneratorParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_c", "n_d", "k", "p", "r", "a", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, not {self.seed}")
         total = self.n_c + self.n_d
         if self.n_c < 0 or self.n_d < 0 or total == 0:
             raise ValueError("need at least one variable")

@@ -33,7 +33,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -50,6 +50,7 @@ from .ordering import checked_skeleton, legal_ordering
 from .sets import (
     OOMSet,
     ZERO_SET,
+    canonical,
     decode_set,
     decode_value,
     max_sets,
@@ -178,36 +179,9 @@ class PolicySet:
 # lower of its two bit orders, with every bit that reaches it, so a sum of
 # values is the minimum per bit (a bit's order above the value's is
 # ignored: sums need no clean-up).  Scaling by a probability adds its order
-# to both bits.  The kernels take (bit, end, ...) set tables and count
-# ``axis`` from the end, past any further leading axes.
-
-def canonical(plus: np.ndarray, minus: np.ndarray, axis) -> np.ndarray:
-    """``canonicalize`` of the values along ``axis`` (an axis or a tuple of
-    them), given by their bit orders; a (bit, end, rest) table.
-
-    Per sign: ``m_s`` is its lowest order, ``n_s`` its highest, and a sign
-    that does not occur has ``m_s = inf`` and ``n_s = -inf``.  Zero counts as
-    a +- value at order ``inf``.
-    """
-    is_pm = plus == minus
-    m_plus = np.min(plus, axis, initial=INF, where=plus < minus)
-    m_pm = np.min(plus, axis, initial=INF, where=is_pm)
-    n_pm = np.max(plus, axis, initial=-INF, where=is_pm)
-    n_minus = np.max(minus, axis, initial=-INF, where=minus < plus)
-    has_plus = m_plus < INF
-    # a positive at least as low as every +- value is the whole set
-    lone_plus = has_plus & (m_plus <= m_pm)
-    only_minus = ~has_plus & (n_pm == -INF)
-    # otherwise a +- value at m_pm is the low end (there are no +- values
-    # only when all are negative, and then m_pm is inf)
-    lo_minus = np.where(lone_plus, INF, np.where(only_minus, n_minus, m_pm))
-    lo_plus = np.where(lone_plus, m_plus, m_pm)
-    # the high end: the best positive, else the +- extreme or a less-bad
-    # negative, whichever is higher
-    hi_plus = np.where(has_plus, m_plus, np.where(n_pm >= n_minus, n_pm, INF))
-    hi_minus = np.where(has_plus, INF, np.maximum(n_pm, n_minus))
-    return np.array([[lo_plus, hi_plus], [lo_minus, hi_minus]])
-
+# to both bits.  Set sums and maxima end in ``sets.canonical``.  The kernels
+# take (bit, end, ...) set tables and count ``axis`` from the end, past any
+# further leading axes.
 
 def sum_ends(table: np.ndarray, axis: int | None = None) -> np.ndarray:
     """``sum_sets`` of the sets along ``axis`` of a (bit, end, ...) table, or
@@ -243,25 +217,15 @@ def maximal_mask(table: np.ndarray, axis: int) -> np.ndarray:
 
 def _max_value(*values: OOMValue) -> OOMValue:
     """Dominance maximum of probability values (totally ordered)."""
-    best: OOMValue | None = None
-    for v in values:
-        if best is None or dominates(v, best):
-            best = v
-    assert best is not None
-    return best
+    return reduce(lambda best, v: v if dominates(v, best) else best, values)
 
 
 def _maximal_actions(*values: OOMSet) -> frozenset[int]:
-    kept = []
-    for d, a in enumerate(values):
-        beaten = any(
-            set_dominates(b, a) and not set_dominates(a, b)
-            for e, b in enumerate(values)
-            if e != d
-        )
-        if not beaten:
-            kept.append(d)
-    return frozenset(kept)
+    """The actions whose value set no other action's strictly dominates."""
+    return frozenset(
+        d for d, a in enumerate(values)
+        if not any(set_dominates(b, a) and not set_dominates(a, b) for b in values)
+    )
 
 
 # ---------------------------------------------------------------------------

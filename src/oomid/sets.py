@@ -3,13 +3,15 @@
 Up to convex-closure equivalence, every finite set of order-of-magnitude
 values collapses to either a singleton ``{a}`` or a pair
 ``{(+-,m), (sign,n)}`` with ``m < n`` (``n`` may be ``inf``).  ``OOMSet``
-stores exactly that canonical form, and the three operations that the
-solver needs (scaling by a positive value, summation, maximization) all
-map canonical inputs to canonical outputs.
+stores exactly that canonical form.  Its operations here (scaling by a
+positive value, summation, maximization) are the paper's calculus and the
+reference for the array kernels that the solver runs instead.
 
 The codec at the end is the one translation between these objects and
 the float64 tables that qualitative diagrams hold; ``elim_oom_id`` decodes
 only its MEU with it, and the test oracle ``brute_force_oom`` every table.
+``canonical`` is ``canonicalize`` on those tables, for the kernels and
+``validate``, which accepts a utility table only as its fixed point.
 """
 
 from __future__ import annotations
@@ -224,3 +226,31 @@ def decode_set(table) -> OOMSet:
     (lo_plus, hi_plus), (lo_minus, hi_minus) = table
     lo, hi = decode_value(lo_plus, lo_minus), decode_value(hi_plus, hi_minus)
     return OOMSet((lo,) if lo == hi else (lo, hi))
+
+
+def canonical(plus: np.ndarray, minus: np.ndarray, axis) -> np.ndarray:
+    """``canonicalize`` of the values along ``axis`` (an axis or a tuple of
+    them), given by their bit orders; a (bit, end, rest) table.
+
+    Per sign: ``m_s`` is its lowest order, ``n_s`` its highest, and a sign
+    that does not occur has ``m_s = inf`` and ``n_s = -inf``.  Zero counts as
+    a +- value at order ``inf``.
+    """
+    is_pm = plus == minus
+    m_plus = np.min(plus, axis, initial=INF, where=plus < minus)
+    m_pm = np.min(plus, axis, initial=INF, where=is_pm)
+    n_pm = np.max(plus, axis, initial=-INF, where=is_pm)
+    n_minus = np.max(minus, axis, initial=-INF, where=minus < plus)
+    has_plus = m_plus < INF
+    # a positive at least as low as every +- value is the whole set
+    lone_plus = has_plus & (m_plus <= m_pm)
+    only_minus = ~has_plus & (n_pm == -INF)
+    # otherwise a +- value at m_pm is the low end (there are no +- values
+    # only when all are negative, and then m_pm is inf)
+    lo_minus = np.where(lone_plus, INF, np.where(only_minus, n_minus, m_pm))
+    lo_plus = np.where(lone_plus, m_plus, m_pm)
+    # the high end: the best positive, else the +- extreme or a less-bad
+    # negative, whichever is higher
+    hi_plus = np.where(has_plus, m_plus, np.where(n_pm >= n_minus, n_pm, INF))
+    hi_minus = np.where(has_plus, INF, np.maximum(n_pm, n_minus))
+    return np.array([[lo_plus, hi_plus], [lo_minus, hi_minus]])

@@ -4,7 +4,9 @@
 configuration, and ``brute_force_meu`` scores every policy with it: the
 exact solver and the policy evaluator must agree with both.
 ``convex_closure_bounded`` lists the convex combinations of values with
-coefficient orders capped, the semantic oracle for canonical sets.
+coefficient orders capped, the semantic oracle for canonical sets, and
+``canonical_cells`` states their table form clause by clause, the oracle
+for ``validate``'s fixed-point check.
 ``is_legal_ordering`` checks an ordering against ``temporal_partition``'s
 blocks.  They read only ``diagram``, ``ordering`` and ``values`` of the
 package, never the elimination engine or a solver
@@ -16,6 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from oomid.diagram import (
     GuardExceeded,
@@ -63,6 +67,21 @@ def convex_closure_bounded(
                 new_states.add((add(acc, term), min_used or zero_order))
         states = new_states
     return {acc for acc, min_used in states if min_used}
+
+
+def canonical_cells(table: np.ndarray) -> np.ndarray:
+    """Which cells of a (bit, end, cell) table encode a canonical set: each
+    end a value, zero, (k, k) for +-, or (k, inf) or (inf, k) for a signed
+    one with k an integer, and the ends equal or a +- value below the
+    other."""
+    plus, minus = table
+    order = np.minimum(plus, minus)
+    integral = np.isfinite(order) & (order == np.floor(order))
+    signed = (plus == minus) | (np.maximum(plus, minus) == math.inf)
+    values = ((plus == math.inf) & (minus == math.inf)) | (integral & signed)
+    singleton = (plus[0] == plus[1]) & (minus[0] == minus[1])
+    pair = (plus[0] == minus[0]) & (order[0] < order[1])
+    return values.all(0) & (singleton | pair)
 
 
 def _policy_space(diagram: InfluenceDiagram) -> list[tuple[str, tuple[str, ...], int, int]]:

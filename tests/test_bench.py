@@ -81,6 +81,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(quick_params(), [], s=1, instances=1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be at least 0, not -1$"):
+            run_experiment(quick_params(), [0.5], s=1, instances=1, seed=-1)
+
 
 class TestStatistics:
     def test_median_low_is_lower_middle(self):

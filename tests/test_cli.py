@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oomid
-from oomid import cli
+from oomid import bench, cli
 from oomid.cli import main
 from oomid.convert import ConversionConfig, convert
 from oomid.diagram import ROW_TOLERANCE, save, to_dict, wildcatter
@@ -554,6 +554,12 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "sampled with replacement" in out
 
+    def test_negative_seed(self, wildcatter_path, capsys):
+        # the seed only seeds random.Random, which takes any integer
+        args = ["compare", wildcatter_path, "--epsilon", "0.1", "--samples", "2"]
+        assert main(args + ["--seed", "-5"]) == 0
+        assert "policies = 2" in capsys.readouterr().out
+
 
 # sha256 of the file ``oomid convert`` writes for the bundled wildcatter at
 # each epsilon, and of ``oomid compare --epsilon 0.1 --samples 5`` stdout,
@@ -642,4 +648,16 @@ class TestBench:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: --n ")
+        assert not out.exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys, monkeypatch):
+        def generate(*args, **kwargs):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr(bench, "generate", generate)
+        out = tmp_path / "x.csv"
+        args = ["bench", "--n", "12", "--instances", "1", "--samples", "1", "--seed", "-1"]
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be at least 0, not -1\n"
         assert not out.exists()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -42,7 +43,7 @@ from oomid.ordering import (
 )
 from oomid.sets import ZERO_SET, encode_orders, encode_sets, singleton
 from oomid.values import ZERO, OOMValue, Sign
-from oracles import is_legal_ordering
+from oracles import canonical_cells, is_legal_ordering
 
 PROBABILITY_MESSAGE = "entries must be positive or zero order-of-magnitude values"
 
@@ -345,8 +346,12 @@ class TestValidate:
             [[1.0, 1.0], [1.0, np.inf]],  # (+-,1) then (+,1)
             [[np.nan, np.nan], [np.nan, np.nan]],
             [[0.5, 0.5], [np.inf, np.inf]],
+            [[-np.inf, -np.inf], [np.inf, np.inf]],  # (+,-inf), its own canonical form
         ],
-        ids=["two orders", "positive low end", "low above high", "equal orders", "nan", "0.5"],
+        ids=[
+            "two orders", "positive low end", "low above high", "equal orders", "nan", "0.5",
+            "-inf",
+        ],
     )
     def test_library_built_non_canonical_sets(self, cell):
         oom = convert(tiny_chain(), ConversionConfig(0.1))
@@ -356,6 +361,15 @@ class TestValidate:
         assert validate(edited) == [
             "utility 0 over ['D', 'Y']: entries must be order-of-magnitude sets"
         ]
+
+    def test_canonical_check_agrees_with_the_clauses(self):
+        # every (bit, end) cell whose entries are orders -3..3, +-inf, nan,
+        # a fraction or an order far past any limit
+        entries = [*range(-3, 4), np.inf, -np.inf, np.nan, 0.5, 1e300]
+        cells = np.array(list(itertools.product(entries, repeat=4))).T.reshape(2, 2, -1)
+        expected = canonical_cells(cells)
+        assert expected.sum() == 117
+        assert np.array_equal(diagram_module._canonical_sets(cells), expected)
 
     def test_two_dimensional_numeric_table(self):
         d = tiny_chain()

@@ -34,6 +34,23 @@ class TestParams:
             with pytest.raises(ValueError, match=message):
                 GeneratorParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 2.5), ("n_c", 20.5), ("k", True), ("a", "5"), ("seed", np.float64(1))],
+    )
+    def test_rejects_non_integers(self, field, value):
+        kwargs = {"n_c": 20, "n_d": 5, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, not "):
+            GeneratorParams(**kwargs)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be at least 0, not -1$"):
+            GeneratorParams(n_c=20, n_d=5, seed=-1)
+
+    def test_accepts_numpy_integers(self):
+        params = GeneratorParams(n_c=np.int64(20), n_d=np.int32(5), seed=np.uint64(3))
+        assert generate(params) == generate(GeneratorParams(n_c=20, n_d=5, seed=3))
+
 
 class TestStructure:
     @pytest.mark.parametrize("nonforgetting", [True, False])

@@ -11,7 +11,8 @@ held to the same rule.
 
 Tables are arrays from the generator and the loader to the solvers, so
 the modules of that path import nothing from ``values`` or ``sets``;
-``convert`` only their codec, which ``sets`` alone defines.  The
+``convert`` only their codec, which ``sets`` alone defines, as it alone
+defines the canonical form, scalar and on tables.  The
 elimination engine both solvers share imports only ``diagram`` of the
 package, so no algebra or solver code reaches it.  ``oracles`` imports
 nothing of the elimination engine or the solvers, so agreeing with it
@@ -67,6 +68,7 @@ def test_every_import_is_used(path):
 
 CALCULUS = {"values", "sets"}
 CODEC = {"encode_value", "encode_orders", "encode_sets", "decode_value", "decode_set"}
+CANONICAL_FORM = {"canonicalize", "canonical"}
 
 
 def tree_of(name: str) -> ast.Module:
@@ -123,13 +125,23 @@ def test_convert_imports_only_the_codec():
     assert calculus_imports(tree_of("convert")) <= CODEC
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_only_sets_defines_the_codec(path):
+def defined_names(path: Path) -> set[str]:
+    """The functions and classes ``path`` defines, at any depth."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    defined = {
+    return {
         node.name
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith(("encode_", "decode_"))
     }
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_sets_defines_the_codec(path):
+    defined = {name for name in defined_names(path) if name.startswith(("encode_", "decode_"))}
     assert defined == (CODEC if path.name == "sets.py" else set())
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_sets_defines_the_canonical_form(path):
+    defined = defined_names(path) & CANONICAL_FORM
+    assert defined == (CANONICAL_FORM if path.name == "sets.py" else set())

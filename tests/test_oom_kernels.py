@@ -16,7 +16,6 @@ import pytest
 from oomid.oom_solve import (
     _max_value,
     _maximal_actions,
-    canonical,
     max_ends,
     maximal_mask,
     sum_ends,
@@ -24,6 +23,7 @@ from oomid.oom_solve import (
 from oomid.sets import (
     ZERO_SET,
     OOMSet,
+    canonical,
     canonicalize,
     decode_set,
     decode_value,
